@@ -101,7 +101,10 @@ def format_half(index2: int) -> str:
 
 def parse_half(text: str) -> int:
     """`m` or `p/q` text -> doubled integer; rejects non-half-integers."""
-    f = Fraction(text.strip())
+    try:
+        f = Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
     f2 = f * 2
     if f2.denominator != 1:
         raise ParseError(f"{text!r} is not a half-integer")

@@ -69,7 +69,10 @@ class SpanChecker:
 def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     """Kernel of the linear map sending domain basis vector j to images[j].
 
-    Returns reduced kernel vectors as dicts {domain index: Scalar}.
+    Returns a kernel basis in row echelon form, as dicts {domain index:
+    Scalar}: each vector is reduced against the span of the earlier ones
+    and scaled so that its smallest domain index has coefficient 1.
+    Earlier vectors are not reduced against later ones.
     """
     rows: list[tuple[object, dict, dict]] = []  # (pivot, image row, preimage)
     kernel: list[dict] = []
@@ -100,7 +103,8 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
             )
         else:
             kernel.append(pre)
-    # canonicalise: reduce kernel vectors against each other (RREF on domain)
+    # echelon form on the domain: each kernel vector is reduced only against
+    # the ones before it, never back-reduced
     reducer = SpanChecker(coord_key=lambda j: j)
     out: list[dict] = []
     for vec in kernel:

@@ -1,20 +1,22 @@
-"""Exact arithmetic in the field Q(i, sqrt(2)).
+"""Exact arithmetic in the field Q(i, sqrt(2)) = Q(zeta_8).
 
-A scalar is stored on the fixed rational basis {1, i, sqrt2, i*sqrt2}
-with `fractions.Fraction` coordinates, so every value is canonical and
-equality is coordinate-wise.  Inversion rationalises the denominator in
-two stages: first the sqrt2-conjugate (landing in Q(i)), then the
-complex conjugate (landing in Q).
+A scalar (a + b*i + c*sqrt2 + d*i*sqrt2) / q is stored on the fixed basis
+{1, i, sqrt2, i*sqrt2} as four integer numerators a, b, c, d over one
+positive integer denominator q, in lowest terms: gcd(a, b, c, d, q) == 1.
+That form is canonical, so equality is equality of the five integers, and
+one product costs one integer product and one gcd instead of a gcd per
+rational coordinate (Cohen, "A Course in Computational Algebraic Number
+Theory", section 4.2).  The coordinates `a`-`d` are read back as
+`fractions.Fraction`s.  Inversion multiplies by the sqrt2-conjugate
+(landing in Q(i)) and then by the complex conjugate (landing in Q).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _coerce(x) -> Fraction:
@@ -27,128 +29,198 @@ def _coerce(x) -> Fraction:
     raise TypeError(f"cannot build a rational coordinate from {x!r}")
 
 
+def _new(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
+    """A scalar from numerators and a denominator already in lowest terms."""
+    s = object.__new__(Scalar)
+    s._a = a
+    s._b = b
+    s._c = c
+    s._d = d
+    s._q = q
+    return s
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
+    """A scalar from numerators and a positive denominator, put in lowest terms."""
+    g = gcd(a, b, c, d, q)
+    if g != 1:
+        return _new(a // g, b // g, c // g, d // g, q // g)
+    return _new(a, b, c, d, q)
+
+
+def _lift(x):
+    """An int or Fraction operand as a Scalar; NotImplemented for anything else."""
+    if isinstance(x, int):
+        return _new(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, 0, 0, x.denominator)
+    return NotImplemented
+
+
 class Scalar:
     """An element a + b*i + c*sqrt2 + d*i*sqrt2 with rational a, b, c, d."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_a", "_b", "_c", "_d", "_q")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _coerce(a)
-        self.b = _coerce(b)
-        self.c = _coerce(c)
-        self.d = _coerce(d)
-
-    @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> "Scalar":
-        s = object.__new__(cls)
-        s.a = a
-        s.b = b
-        s.c = c
-        s.d = d
-        return s
+        fa, fb, fc, fd = _coerce(a), _coerce(b), _coerce(c), _coerce(d)
+        # the least common denominator leaves the result in lowest terms
+        q = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+        self._a = fa.numerator * (q // fa.denominator)
+        self._b = fb.numerator * (q // fb.denominator)
+        self._c = fc.numerator * (q // fc.denominator)
+        self._d = fd.numerator * (q // fd.denominator)
+        self._q = q
 
     @classmethod
     def rational(cls, num, den=1) -> "Scalar":
-        return cls._raw(Fraction(num, den), _F0, _F0, _F0)
+        f = Fraction(num, den)
+        return _new(f.numerator, 0, 0, 0, f.denominator)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._q)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._c, self._q)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._d, self._q)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self._a or self._b or self._c or self._d)
 
     @property
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._b or self._c or self._d)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return Fraction(self._a, self._q)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._a or self._b or self._c or self._d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            other = _lift(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
+            self._a == other._a
+            and self._b == other._b
+            and self._c == other._c
+            and self._d == other._d
+            and self._q == other._q
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        if self._b or self._c or self._d:
+            return hash((self._a, self._b, self._c, self._d, self._q))
+        # equal to the hash of the equal int or Fraction
+        return hash(self._a) if self._q == 1 else hash(Fraction(self._a, self._q))
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(-self.a, -self.b, -self.c, -self.d)
+        return _new(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __add__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar._raw(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+            other = _lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        q1 = self._q
+        q2 = other._q
+        if q1 == q2:
+            a = self._a + other._a
+            b = self._b + other._b
+            c = self._c + other._c
+            d = self._d + other._d
+            if q1 == 1:
+                return _new(a, b, c, d, 1)
+            return _reduced(a, b, c, d, q1)
+        return _add_scaled(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar._raw(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+            other = _lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        q1 = self._q
+        q2 = other._q
+        if q1 == q2:
+            a = self._a - other._a
+            b = self._b - other._b
+            c = self._c - other._c
+            d = self._d - other._d
+            if q1 == 1:
+                return _new(a, b, c, d, 1)
+            return _reduced(a, b, c, d, q1)
+        return _add_scaled(self, other, -1)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            f = _coerce(other)
-            return Scalar._raw(self.a * f, self.b * f, self.c * f, self.d * f)
         if not isinstance(other, Scalar):
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+            other = _lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = other._a, other._b, other._c, other._d
+        q = self._q * other._q
         if not (b1 or c1 or d1):  # rational * x
-            return Scalar._raw(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
-        if not (b2 or c2 or d2):  # x * rational
-            return Scalar._raw(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
-        # Multiplication table: i^2 = -1, sqrt2^2 = 2, (i*sqrt2)^2 = -2.
-        return Scalar._raw(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+            a, b, c, d = a1 * a2, a1 * b2, a1 * c2, a1 * d2
+        elif not (b2 or c2 or d2):  # x * rational
+            a, b, c, d = a1 * a2, b1 * a2, c1 * a2, d1 * a2
+        else:
+            # Multiplication table: i^2 = -1, sqrt2^2 = 2, (i*sqrt2)^2 = -2.
+            a = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+            b = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+            c = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+            d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        if q == 1:
+            return _new(a, b, c, d, 1)
+        return _reduced(a, b, c, d, q)
 
     __rmul__ = __mul__
 
     def conj_sqrt2(self) -> "Scalar":
-        return Scalar._raw(self.a, self.b, -self.c, -self.d)
+        return _new(self._a, self._b, -self._c, -self._d, self._q)
 
     def conj_i(self) -> "Scalar":
-        return Scalar._raw(self.a, -self.b, self.c, -self.d)
+        return _new(self._a, -self._b, self._c, -self._d, self._q)
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("inversion of the zero scalar")
-        s = self.conj_sqrt2()
-        y = self * s  # lies in Q(i)
-        n = y.a * y.a + y.b * y.b  # rational norm of y
-        return s * y.conj_i() * Scalar._raw(_F1 / n, _F0, _F0, _F0)
+        a, b, c, d, q = self._a, self._b, self._c, self._d, self._q
+        # y = self * conj_sqrt2(self) = (u + v*i) / q^2 lies in Q(i); then
+        # 1/self = conj_sqrt2(self) * conj_i(y) / |y|^2 with |y|^2 > 0 rational.
+        u = a * a - b * b - 2 * (c * c - d * d)
+        v = 2 * (a * b - 2 * c * d)
+        return _reduced(
+            q * (a * u + b * v),
+            q * (b * u - a * v),
+            -q * (c * u + d * v),
+            q * (c * v - d * u),
+            u * u + v * v,
+        )
 
     def __truediv__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            other = _lift(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
@@ -168,7 +240,7 @@ class Scalar:
     @property
     def is_simple(self) -> bool:
         """True when at most one basis coordinate is nonzero."""
-        return sum(1 for x in (self.a, self.b, self.c, self.d) if x) <= 1
+        return sum(1 for x in (self._a, self._b, self._c, self._d) if x) <= 1
 
     def __str__(self) -> str:
         parts = []
@@ -194,13 +266,38 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-ZERO = Scalar._raw(_F0, _F0, _F0, _F0)
-ONE = Scalar._raw(_F1, _F0, _F0, _F0)
-I = Scalar._raw(_F0, _F1, _F0, _F0)
-SQRT2 = Scalar._raw(_F0, _F0, _F1, _F0)
-I_SQRT2 = Scalar._raw(_F0, _F0, _F0, _F1)
-HALF = Scalar.rational(1, 2)
-INV_SQRT2 = Scalar._raw(_F0, _F0, Fraction(1, 2), _F0)  # 1/sqrt2 = sqrt2/2
+def _add_scaled(x: Scalar, y: Scalar, sign: int) -> Scalar:
+    """x + sign*y for unequal denominators, scaled to their least common one.
+
+    As in `Fraction` addition, with g = gcd(q1, q2) the sum over
+    lcm(q1, q2) can share a factor with its numerators only inside g.
+    """
+    q1 = x._q
+    q2 = y._q
+    g = gcd(q1, q2)
+    s = q1 // g
+    t = q2 // g
+    if sign < 0:
+        s = -s
+    a = x._a * t + y._a * s
+    b = x._b * t + y._b * s
+    c = x._c * t + y._c * s
+    d = x._d * t + y._d * s
+    if g == 1:
+        return _new(a, b, c, d, q1 * q2)
+    g2 = gcd(a, b, c, d, g)
+    if g2 != 1:
+        return _new(a // g2, b // g2, c // g2, d // g2, q1 // g * (q2 // g2))
+    return _new(a, b, c, d, q1 // g * q2)
+
+
+ZERO = _new(0, 0, 0, 0, 1)
+ONE = _new(1, 0, 0, 0, 1)
+I = _new(0, 1, 0, 0, 1)
+SQRT2 = _new(0, 0, 1, 0, 1)
+I_SQRT2 = _new(0, 0, 0, 1, 1)
+HALF = _new(1, 0, 0, 0, 2)
+INV_SQRT2 = _new(0, 0, 1, 0, 2)  # 1/sqrt2 = sqrt2/2
 
 
 class _ScalarParser:
@@ -274,7 +371,10 @@ class _ScalarParser:
                     start = self.pos
                     while self.pos < len(self.text) and self.text[self.pos].isdigit():
                         self.pos += 1
-                    return Scalar.rational(num, int(self.text[start : self.pos]))
+                    den = int(self.text[start : self.pos])
+                    if not den:
+                        raise ParseError(f"zero denominator in scalar {self.text!r}")
+                    return Scalar.rational(num, den)
                 self.pos = save
             return Scalar.rational(num)
         raise ParseError(f"unexpected character {ch!r} in scalar {self.text!r}")

@@ -45,6 +45,13 @@ class TestBracket:
         code, _ = run(["bracket", "G[1", "G[-1/2]"], capsys)
         assert code == USAGE
 
+    @pytest.mark.parametrize("x, y", [("G[1]", "1/0*G[2]"), ("G[1/0]", "G[1]")])
+    def test_zero_denominator_exit_code(self, x, y, capsys):
+        code = main(["bracket", x, y])
+        err = capsys.readouterr().err
+        assert code == USAGE
+        assert err.count("\n") == 1 and "zero denominator" in err
+
     def test_wrong_basis_exit_code(self, capsys):
         code, _ = run(["bracket", "G1[1/2]", "G1[-1/2]"], capsys)
         assert code == USAGE  # G1 is not in the twisted presentation

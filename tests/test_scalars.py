@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -104,3 +105,115 @@ def test_division_and_powers():
     assert x**3 == x * x * x
     assert x**0 == ONE
     assert x**-2 == (x * x).inverse()
+
+
+@pytest.mark.parametrize(
+    "q", [0, 1, -1, 7, -(2**70), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 2**65)]
+)
+def test_rational_hash_matches_int_and_fraction(q):
+    s = Scalar(q)
+    assert s == q and hash(s) == hash(q)
+    assert {s: "x"}.get(q) == "x" and {q: "x"}.get(s) == "x"
+    assert Scalar.rational(Fraction(q).numerator, Fraction(q).denominator) == s
+
+
+# Primes p = 1 (mod 8), so F_p holds a primitive 8th root of unity z, and
+# i -> z^2, sqrt2 -> z + z^-1 is a ring map from the scalars whose
+# denominators p does not divide.  The last prime lies above 2^61.
+ORACLE_PRIMES = (17, 41, 73, 97, 2**61 + 57)
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _roots_mod(p):
+    """(i, sqrt2) in F_p: roots of x^2 + 1 and x^2 - 2 from an 8th root of unity."""
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    z = pow(n, (p - 1) // 8, p)
+    i_p, r2_p = z * z % p, (z + pow(z, -1, p)) % p
+    assert (i_p * i_p + 1) % p == 0 and (r2_p * r2_p - 2) % p == 0
+    return i_p, r2_p
+
+
+def _canonical(x):
+    a, b, c, d, q = x._a, x._b, x._c, x._d, x._q
+    assert q > 0 and math.gcd(a, b, c, d, q) == 1
+    assert (Fraction(a, q), Fraction(b, q), Fraction(c, q), Fraction(d, q)) == (
+        x.a, x.b, x.c, x.d
+    )
+    return a, b, c, d, q
+
+
+def _big_scalar(rng, bits):
+    coords = [
+        Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+        if rng.random() < 0.8 else 0
+        for _ in range(4)
+    ]
+    return Scalar(*coords)
+
+
+def test_arithmetic_agrees_with_finite_field_images():
+    for p in ORACLE_PRIMES:
+        assert p % 8 == 1 and _is_prime(p)
+    roots = {p: _roots_mod(p) for p in ORACLE_PRIMES}
+
+    def image(x, p):
+        a, b, c, d, q = _canonical(x)
+        if q % p == 0:
+            return None
+        i_p, r2_p = roots[p]
+        return (a + b * i_p + c * r2_p + d * i_p * r2_p) * pow(q, -1, p) % p
+
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(400):
+        bits = rng.choice((1, 8, 64, 200))
+        x, y = _big_scalar(rng, bits), _big_scalar(rng, rng.choice((1, 200)))
+        results = {"+": x + y, "-": x - y, "*": x * y}
+        if x:
+            results["inv"] = x.inverse()
+        for p in ORACLE_PRIMES:
+            ix, iy = image(x, p), image(y, p)
+            images = {name: image(v, p) for name, v in results.items()}
+            if ix is None or iy is None or None in images.values():
+                continue
+            assert images["+"] == (ix + iy) % p
+            assert images["-"] == (ix - iy) % p
+            assert images["*"] == ix * iy % p
+            if "inv" in images:
+                assert images["inv"] * ix % p == 1
+            checked += 1
+        # one value, one representation, however it was built
+        rep = _canonical(x)
+        for same in (
+            (x + y) - y,
+            (x * y) * y.inverse() if y else x,
+            x.inverse().inverse() if x else x,
+            Scalar(x.a, x.b, x.c, x.d),
+            parse_scalar(str(x)),
+            -(-x),
+        ):
+            assert _canonical(same) == rep and same == x and hash(same) == hash(x)
+    assert checked > 1000
+    assert _canonical(x - x) == (0, 0, 0, 0, 1)

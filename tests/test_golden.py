@@ -1,0 +1,140 @@
+"""Byte-level snapshots of the CLI surfaces.
+
+Each entry of CASES is one `n2sca` command line.  The test runs it
+in-process and compares its stdout bytes with `tests/golden/<name>.out`
+and its exit code with `tests/golden/exit_codes.tsv`.  `brackets.tsv`
+holds `str(bracket(x, y))` for every generator pair with |index2| <= 4
+in all four presentations.
+
+The goldens are written from this table and nowhere else; after an
+intended behaviour change, rerun from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
+import pytest
+
+from n2sca.algebra import PRESENTATIONS
+from n2sca.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
+
+W, B, H, TB = (f"tests/golden/{n}.cfg" for n in ("whittaker", "b_t0", "highorder", "table"))
+GEN = "tests/golden/generalized.cfg"
+
+CASES: dict[str, tuple[str, ...]] = {
+    # suites at default flags; jacobi and module-axiom at the benchmark's sizes
+    "verify-scalars": ("verify", "scalars"),
+    "verify-jacobi-w4": ("verify", "jacobi", "--window", "4"),
+    "verify-module-axiom-w4": ("verify", "module-axiom", "--window", "4",
+                               "--max-weight", "1", "--max-length", "2"),
+    "verify-orders": ("verify", "orders"),
+    "verify-deg-lemma": ("verify", "deg-lemma"),
+    "verify-reduction": ("verify", "reduction"),
+    "verify-annihilator": ("verify", "annihilator"),
+    "verify-whittaker-identity": ("verify", "whittaker-identity"),
+    "verify-substitution": ("verify", "substitution"),
+    "verify-psi": ("verify", "psi"),
+    "verify-verma-singular": ("verify", "verma-singular"),
+    "demo-whittaker": ("demo", "whittaker"),
+    "demo-generalized": ("demo", "generalized"),
+    "demo-highorder": ("demo", "highorder"),
+    "demo-b-t0": ("demo", "b-t0"),
+    "jacobi-twisted": ("jacobi", "--algebra", "twisted", "--window", "4"),
+    "jacobi-twisted-pm": ("jacobi", "--algebra", "twisted-pm", "--window", "4"),
+    "jacobi-untwisted-pm": ("jacobi", "--algebra", "untwisted-pm", "--window", "4"),
+    "jacobi-untwisted-12": ("jacobi", "--algebra", "untwisted-12", "--window", "4"),
+    "closure-seed-v1": ("closure", "--spec", GEN, "--subspace", "seed:v1",
+                        "--window", "4", "--max-weight", "2", "--max-length", "3"),
+    "closure-full": ("closure", "--spec", GEN, "--subspace", "full",
+                     "--window", "4", "--max-weight", "2", "--max-length", "3"),
+    "act-b_t0-label": ("act", "T[1/2] L[0]", "--spec", B, "--label", "G[0].v0"),
+    "act-table-label": ("act", "T[1/2] G[-1/2]", "--spec", TB, "--label", "v1"),
+    "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
+}
+for _family, _cfg in (("whittaker", W), ("b_t0", B), ("highorder", H), ("table", TB)):
+    CASES[f"act-{_family}"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec", _cfg,
+                               "--vector", "{1:1}")
+    CASES[f"reduce-{_family}"] = ("reduce", "{1:1,2:1}", "--spec", _cfg)
+    CASES[f"annihilator-{_family}"] = ("annihilator", "--spec", _cfg,
+                                       "--max-weight", "1", "--max-length", "2")
+
+
+def _file_name(name: str) -> str:
+    return name.replace("/", "_") + ".out"
+
+
+def run_case(argv: tuple[str, ...]) -> tuple[bytes, int]:
+    """Stdout bytes and exit code of one in-process `n2sca` run."""
+    resolved = [str(ROOT / a) if a.startswith("tests/golden/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    return out.getvalue().encode("utf-8"), code
+
+
+def bracket_table() -> bytes:
+    lines = ["algebra\tx\ty\tbracket"]
+    for name, pres in sorted(PRESENTATIONS.items()):
+        gens = pres.generators(4)
+        for x in gens:
+            for y in gens:
+                lines.append(f"{name}\t{x}\t{y}\t{pres.bracket(x, y)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _first_difference(want: bytes, got: bytes) -> str:
+    want_lines = want.decode("utf-8").splitlines(keepends=True)
+    got_lines = got.decode("utf-8").splitlines(keepends=True)
+    for number in range(max(len(want_lines), len(got_lines))):
+        w = want_lines[number] if number < len(want_lines) else "<end of output>"
+        g = got_lines[number] if number < len(got_lines) else "<end of output>"
+        if w != g:
+            return f"first difference at line {number + 1}:\n  want {w!r}\n  got  {g!r}"
+    return "outputs differ"
+
+
+def _exit_codes() -> dict[str, int]:
+    text = (GOLDEN / "exit_codes.tsv").read_text(encoding="utf-8")
+    return {name: int(code) for name, code in
+            (line.split("\t") for line in text.splitlines()[1:])}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name):
+    got, code = run_case(CASES[name])
+    want = (GOLDEN / _file_name(name)).read_bytes()
+    rerun = (f"rerun from the repository root: {shlex.join(('n2sca',) + CASES[name])}"
+             f"\nafter an intended change, regenerate with: {REGENERATE}")
+    assert got == want, f"{name}: {_first_difference(want, got)}\n{rerun}"
+    assert code == _exit_codes()[name], f"{name}: exit code {code}\n{rerun}"
+
+
+def test_bracket_golden():
+    want = (GOLDEN / "brackets.tsv").read_bytes()
+    got = bracket_table()
+    assert got == want, (f"brackets.tsv: {_first_difference(want, got)}\n"
+                         f"after an intended change, regenerate with: {REGENERATE}")
+
+
+def regenerate() -> None:
+    codes = ["case\texit"]
+    for name in sorted(CASES):
+        out, code = run_case(CASES[name])
+        (GOLDEN / _file_name(name)).write_bytes(out)
+        codes.append(f"{name}\t{code}")
+    (GOLDEN / "exit_codes.tsv").write_bytes(("\n".join(codes) + "\n").encode("utf-8"))
+    (GOLDEN / "brackets.tsv").write_bytes(bracket_table())
+
+
+if __name__ == "__main__":
+    regenerate()

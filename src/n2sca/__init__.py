@@ -55,12 +55,9 @@ from .orders import (
     ZERO_VECTOR,
     enumerate_vectors,
     eps,
-    length,
-    min_nonzero_slot,
     parse_exponent_vector,
     principal_compare,
     revlex_compare,
-    weight2,
 )
 from .scalars import I, I_SQRT2, ONE, SQRT2, Scalar, ZERO, parse_scalar
 from .theorems import (

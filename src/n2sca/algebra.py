@@ -105,6 +105,8 @@ def parse_half(text: str) -> int:
         f = Fraction(text.strip())
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     f2 = f * 2
     if f2.denominator != 1:
         raise ParseError(f"{text!r} is not a half-integer")
@@ -424,12 +426,6 @@ class AlgebraPresentation:
                 out = out + self.bracket(x, y).scaled(sx * sy)
         return out
 
-    def parity(self, g: GeneratorId) -> int:
-        return g.parity
-
-    def degree2(self, g: GeneratorId) -> int:
-        return g.degree2
-
 
 class _Twisted(AlgebraPresentation):
     def _pair(self, x, y):
@@ -466,25 +462,13 @@ class _Twisted(AlgebraPresentation):
         return None
 
 
-class _TwistedPM(AlgebraPresentation):
+class _TwistedPM(_Twisted):
     """The same twisted algebra in the rescaled convention where the
-    integer-indexed fermions are `G+` and the half-odd ones are `i*G`."""
+    integer-indexed fermions are `G+` and the half-odd ones are `i*G`;
+    only the fermion rules differ from the defining basis."""
 
     def _pair(self, x, y):
         kx, ky = x.kind, y.kind
-        if kx == "L" and ky == "L":
-            return _virasoro(x.index2, y.index2, "L", "C")
-        if kx == "L" and ky == "T":
-            r2 = y.index2
-            return LinearCombo.single(T(x.index2 + r2), Scalar.rational(-r2, 2))
-        if kx == "L" and ky == "G":
-            return LinearCombo.single(
-                G(x.index2 + y.index2), Scalar.rational(x.index2 - 2 * y.index2, 4)
-            )
-        if kx == "T" and ky == "T":
-            if x.index2 + y.index2 == 0:
-                return LinearCombo.single(C, Scalar.rational(x.index2, 6))
-            return ZERO_COMBO
         if kx == "T" and ky == "G":
             coef = -I if y.index2 % 2 == 0 else I
             return LinearCombo.single(G(x.index2 + y.index2), coef)
@@ -499,7 +483,7 @@ class _TwistedPM(AlgebraPresentation):
             return LinearCombo.single(
                 T(p2 + q2), -I * Scalar.rational(plus2 - minus2, 2)
             )
-        return None
+        return super()._pair(x, y)
 
 
 class _UntwistedPM(AlgebraPresentation):
@@ -515,7 +499,7 @@ class _UntwistedPM(AlgebraPresentation):
             if x.index2 + y.index2 == 0:
                 return LinearCombo.single(Cu, Scalar.rational(x.index2, 6))
             return ZERO_COMBO
-        if kx == "Lu" and ky in ("G+", "G-"):
+        if kx == "Lu" and y.parity:
             return LinearCombo.single(
                 GeneratorId(ky, x.index2 + y.index2),
                 Scalar.rational(x.index2 - 2 * y.index2, 4),
@@ -537,24 +521,12 @@ class _UntwistedPM(AlgebraPresentation):
         return None
 
 
-class _Untwisted12(AlgebraPresentation):
+class _Untwisted12(_UntwistedPM):
+    """The untwisted algebra in the (1,2) fermion basis; the Lu/J rules
+    are those of the +/- basis."""
+
     def _pair(self, x, y):
         kx, ky = x.kind, y.kind
-        if kx == "Lu" and ky == "Lu":
-            return _virasoro(x.index2, y.index2, "Lu", "Cu")
-        if kx == "Lu" and ky == "J":
-            return LinearCombo.single(
-                J((x.index2 + y.index2) // 2), Scalar.rational(-y.index2, 2)
-            )
-        if kx == "J" and ky == "J":
-            if x.index2 + y.index2 == 0:
-                return LinearCombo.single(Cu, Scalar.rational(x.index2, 6))
-            return ZERO_COMBO
-        if kx == "Lu" and ky in ("G1", "G2"):
-            return LinearCombo.single(
-                GeneratorId(ky, x.index2 + y.index2),
-                Scalar.rational(x.index2 - 2 * y.index2, 4),
-            )
         if kx == "J" and ky == "G1":
             return LinearCombo.single(G2(x.index2 + y.index2), -I)
         if kx == "J" and ky == "G2":
@@ -570,7 +542,7 @@ class _Untwisted12(AlgebraPresentation):
                 J((x.index2 + y.index2) // 2),
                 -I * Scalar.rational(x.index2 - y.index2, 2),
             )
-        return None
+        return super()._pair(x, y)
 
 
 TWISTED = _Twisted("twisted", ("L", "T", "G", "C"))
@@ -671,6 +643,27 @@ def substitute_basis(combo: LinearCombo, direction: str) -> LinearCombo:
     if direction not in table:
         raise ValueError(f"unknown substitution direction {direction!r}")
     return combo.map_generators(table[direction])
+
+
+class SuiteReport:
+    """A deterministic table of (case, inputs, expected, got, status) rows."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.rows: list[tuple[str, str, str, str, str]] = []
+
+    def add(self, case: str, inputs: str, expected: str, got: str, ok: bool | str):
+        status = ok if isinstance(ok, str) else ("pass" if ok else "FAIL")
+        self.rows.append((case, inputs, expected, got, status))
+
+    @property
+    def ok(self) -> bool:
+        return all(r[4] != "FAIL" for r in self.rows)
+
+    def tsv(self) -> str:
+        lines = ["case\tinputs\texpected\tgot\tstatus"]
+        lines += ["\t".join(r) for r in self.rows]
+        return "\n".join(lines) + "\n"
 
 
 class CheckReport:

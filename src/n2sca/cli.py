@@ -12,15 +12,13 @@ import sys
 
 from .algebra import (
     PRESENTATIONS,
-    TWISTED,
-    format_half,
     jacobi_check,
     parse_combo,
     parse_generator,
     parse_half,
 )
-from .engine import InducedModule, supp_deg
-from .errors import EngineError, ParseError, TruncationError, ValidationError
+from .engine import InducedModule
+from .errors import ParseError, TruncationError, ValidationError
 from .modules import (
     BModuleSpec,
     b_plus_t0_induce,
@@ -91,6 +89,11 @@ def _cmd_reduce(args) -> int:
     v = module.basis_vector(ev, label)
     trace = reduce_to_M(module, v, parse_half(args.u), args.budget)
     _emit(args, "\n".join(trace.lines()) + "\n")
+    if trace.terminal is None:
+        sys.stderr.write(
+            f"inconclusive: {len(trace.steps)}-step budget spent before the seed module\n"
+        )
+        return INCONCLUSIVE
     return PASS if trace.succeeded else FAIL
 
 

@@ -23,14 +23,11 @@ from __future__ import annotations
 
 from .algebra import (
     AlgebraPresentation,
-    C,
     G,
     GeneratorId,
-    L,
     LinearCombo,
     T,
     TWISTED,
-    format_half,
 )
 from .errors import ParseError, TruncationError
 from .orders import (
@@ -223,8 +220,10 @@ class ModuleVector:
     __slots__ = ("module", "terms")
 
     def __init__(self, module: "InducedModule", terms: dict):
+        """``terms`` must hold no zero coefficients; InducedModule.vector
+        filters outside input."""
         self.module = module
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = terms
 
     @property
     def is_zero(self) -> bool:
@@ -318,7 +317,7 @@ class InducedModule:
         return ModuleVector(self, {(ev, label): ONE})
 
     def vector(self, terms: dict) -> ModuleVector:
-        return ModuleVector(self, dict(terms))
+        return ModuleVector(self, {k: v for k, v in terms.items() if v})
 
     def label_rank(self, label) -> int:
         return self._label_rank.get(label, len(self._label_rank))
@@ -485,27 +484,76 @@ class InducedModule:
         return ModuleVector(self, acc)
 
 
-class TrivialSeed:
-    """One-dimensional seed that nothing acts on; used for straightening."""
+class BModuleSpec:
+    """Base class: a seed module for the induction engine."""
 
-    _LABELS = ("1",)
+    family = "abstract"
+
+    def __init__(self, c: Scalar, metadata: dict | None = None):
+        self.c = c
+        self.metadata = metadata or {}
 
     def labels(self):
-        return self._LABELS
+        raise NotImplementedError
 
     def parity(self, label):
-        return 0
+        raise NotImplementedError
+
+    def act(self, gen: GeneratorId, label) -> dict:
+        raise NotImplementedError
+
+    def label_text(self, label) -> str:
+        raise NotImplementedError
+
+    def parse_label(self, text: str):
+        raise NotImplementedError
+
+    def induced(self) -> InducedModule:
+        """The induced module over the full twisted algebra."""
+        return InducedModule(TwistedTemplate(self.c), self, self.c)
+
+
+class FiniteSeed(BModuleSpec):
+    """A finite seed given by an action table.
+
+    ``table`` maps (generator, label) to {label: Scalar}.  A generator
+    that ``acts`` admits but the table omits acts by zero; any other
+    generator raises ValueError naming the ``family``.  A label missing
+    from ``parities`` is ungraded (parity None).
+    """
+
+    def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,
+                 parities: dict | None = None, metadata: dict | None = None):
+        super().__init__(c, metadata)
+        self.family = family
+        self._labels = tuple(labels)
+        for (gen, label), out in table.items():
+            for name in (label, *out):
+                if name not in self._labels:
+                    raise ParseError(f"{gen} action names undeclared label {name!r}")
+        self.table = {key: {l: s for l, s in out.items() if s}
+                      for key, out in table.items()}
+        self._acts = acts
+        self._parities = parities or {}
+
+    def labels(self):
+        return self._labels
+
+    def parity(self, label):
+        return self._parities.get(label)
 
     def act(self, gen, label):
-        raise ValueError(f"{gen} does not act on the straightening seed")
+        if not self._acts(gen):
+            raise ValueError(f"{gen} does not act on the {self.family} seed")
+        return dict(self.table.get((gen, label), {}))
 
     def label_text(self, label):
         return label
 
     def parse_label(self, text):
-        if text != "1":
+        if text not in self._labels:
             raise ParseError(f"unknown label {text!r}")
-        return "1"
+        return text
 
 
 def straighten_negative(
@@ -522,7 +570,8 @@ def straighten_negative(
             raise ValueError(f"{g} is not a twisted generator")
         if g.degree2 > 0:
             raise ValueError(f"{g} has positive degree; straightening needs degree <= 0")
-    module = InducedModule(TwistedTemplate(c), TrivialSeed(), c)
+    seed = FiniteSeed("straightening", ("1",), {}, lambda g: False, c, {"1": 0})
+    module = InducedModule(TwistedTemplate(c), seed, c)
     v = module.act_word(gens, module.basis_vector(ZERO_VECTOR, "1"))
     return {ev: s for (ev, _), s in v.terms.items()}
 

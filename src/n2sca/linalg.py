@@ -7,7 +7,7 @@ eliminated first, so reduced bases are reproducible.
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, ZERO
 
 
 class SpanChecker:

@@ -9,23 +9,20 @@ explicit truncation bounds and raise TruncationError past them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
-    C,
     G,
     GeneratorId,
     KIND_RANK,
     L,
-    LinearCombo,
+    SuiteReport,
     T,
     TWISTED,
     UNTWISTED_PM,
     format_half,
     parse_half,
 )
-from .engine import FiniteLetters, InducedModule, TwistedTemplate
-from .errors import ParseError, TruncationError, ValidationError
+from .engine import BModuleSpec, FiniteLetters, FiniteSeed, InducedModule
+from .errors import ParseError, ValidationError
 from .linalg import kernel_basis
 from .scalars import ONE, Scalar, ZERO, parse_scalar
 
@@ -54,7 +51,7 @@ class SubalgebraSelector:
 
 
 def _positive(g):
-    return g.degree2 > 0 or g.kind == "C"
+    return g.degree2 > 0
 
 
 def _frak_t(g):
@@ -132,121 +129,18 @@ def validate_character(phi: dict[GeneratorId, Scalar], window2: int = 8) -> None
                 )
 
 
-class BModuleSpec:
-    """Base class: a seed module for the induction engine."""
-
-    family = "abstract"
-
-    def __init__(self, c: Scalar, u2: int | None, ungraded: bool = False,
-                 metadata: dict | None = None):
-        self.c = c
-        self.u2 = u2
-        self.ungraded = ungraded
-        self.metadata = metadata or {}
-
-    def labels(self):
-        raise NotImplementedError
-
-    def parity(self, label):
-        raise NotImplementedError
-
-    def act(self, gen: GeneratorId, label) -> dict:
-        raise NotImplementedError
-
-    # the engine seed protocol and the spec oracle coincide
-    def oracle(self, gen: GeneratorId, label) -> dict:
-        return self.act(gen, label)
-
-    def label_text(self, label) -> str:
-        raise NotImplementedError
-
-    def parse_label(self, text: str):
-        raise NotImplementedError
-
-    def induced(self) -> InducedModule:
-        """The induced module over the full twisted algebra."""
-        return InducedModule(TwistedTemplate(self.c), self, self.c)
-
-
-class CharacterSpec(BModuleSpec):
-    """One-dimensional seed: the positive part acts through a character."""
-
-    def __init__(self, phi: dict[GeneratorId, Scalar], c: Scalar, family: str,
-                 u2: int | None, ungraded: bool = False, label: str = "v0",
-                 metadata: dict | None = None):
-        super().__init__(c, u2, ungraded, metadata)
-        self.family = family
-        self.phi = {g: s for g, s in phi.items() if s}
-        self._label = label
-
-    def labels(self):
-        return (self._label,)
-
-    def parity(self, label):
-        return None if self.ungraded else 0
-
-    def act(self, gen, label):
-        if gen.degree2 <= 0:
-            raise ValueError(f"{gen} does not act on the {self.family} seed")
-        s = self.phi.get(gen, ZERO)
-        return {label: s} if s else {}
-
-    def label_text(self, label):
-        return label
-
-    def parse_label(self, text):
-        if text != self._label:
-            raise ParseError(f"unknown label {text!r}")
-        return self._label
-
-
-def whittaker_spec(lam, c) -> CharacterSpec:
+def whittaker_spec(lam, c) -> FiniteSeed:
     """The one-dimensional seed with T[1/2] acting by lam and every other
     positive generator by zero (the non-graded Whittaker seed)."""
     if not isinstance(lam, Scalar):
         lam = Scalar(lam)
     if not isinstance(c, Scalar):
         c = Scalar(c)
-    phi = {T(1): lam}
-    validate_character(phi)
-    spec = CharacterSpec(
-        phi, c, family="whittaker", u2=1, ungraded=True,
+    validate_character({T(1): lam})
+    return FiniteSeed(
+        "whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c,
         metadata={"lambda": lam, "simple_candidate": bool(lam)},
     )
-    return spec
-
-
-class TableSpec(BModuleSpec):
-    """Finite seed given by an explicit action table; unspecified actions
-    are zero."""
-
-    def __init__(self, labels, table: dict, c: Scalar, u2: int | None,
-                 parities: dict | None = None, metadata: dict | None = None):
-        super().__init__(c, u2, metadata=metadata)
-        self.family = "table"
-        self._labels = tuple(labels)
-        self._parities = parities or {}
-        self.table = table  # (gen, label) -> {label: Scalar}
-
-    def labels(self):
-        return self._labels
-
-    def parity(self, label):
-        return self._parities.get(label)
-
-    def act(self, gen, label):
-        if gen.degree2 <= 0:
-            raise ValueError(f"{gen} does not act on the table seed")
-        out = self.table.get((gen, label), {})
-        return {l: s for l, s in out.items() if s}
-
-    def label_text(self, label):
-        return label
-
-    def parse_label(self, text):
-        if text not in self._labels:
-            raise ParseError(f"unknown label {text!r}")
-        return text
 
 
 class DerivedPairSeed:
@@ -302,9 +196,8 @@ class InducedSpec(BModuleSpec):
     system; the outer engine sees its normal words as opaque labels."""
 
     def __init__(self, family: str, inner: InducedModule, c: Scalar,
-                 u2: int | None, min_degree2: int = 1,
-                 metadata: dict | None = None):
-        super().__init__(c, u2, metadata=metadata)
+                 min_degree2: int = 1, metadata: dict | None = None):
+        super().__init__(c, metadata)
         self.family = family
         self.inner = inner
         self.min_degree2 = min_degree2
@@ -400,7 +293,7 @@ def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
     )
     inner = InducedModule(letters, seed, c)
     return InducedSpec(
-        "generalized", inner, c, u2=3,
+        "generalized", inner, c,
         metadata={"phi.L1": phi_l1, "phi.T3/2": phi_t32,
                   "simple_candidate": bool(phi_t32)},
     )
@@ -432,6 +325,8 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
     if not cleaned:
         raise ValidationError("the character must be non-trivial")
     max_w2, max_len = truncation
+    if max_w2 < 0 or max_len < 0:
+        raise ValidationError("truncation bounds must be nonnegative")
     complement = []
     for m2 in range(2, s2, 2):
         complement.append(L(m2 // 2))
@@ -450,7 +345,7 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
     )
     inner = InducedModule(system, seed, c)
     return InducedSpec(
-        "highorder", inner, c, u2=2 * s2 + 1,
+        "highorder", inner, c,
         metadata={"s2": s2, "phi": dict(cleaned)},
     )
 
@@ -474,36 +369,9 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
     )
     inner = InducedModule(letters, spec, c)
     return InducedSpec(
-        "b_t0", inner, c, u2=spec.u2, min_degree2=0,
+        "b_t0", inner, c, min_degree2=0,
         metadata={"inner_family": spec.family, "max_k": max_k},
     )
-
-
-class UnitSeed:
-    """One-dimensional seed killed by everything that reaches it."""
-
-    def __init__(self, kill, label="1"):
-        self.kill = kill
-        self._label = label
-
-    def labels(self):
-        return (self._label,)
-
-    def parity(self, label):
-        return 0
-
-    def act(self, gen, label):
-        if self.kill(gen):
-            return {}
-        raise ValueError(f"{gen} does not act on the vacuum seed")
-
-    def label_text(self, label):
-        return label
-
-    def parse_label(self, text):
-        if text != self._label:
-            raise ParseError(f"unknown label {text!r}")
-        return self._label
 
 
 def verma_untwisted(c, depth2: int) -> InducedModule:
@@ -528,7 +396,8 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
         domain=lambda g: not g.is_central and g.degree2 < 0,
         bounds=(depth2, depth2),
     )
-    seed = UnitSeed(kill=lambda g: g.degree2 >= 0 and not g.is_central)
+    seed = FiniteSeed("vacuum", ("1",), {},
+                      lambda g: g.degree2 >= 0 and not g.is_central, c, {"1": 0})
     return InducedModule(system, seed, c)
 
 
@@ -549,30 +418,23 @@ def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:
     return (not kernel, killed)
 
 
-class Lemma31Report:
-    def __init__(self, name):
-        self.name = name
-        self.rows: list[tuple[str, str, str]] = []
-
-    @property
-    def ok(self):
-        return all(status != "fail" for _, status, _ in self.rows)
-
-    def add(self, case, status, detail=""):
-        self.rows.append((case, status, detail))
-
-
-def lemma31_check(spec: BModuleSpec, t2: int, window2: int = 8) -> Lemma31Report:
+def lemma31_check(spec: BModuleSpec, t2: int, window2: int = 8) -> SuiteReport:
     """Concrete scan of the two annihilation implications on the basis.
 
     Part 1: if L_m and T_r kill the module for m >= t+1/2, r >= t+1,
     then so does every G_p with p >= t+1/2.  Part 2: if G_{t+1/2} kills
     the module, everything of degree >= t+1 does, and G_{p'} for
     p' >= t+1/2.  Hypotheses and conclusions are checked generator by
-    generator up to degree window2/2.
+    generator up to degree window2/2.  Rows read "pass" when an
+    implication holds, "vacuous" when its hypothesis fails and "FAIL" with
+    the witness otherwise.
     """
-    report = Lemma31Report(f"lemma31[{spec.family}]")
+    report = SuiteReport(f"lemma31[{spec.family}]")
     labels = list(spec.labels())
+    inputs = f"t={format_half(t2)} window2={window2}"
+
+    def add(part, got, status):
+        report.add(part, inputs, "holds", got, status)
 
     def kills(gen) -> bool:
         return all(not spec.act(gen, lbl) for lbl in labels)
@@ -589,37 +451,37 @@ def lemma31_check(spec: BModuleSpec, t2: int, window2: int = 8) -> Lemma31Report
                 hyp_ok, witness = False, str(T(r2))
                 break
     if not hyp_ok:
-        report.add("part1", "vacuous", f"hypothesis fails at {witness}")
+        add("part1", f"hypothesis fails at {witness}", "vacuous")
     else:
         for p2 in range(t2 + 1, window2 + 1):
             if not kills(G(p2)):
-                report.add("part1", "fail", f"G witness {G(p2)}")
+                add("part1", f"G witness {G(p2)}", False)
                 break
         else:
-            report.add("part1", "holds")
+            add("part1", "holds", True)
 
     p2 = t2 + 2  # probe with G_{t+1}
     if not kills(G(p2)):
-        report.add("part2", "vacuous", f"hypothesis fails at {G(p2)}")
+        add("part2", f"hypothesis fails at {G(p2)}", "vacuous")
         return report
     for i2 in range(p2 + 1, window2 + 1):
         if i2 % 2 == 0 and not kills(L(i2 // 2)):
-            report.add("part2", "fail", f"L witness {L(i2 // 2)}")
+            add("part2", f"L witness {L(i2 // 2)}", False)
             return report
         if i2 % 2 and not kills(T(i2)):
-            report.add("part2", "fail", f"T witness {T(i2)}")
+            add("part2", f"T witness {T(i2)}", False)
             return report
     for q2 in range(p2, window2 + 1):
         if not kills(G(q2)):
-            report.add("part2", "fail", f"G witness {G(q2)}")
+            add("part2", f"G witness {G(q2)}", False)
             return report
-    report.add("part2", "holds")
+    add("part2", "holds", True)
     return report
 
 
 def _parse_phi_key(key: str) -> GeneratorId:
     """`L1`, `T3/2`, `G2` -> generator ids."""
-    kind = key[0]
+    kind = key[:1]
     if kind not in ("L", "T", "G"):
         raise ParseError(f"bad character key {key!r}")
     idx2 = parse_half(key[1:])
@@ -627,13 +489,22 @@ def _parse_phi_key(key: str) -> GeneratorId:
         if idx2 % 2:
             raise ParseError(f"{key!r}: L needs an integer index")
         return L(idx2 // 2)
-    return GeneratorId(kind, idx2)
+    try:
+        return GeneratorId(kind, idx2)
+    except ValueError as exc:
+        raise ParseError(f"{key!r}: {exc}") from None
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def load_spec_config(text: str) -> BModuleSpec | InducedModule:
     """Parse the line-oriented `key = value` module description."""
     entries: dict[str, str] = {}
-    order: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -643,7 +514,6 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
         key, value = line.split("=", 1)
         key = key.strip()
         entries[key] = value.strip()
-        order.append(key)
 
     family = entries.get("family")
     if family is None:
@@ -668,7 +538,7 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
             if default is None:
                 raise ParseError(f"config is missing {key}")
             return default
-        return int(entries[key])
+        return _int(entries[key])
 
     c = scalar_of("c", ZERO)
     if family == "whittaker":
@@ -705,9 +575,12 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
         phi_check: dict[GeneratorId, Scalar] = {}
         for key, value in entries.items():
             if key.startswith("parity."):
-                parities[key[len("parity.") :]] = int(value)
+                parities[key[len("parity.") :]] = _int(value)
             if key.startswith("act."):
-                _, gen_text, label = key.split(".", 2)
+                parts = key.split(".", 2)
+                if len(parts) != 3:
+                    raise ParseError(f"bad action key {key!r}")
+                _, gen_text, label = parts
                 gen_id = _parse_phi_key(gen_text)
                 out: dict[str, Scalar] = {}
                 for chunk in value.split("+"):
@@ -722,5 +595,5 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
             for (gen_id, label), out in table.items():
                 phi_check[gen_id] = out.get(labels[0], ZERO)
             validate_character(phi_check)
-        return TableSpec(labels, table, c, half_of("u", 1), parities)
+        return FiniteSeed("table", labels, table, _positive, c, parities)
     raise ParseError(f"unknown family {family!r}")

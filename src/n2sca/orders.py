@@ -129,15 +129,6 @@ def eps(slot: int) -> ExponentVector:
     return ExponentVector(((slot, 1),))
 
 
-def weight2(i: ExponentVector) -> int:
-    """Doubled weight: sum over slots of slot_weight2 * exponent."""
-    return i.weight2
-
-
-def length(i: ExponentVector) -> int:
-    return i.length
-
-
 def revlex_compare(i: ExponentVector, j: ExponentVector) -> int:
     """Reverse lexicographic order: first differing slot (from slot 1 up)
     decides; the zero vector is the minimum."""
@@ -159,10 +150,6 @@ def principal_compare(i: ExponentVector, j: ExponentVector) -> int:
 def principal_sort_key(i: ExponentVector):
     """Sorting by this key ascending matches the principal order."""
     return (i.weight2, i.length, i.dense_key())
-
-
-def min_nonzero_slot(i: ExponentVector) -> int | None:
-    return i.min_nonzero_slot()
 
 
 def enumerate_vectors(max_weight2: int, max_length: int) -> list[ExponentVector]:

@@ -9,22 +9,18 @@ from __future__ import annotations
 import random
 
 from .algebra import (
-    G,
     GeneratorId,
     J,
-    L,
     LinearCombo,
     Lu,
-    T,
     TWISTED,
     TWISTED_PM,
     UNTWISTED_12,
     UNTWISTED_PM,
     Gp,
     Gm,
-    bracket,
+    SuiteReport,
     jacobi_check,
-    parse_combo,
     psi,
     substitute_basis,
     verify_automorphism,
@@ -41,7 +37,6 @@ from .orders import (
 )
 from .scalars import ONE, Scalar, ZERO
 from .theorems import (
-    SuiteReport,
     annihilator_Mt,
     lemma_deg_suite,
     module_axiom_check,

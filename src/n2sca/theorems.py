@@ -9,70 +9,25 @@ from __future__ import annotations
 
 import random
 
-from .algebra import C, G, GeneratorId, L, LinearCombo, T, TWISTED, format_half
-from .engine import InducedModule, ModuleVector, supp_deg
+from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
+from .engine import BModuleSpec, InducedModule, ModuleVector, supp_deg
 from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
-from .modules import BModuleSpec, check_conditions
+from .modules import check_conditions
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
     enumerate_vectors,
-    eps,
     principal_compare,
     principal_sort_key,
 )
 from .scalars import ONE, Scalar, ZERO
 
 
-class SuiteReport:
-    """A deterministic table of (case, inputs, expected, got, status) rows."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.rows: list[tuple[str, str, str, str, str]] = []
-
-    def add(self, case: str, inputs: str, expected: str, got: str, ok: bool | str):
-        status = ok if isinstance(ok, str) else ("pass" if ok else "FAIL")
-        self.rows.append((case, inputs, expected, got, status))
-
-    @property
-    def ok(self) -> bool:
-        return all(r[4] != "FAIL" for r in self.rows)
-
-    @property
-    def inconclusive(self) -> bool:
-        return any(r[4] == "skipped" for r in self.rows) and all(
-            r[4] in ("skipped",) for r in self.rows
-        )
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.rows:
-            out[r[4]] = out.get(r[4], 0) + 1
-        return out
-
-    def tsv(self) -> str:
-        lines = ["case\tinputs\texpected\tgot\tstatus"]
-        lines += ["\t".join(r) for r in self.rows]
-        return "\n".join(lines) + "\n"
-
-
-def _conditions_cache(module: InducedModule, u2: int) -> tuple[bool, bool]:
-    spec = module.seed
-    cache = getattr(spec, "_conditions_cache", None)
-    if cache is None:
-        cache = {}
-        spec._conditions_cache = cache
-    if u2 not in cache:
-        cache[u2] = check_conditions(spec, u2)
-    return cache[u2]
-
-
 def _require_conditions(module: InducedModule, u2: int) -> None:
     if not isinstance(module.seed, BModuleSpec):
         raise ValueError("reduction needs a seed-module spec attached")
-    injective, killed = _conditions_cache(module, u2)
+    injective, killed = check_conditions(module.seed, u2)
     if not (injective and killed):
         raise ValueError(
             f"seed module fails the u={format_half(u2)} conditions: "
@@ -117,6 +72,11 @@ def reduce_step(module: InducedModule, v: ModuleVector, u2: int):
     if v.is_zero:
         raise ValueError("cannot reduce the zero vector")
     _require_conditions(module, u2)
+    return _descend(module, v, u2)
+
+
+def _descend(module: InducedModule, v: ModuleVector, u2: int):
+    """reduce_step on a nonzero vector, the seed conditions already checked."""
     _, deg, _ = supp_deg(v)
     if deg.is_zero:
         raise ValueError("vector already lies in the seed module")
@@ -189,7 +149,8 @@ class ReductionTrace:
                 f"apply {op}\tkind={kind}\tdeg={deg}"
                 f"\tweight={format_half(w2)}\tlength={d}"
             )
-        out.append(f"terminal\t{self.terminal}")
+        if self.terminal is not None:
+            out.append(f"terminal\t{self.terminal}")
         return out
 
 
@@ -204,12 +165,16 @@ def reduce_to_M(
     when it is nonzero ("overshoot", the weight strictly drops) or
     applies the affine step v -> (T_u - theta)v ("affine").  The default
     budget is the enumerated box of the starting degree padded by its
-    weight (bounding the letters that L-expansions can add).
+    weight (bounding the letters that L-expansions can add).  When the
+    budget runs out first, the partial trace comes back with terminal
+    None.
     """
     if v.is_zero:
         raise ValueError("cannot reduce the zero vector")
     trace = ReductionTrace(v)
     _, deg0, _ = supp_deg(v)
+    if not deg0.is_zero:
+        _require_conditions(module, u2)
     if step_budget is None:
         step_budget = len(
             enumerate_vectors(deg0.weight2, deg0.length + deg0.weight2)
@@ -221,7 +186,7 @@ def reduce_to_M(
             trace.terminal = current
             return trace
         try:
-            x, image = reduce_step(module, current, u2)
+            x, image = _descend(module, current, u2)
             kind, op = "corollary", str(x)
         except DescentObstruction as obstruction:
             if not obstruction.image.is_zero:
@@ -245,11 +210,7 @@ def reduce_to_M(
     _, deg, _ = supp_deg(current)
     if deg.is_zero:
         trace.terminal = current
-        return trace
-    raise AssertionError(
-        f"reduction exhausted its {step_budget}-step budget; trace: "
-        + " | ".join(trace.lines())
-    )
+    return trace
 
 
 def annihilator_Mt(
@@ -488,7 +449,7 @@ def whittaker_identity_check(
     of a character seed, words u in the window and positive window x."""
     spec = module.seed
     report = SuiteReport(f"whittaker-identity[w{window2}]")
-    phi = dict(getattr(spec, "phi"))
+    label = spec.labels()[0]
     rng = random.Random(seed)
     gens = TWISTED.generators(window2)
     positive = [g for g in gens if g.degree2 > 0]
@@ -498,7 +459,7 @@ def whittaker_identity_check(
         u_word = [rng.choice(gens) for _ in range(rng.randint(0, 3))]
         u_parity = sum(g.parity for g in u_word) % 2
         uv = module.act_word(u_word, v0)
-        phi_x = phi.get(x, ZERO)
+        phi_x = spec.act(x, label).get(label, ZERO)
         sign = -ONE if (x.parity and u_parity) else ONE
         lhs = module.act(x, uv) + uv.scaled(-(sign * phi_x))
         rhs = module.zero()

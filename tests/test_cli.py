@@ -85,6 +85,32 @@ class TestActReduce:
         code, _ = run(["reduce", "{1:1}", "--spec", "/nonexistent.cfg"], capsys)
         assert code == USAGE
 
+    @pytest.mark.parametrize("budget", ["1", "0"])
+    def test_budget_exhaustion_is_inconclusive(self, whittaker_cfg, budget, capsys):
+        code = main(["reduce", "{1:3,2:2}", "--spec", whittaker_cfg,
+                     "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == INCONCLUSIVE
+        lines = captured.out.splitlines()
+        assert lines[0] == "start\tw{1:3,2:2}⊗v0"
+        assert len(lines) == 1 + int(budget)  # the partial trace, no terminal
+        assert captured.err.count("\n") == 1 and "budget" in captured.err
+
+    @pytest.mark.parametrize("config", [
+        "family = table\nlabels = v0\nact..v0 = 1*v0\n",
+        "family = highorder\ns = 3/2\nphi. = 1\n",
+        "family = table\nlabels = v0\nact.T1/2.v0 = 1*v7\n",
+        "family = table\nlabels = v0\nact.T1/2.v7 = 1*v0\n",
+        "family = table\nlabels = v0\nact.T1/2 = 1*v0\n",
+    ])
+    def test_config_error_exit_code(self, config, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        code = main(["act", "T[1/2]", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == USAGE
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     def test_truncation_exit_code(self, generalized_cfg, capsys):
         # pushing the seed's polynomial layer past its bound is inconclusive
         code, _ = run(

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, Gm, Gp, J, Lu
 from n2sca.errors import ParseError, TruncationError, ValidationError
@@ -83,7 +84,7 @@ class TestWhittakerSpec:
         spec = whittaker_spec(1, 0)
         assert check_conditions(spec, 1) == (True, True)
         assert spec.metadata["simple_candidate"]
-        assert spec.ungraded
+        assert spec.parity("v0") is None  # ungraded
 
     def test_zero_lambda_flagged(self):
         spec = whittaker_spec(0, 0)
@@ -258,7 +259,7 @@ class TestLemma31:
     def test_whittaker_both_parts_hold(self):
         report = lemma31_check(whittaker_spec(1, 0), 1)
         assert report.ok
-        assert [row[1] for row in report.rows] == ["holds", "holds"]
+        assert [row[4] for row in report.rows] == ["pass", "pass"]
 
     def test_corrupted_table_fails_with_witness(self):
         cfg = """
@@ -283,7 +284,7 @@ act.L2.v0 = 1*v1
         spec = load_spec_config(cfg2)
         report = lemma31_check(spec, 1)
         assert not report.ok
-        detail = dict((r[0], r[2]) for r in report.rows)
+        detail = dict((r[0], r[3]) for r in report.rows)
         assert "L[2]" in detail.get("part2", "")
 
 
@@ -385,7 +386,7 @@ class TestConfig:
         spec = load_spec_config("family = whittaker\nlambda = 2\nc = 1/2\n")
         assert spec.family == "whittaker"
         assert spec.c == Scalar.rational(1, 2)
-        assert spec.phi[T(1)] == Scalar(2)
+        assert spec.act(T(1), "v0") == {"v0": Scalar(2)}
 
     def test_generalized_config(self):
         spec = load_spec_config(
@@ -417,3 +418,45 @@ class TestConfig:
             load_spec_config("lambda = 1\n")
         with pytest.raises(ParseError):
             load_spec_config("family = whittaker\nbad line\n")
+
+
+SIZE_KEYS = ("max_weight", "max_length", "max_g0", "depth", "s")
+FAMILY_KEYS = {
+    "whittaker": ("lambda", "c"),
+    "generalized": ("phi.L1", "phi.T3/2", "c", "max_weight", "max_length"),
+    "highorder": ("s", "phi.T5/2", "phi.T7/2", "phi.L2", "phi.G1", "phi.T1",
+                  "phi.", "phi.X1", "c", "max_weight", "max_length"),
+    "b_t0": ("inner.family", "inner.lambda", "inner.c", "max_g0", "c"),
+    "verma": ("c", "depth"),
+    "table": ("labels", "parity.v0", "parity.v1", "act.T1/2.v0", "act.T1/2.v1",
+              "act.L2.v0", "act.G1/2.v1", "act.T-1/2.v0", "act..v0",
+              "act.T1/2", "c", "u"),
+}
+# sizes stay small so that every loadable config is cheap to build
+SIZE_VALUES = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "3/2", "5/2",
+                               "x", "", "1/0", "1/3"])
+VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "i", "r2", "x", "", "v0",
+                     "v0,v1", "1*v0", "1*v1 + 2*v0", "1*v7", "-1*v1",
+                     "whittaker", "table", "verma", "b_t0"]),
+    st.text(alphabet="0123456789/-+*()iv2r,. ", max_size=6),
+)
+
+
+@st.composite
+def config_texts(draw):
+    family = draw(st.sampled_from(sorted(FAMILY_KEYS)))
+    lines = [f"family = {family}"]
+    for key in draw(st.lists(st.sampled_from(FAMILY_KEYS[family]), max_size=6)):
+        value = draw(SIZE_VALUES if key in SIZE_KEYS else VALUES)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+def test_config_loader_loads_or_raises_input_errors(text):
+    try:
+        load_spec_config(text)
+    except (ParseError, ValidationError):
+        pass

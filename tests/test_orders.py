@@ -12,13 +12,10 @@ from n2sca.orders import (
     ZERO_VECTOR,
     enumerate_vectors,
     eps,
-    length,
-    min_nonzero_slot,
     parse_exponent_vector,
     principal_compare,
     revlex_compare,
     slot_weight2,
-    weight2,
 )
 
 small_evs = st.builds(
@@ -33,23 +30,23 @@ def ev(*items):
 
 class TestWeightLength:
     def test_unit_weights(self):
-        assert weight2(eps(1)) == 1  # 1/2
-        assert weight2(eps(2)) == 0
-        assert weight2(eps(3)) == 3  # 3/2
-        assert weight2(eps(4)) == 1  # 1/2
+        assert eps(1).weight2 == 1  # 1/2
+        assert eps(2).weight2 == 0
+        assert eps(3).weight2 == 3  # 3/2
+        assert eps(4).weight2 == 1  # 1/2
 
     def test_zero_vector(self):
-        assert weight2(ZERO_VECTOR) == 0
-        assert length(ZERO_VECTOR) == 0
+        assert ZERO_VECTOR.weight2 == 0
+        assert ZERO_VECTOR.length == 0
 
     def test_mixed(self):
         i = ev((1, 2), (3, 1), (4, 1))
-        assert weight2(i) == 6  # 2*(1/2) + 3/2 + 1/2 = 3
-        assert length(i) == 4
+        assert i.weight2 == 6  # 2*(1/2) + 3/2 + 1/2 = 3
+        assert i.length == 4
 
     def test_unit_lengths(self):
         for k in range(1, 9):
-            assert length(eps(k)) == 1
+            assert eps(k).length == 1
 
 
 class TestCompares:
@@ -129,8 +126,8 @@ class TestCompares:
 @given(small_evs, small_evs)
 def test_weight_and_length_additive(i, j):
     s = i + j
-    assert weight2(s) == weight2(i) + weight2(j)
-    assert length(s) == length(i) + length(j)
+    assert s.weight2 == i.weight2 + j.weight2
+    assert s.length == i.length + j.length
 
 
 @given(small_evs)
@@ -138,8 +135,8 @@ def test_subtracting_units_drops_weight(i):
     for slot, e in i.entries:
         if e:
             smaller = i - eps(slot)
-            assert weight2(smaller) == weight2(i) - slot_weight2(slot)
-            assert length(smaller) == length(i) - 1
+            assert smaller.weight2 == i.weight2 - slot_weight2(slot)
+            assert smaller.length == i.length - 1
 
 
 class TestEnumeration:
@@ -191,9 +188,9 @@ class TestEnumeration:
 
 class TestMinSlotAndText:
     def test_min_nonzero_slot(self):
-        assert min_nonzero_slot(eps(3)) == 3
-        assert min_nonzero_slot(ZERO_VECTOR) is None
-        assert min_nonzero_slot(eps(2) + eps(5)) == 2
+        assert eps(3).min_nonzero_slot() == 3
+        assert ZERO_VECTOR.min_nonzero_slot() is None
+        assert (eps(2) + eps(5)).min_nonzero_slot() == 2
 
     def test_text_roundtrip(self):
         for text in ("{1:2,4:1}", "{}", "{2:1}"):

@@ -102,6 +102,7 @@ class TestActReduce:
         "family = table\nlabels = v0\nact.T1/2.v0 = 1*v7\n",
         "family = table\nlabels = v0\nact.T1/2.v7 = 1*v0\n",
         "family = table\nlabels = v0\nact.T1/2 = 1*v0\n",
+        "family = highorder\ns = 3/2\nphi.T7/2 = 1\nmax_length = -1\n",
     ])
     def test_config_error_exit_code(self, config, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO, parse_scalar
+from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, parse_scalar
 
 TWISTED_KINDS = ("L", "T", "G", "C")
 UNTWISTED_KINDS = ("Lu", "J", "G+", "G-", "G1", "G2", "Cu")
@@ -189,11 +189,8 @@ class LinearCombo:
     def of(cls, *pairs) -> "LinearCombo":
         out: dict[GeneratorId, Scalar] = {}
         for g, s in pairs:
-            if not isinstance(s, Scalar):
-                s = Scalar(s)
-            if s:
-                out[g] = out.get(g, ZERO) + s
-        return cls({g: s for g, s in out.items() if s})
+            add_scaled(out, {g: s if isinstance(s, Scalar) else Scalar(s)})
+        return cls(out)
 
     @classmethod
     def single(cls, g: GeneratorId, s: Scalar = ONE) -> "LinearCombo":
@@ -225,14 +222,7 @@ class LinearCombo:
         return hash(frozenset((g, s) for g, s in self.terms.items()))
 
     def __add__(self, other: "LinearCombo") -> "LinearCombo":
-        out = dict(self.terms)
-        for g, s in other.terms.items():
-            t = out.get(g, ZERO) + s
-            if t:
-                out[g] = t
-            else:
-                out.pop(g, None)
-        return LinearCombo(out)
+        return LinearCombo(add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "LinearCombo") -> "LinearCombo":
         return self + (-other)
@@ -252,10 +242,10 @@ class LinearCombo:
 
     def map_generators(self, fn) -> "LinearCombo":
         """Linear extension of a generator map fn: GeneratorId -> LinearCombo."""
-        out = LinearCombo()
+        out: dict[GeneratorId, Scalar] = {}
         for g, s in self.terms.items():
-            out = out + fn(g).scaled(s)
-        return out
+            add_scaled(out, fn(g).terms, s)
+        return LinearCombo(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -343,11 +333,7 @@ def parse_combo(text: str) -> LinearCombo:
             coef = parse_scalar(prefix)
         if sign == "-":
             coef = -coef
-        t = total.get(g, ZERO) + coef
-        if t:
-            total[g] = t
-        else:
-            total.pop(g, None)
+        add_scaled(total, {g: coef})
     return LinearCombo(total)
 
 
@@ -383,6 +369,8 @@ class AlgebraPresentation:
 
     def generators(self, window2: int) -> list[GeneratorId]:
         """All generators with |index2| <= window2, deterministically ordered."""
+        if window2 < 0:
+            raise ValueError(f"the window must be nonnegative, got {window2}")
         out: list[GeneratorId] = []
         for kind in self.kinds:
             if kind in _CENTRAL_KINDS:
@@ -420,11 +408,11 @@ class AlgebraPresentation:
         return out
 
     def bracket_combo(self, cx: LinearCombo, cy: LinearCombo) -> LinearCombo:
-        out = LinearCombo()
+        out: dict[GeneratorId, Scalar] = {}
         for x, sx in cx.items():
             for y, sy in cy.items():
-                out = out + self.bracket(x, y).scaled(sx * sy)
-        return out
+                add_scaled(out, self.bracket(x, y).terms, sx * sy)
+        return LinearCombo(out)
 
 
 class _Twisted(AlgebraPresentation):

@@ -36,7 +36,7 @@ from .orders import (
     parse_exponent_vector,
     principal_sort_key,
 )
-from .scalars import ONE, Scalar, ZERO, parse_scalar
+from .scalars import HALF, ONE, Scalar, ZERO, add_scaled, parse_scalar
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
 
@@ -245,14 +245,7 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if self.module is not other.module:
             raise ValueError("vectors belong to different modules")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            t = out.get(k, ZERO) + v
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-        return ModuleVector(self.module, out)
+        return ModuleVector(self.module, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scaled(-ONE)
@@ -327,21 +320,17 @@ class InducedModule:
     def act(self, gen: GeneratorId, v: ModuleVector) -> ModuleVector:
         if v.module is not self:
             raise ValueError("vector belongs to a different module")
+        self.presentation.check_member(gen)
         acc: dict = {}
         for (ev, lbl), s in v.terms.items():
-            for k, t in self._act_basis(gen, ev, lbl).terms.items():
-                u = acc.get(k, ZERO) + s * t
-                if u:
-                    acc[k] = u
-                else:
-                    acc.pop(k, None)
+            add_scaled(acc, self._act_basis(gen, ev, lbl), s)
         return ModuleVector(self, acc)
 
     def act_combo(self, combo: LinearCombo, v: ModuleVector) -> ModuleVector:
-        out = self.zero()
+        acc: dict = {}
         for g, s in combo.items():
-            out = out + self.act(g, v).scaled(s)
-        return out
+            add_scaled(acc, self.act(g, v).terms, s)
+        return ModuleVector(self, acc)
 
     def act_word(self, gens, v: ModuleVector) -> ModuleVector:
         """Apply a product of generators right-to-left: [x,y] acts as x(y v)."""
@@ -349,10 +338,13 @@ class InducedModule:
             v = self.act(g, v)
         return v
 
-    def _unit(self, ev: ExponentVector, label) -> ModuleVector:
-        return ModuleVector(self, {(ev, label): ONE})
+    def _act_basis(self, gen: GeneratorId, ev: ExponentVector, label) -> dict:
+        """gen . (ev (x) label) as a term map {(word, label): Scalar}.
 
-    def _act_basis(self, gen: GeneratorId, ev: ExponentVector, label) -> ModuleVector:
+        The map is the memo entry itself, shared by every later call with
+        the same key: callers only read it, and it is never mutated (only
+        the ``acc`` argument of `add_scaled` is ever written).
+        """
         key = (gen, ev, label)
         hit = self._memo.get(key)
         if hit is not None:
@@ -361,68 +353,46 @@ class InducedModule:
         self._memo[key] = out
         return out
 
-    def _act_basis_raw(self, gen, ev, label) -> ModuleVector:
+    def _act_basis_raw(self, gen, ev, label) -> dict:
         letters = self.letters
         if gen.is_central:
-            return self._unit(ev, label).scaled(self.c)
+            return {(ev, label): self.c} if self.c else {}
         rw = letters.rewrite(gen)
+        acc: dict = {}
         if rw is not None:
-            out = self.zero()
+            unit = ModuleVector(self, {(ev, label): ONE})
             for s, gens in rw:
-                out = out + self.act_word(gens, self._unit(ev, label)).scaled(s)
-            return out
+                add_scaled(acc, self.act_word(gens, unit).terms, s)
+            return acc
         slot = letters.slot_of(gen)
         top = ev.max_slot()
-        if slot is not None:
-            if top is None or slot > top:
-                new_ev = ev.bump(slot, +1)
-                if not letters.within(new_ev):
-                    raise TruncationError(
-                        f"{gen} pushes {letters.word_text(ev)} outside the truncation"
-                    )
-                return self._unit(new_ev, label)
-            if slot == top:
-                if letters.keep_power(gen):
-                    new_ev = ev.bump(slot, +1)
-                    if not letters.within(new_ev):
-                        raise TruncationError(
-                            f"{gen} pushes {letters.word_text(ev)} outside the truncation"
-                        )
-                    return self._unit(new_ev, label)
-                # fold: g.g = (1/2)[g, g]
-                rest = ev.bump(slot, -1)
-                out = self.zero()
-                for z, coef in self.presentation.bracket(gen, gen).items():
-                    out = out + self._act_basis(z, rest, label).scaled(coef)
-                return out.scaled(Scalar.rational(1, 2))
-        else:
-            if top is None:
-                acc = {}
-                for lbl, s in self.seed.act(gen, label).items():
-                    if s:
-                        acc[(ZERO_VECTOR, lbl)] = s
-                return ModuleVector(self, acc)
+        if slot is not None and (
+            top is None or slot > top or (slot == top and letters.keep_power(gen))
+        ):
+            new_ev = ev.bump(slot, +1)
+            if not letters.within(new_ev):
+                raise TruncationError(
+                    f"{gen} pushes {letters.word_text(ev)} outside the truncation"
+                )
+            return {(new_ev, label): ONE}
+        if slot is not None and slot == top:
+            # fold: g.g = (1/2)[g, g]
+            rest = ev.bump(slot, -1)
+            for z, coef in self.presentation.bracket(gen, gen).items():
+                add_scaled(acc, self._act_basis(z, rest, label), coef * HALF)
+            return acc
+        if top is None:
+            acted = self.seed.act(gen, label)
+            return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
         # move gen one letter to the right
         g1 = letters.letter(top)
         rest = ev.bump(top, -1)
-        moved = self._act_basis(gen, rest, label)
-        out = self._prepend(g1, moved)
-        if gen.parity and g1.parity:
-            out = out.scaled(-ONE)
+        odd = gen.parity and g1.parity
+        for (ev1, lbl1), s in self._act_basis(gen, rest, label).items():
+            add_scaled(acc, self._act_basis(g1, ev1, lbl1), -s if odd else s)
         for z, coef in self.presentation.bracket(gen, g1).items():
-            out = out + self._act_basis(z, rest, label).scaled(coef)
-        return out
-
-    def _prepend(self, g1: GeneratorId, v: ModuleVector) -> ModuleVector:
-        acc: dict = {}
-        for (ev, lbl), s in v.terms.items():
-            for k, t in self._act_basis(g1, ev, lbl).terms.items():
-                u = acc.get(k, ZERO) + s * t
-                if u:
-                    acc[k] = u
-                else:
-                    acc.pop(k, None)
-        return ModuleVector(self, acc)
+            add_scaled(acc, self._act_basis(z, rest, label), coef)
+        return acc
 
     # -- text ----------------------------------------------------------
 
@@ -475,12 +445,7 @@ class InducedModule:
                 coef = -coef
             ev = parse_exponent_vector(word)
             label = self.seed.parse_label(lbl_text.strip())
-            key = (ev, label)
-            t = acc.get(key, ZERO) + coef
-            if t:
-                acc[key] = t
-            else:
-                acc.pop(key, None)
+            add_scaled(acc, {(ev, label): coef})
         return ModuleVector(self, acc)
 
 

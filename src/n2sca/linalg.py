@@ -7,7 +7,7 @@ eliminated first, so reduced bases are reproducible.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, add_scaled
 
 
 class SpanChecker:
@@ -17,21 +17,13 @@ class SpanChecker:
         self.coord_key = coord_key
         self.rows: list[tuple[object, dict]] = []  # (pivot coordinate, row)
 
-    def _normalize(self, vec: dict) -> dict:
-        return {k: v for k, v in vec.items() if v}
-
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the current span."""
-        vec = self._normalize(dict(vec))
+        vec = add_scaled({}, vec)
         for pivot, row in self.rows:
             coef = vec.get(pivot)
             if coef:
-                for k, v in row.items():
-                    t = vec.get(k, ZERO) - coef * v
-                    if t:
-                        vec[k] = t
-                    else:
-                        vec.pop(k, None)
+                add_scaled(vec, row, -coef)
         return vec
 
     def add(self, vec: dict) -> dict:
@@ -45,12 +37,7 @@ class SpanChecker:
         for _, old in self.rows:
             coef = old.get(pivot)
             if coef:
-                for k, v in row.items():
-                    t = old.get(k, ZERO) - coef * v
-                    if t:
-                        old[k] = t
-                    else:
-                        old.pop(k, None)
+                add_scaled(old, row, -coef)
         self.rows.append((pivot, row))
         self.rows.sort(key=lambda pr: self.coord_key(pr[0]))
         return residue
@@ -77,23 +64,13 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     rows: list[tuple[object, dict, dict]] = []  # (pivot, image row, preimage)
     kernel: list[dict] = []
     for j in range(domain_size):
-        img = {k: v for k, v in images[j].items() if v}
+        img = add_scaled({}, images[j])
         pre = {j: ONE}
         for pivot, row, rowpre in rows:
             coef = img.get(pivot)
             if coef:
-                for k, v in row.items():
-                    t = img.get(k, ZERO) - coef * v
-                    if t:
-                        img[k] = t
-                    else:
-                        img.pop(k, None)
-                for k, v in rowpre.items():
-                    t = pre.get(k, ZERO) - coef * v
-                    if t:
-                        pre[k] = t
-                    else:
-                        pre.pop(k, None)
+                add_scaled(img, row, -coef)
+                add_scaled(pre, rowpre, -coef)
         if img:
             pivot = min(img, key=coord_key)
             inv = img[pivot].inverse()

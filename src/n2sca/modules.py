@@ -224,8 +224,7 @@ class InducedSpec(BModuleSpec):
         if gen.degree2 < self.min_degree2 and gen.kind != "C":
             raise ValueError(f"{gen} does not act on the {self.family} spec")
         ev, slabel = label
-        v = self.inner.act(gen, self.inner.basis_vector(ev, slabel))
-        return {key: s for key, s in v.terms.items() if s}
+        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
 
     def label_text(self, label):
         ev, slabel = label

@@ -300,6 +300,26 @@ HALF = _new(1, 0, 0, 0, 2)
 INV_SQRT2 = _new(0, 0, 1, 0, 2)  # 1/sqrt2 = sqrt2/2
 
 
+def add_scaled(acc: dict, terms: dict, coef: Scalar = ONE) -> dict:
+    """acc += coef * terms over sparse {key: Scalar} maps, in place.
+
+    Keys whose sum is zero are dropped, so a zero-free acc stays zero-free;
+    only acc is written.  Returns acc.
+    """
+    get = acc.get
+    for k, v in terms.items():
+        if coef is not ONE:
+            v = coef * v
+        old = get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[k] = v
+        elif old is not None:
+            del acc[k]
+    return acc
+
+
 class _ScalarParser:
     """Recursive-descent parser for `1/2 + 3*i - (1/4)*r2` expressions."""
 

@@ -21,7 +21,7 @@ from .orders import (
     principal_compare,
     principal_sort_key,
 )
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO, add_scaled
 
 
 def _require_conditions(module: InducedModule, u2: int) -> None:
@@ -105,9 +105,7 @@ def _affine_theta(module: InducedModule, v: ModuleVector, u2: int) -> Scalar:
     kappa = v.coefficient(deg)  # label -> Scalar
     image: dict = {}
     for lbl, s in kappa.items():
-        for l2, s2 in spec.act(T(u2), lbl).items():
-            image[l2] = image.get(l2, ZERO) + s * s2
-    image = {l: s for l, s in image.items() if s}
+        add_scaled(image, spec.act(T(u2), lbl), s)
     for lbl in image:
         if lbl not in kappa:
             raise ValueError(
@@ -464,7 +462,7 @@ def whittaker_identity_check(
         lhs = module.act(x, uv) + uv.scaled(-(sign * phi_x))
         rhs = module.zero()
         for coef, w in _commutator_words(x, u_word):
-            rhs = rhs + module.act_word(w, v0).scaled(coef)
+            add_scaled(rhs.terms, module.act_word(w, v0).terms, coef)
         ok = lhs == rhs
         report.add(
             f"case{case}",

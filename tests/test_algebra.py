@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import (
     AlgebraPresentation,
@@ -271,6 +272,18 @@ class TestTextForms:
     )
     def test_combo_roundtrip(self, text):
         assert str(parse_combo(str(parse_combo(text)))) == str(parse_combo(text))
+
+    @settings(max_examples=40)
+    @given(st.sampled_from((TWISTED, UNTWISTED_PM, UNTWISTED_12)).flatmap(
+        lambda pres: st.dictionaries(
+            st.sampled_from(pres.generators(4)),
+            st.builds(Scalar, *[st.fractions(-4, 4, max_denominator=4)] * 4),
+            max_size=4,
+        )
+    ))
+    def test_random_combo_roundtrip(self, terms):
+        c = LinearCombo(terms)
+        assert parse_combo(str(c)) == c
 
     def test_ordering_is_kind_then_index(self):
         x = combo("C + G[-1] + L[2] + T[1/2] + L[-1]")

@@ -29,6 +29,23 @@ def run(argv, capsys):
     return code, out
 
 
+@pytest.mark.parametrize("argv", [
+    # a negative window holds no indexed generator, so no verdict at all
+    ["jacobi", "--window", "-3"],
+    ["verify", "jacobi", "--window", "-1"],
+    ["verify", "module-axiom", "--window", "-1"],
+    ["closure", "--spec", "{cfg}", "--window", "-1"],
+    # Lu[1] belongs to the untwisted algebra, not the module's
+    ["act", "Lu[1]", "--spec", "{cfg}"],
+    ["act", "Lu[1]", "--spec", "{cfg}", "--vector", "{1:1}"],
+])
+def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
+    code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
+    captured = capsys.readouterr()
+    assert code == USAGE
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 class TestBracket:
     def test_spec_example(self, capsys):
         code, out = run(["bracket", "G[1]", "G[-1/2]"], capsys)

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
 from n2sca.engine import straighten_negative, supp_deg
 from n2sca.errors import TruncationError
-from n2sca.modules import whittaker_spec
+from n2sca.modules import b_plus_t0_induce, whittaker_spec
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
 from n2sca.theorems import module_axiom_check, weight_bound_check
@@ -196,3 +197,38 @@ class TestVectorText:
         m = whittaker_module
         v = m.basis_vector(eps(4)) + m.basis_vector(eps(1))
         assert str(v) == "w{1:1}⊗v0 + w{4:1}⊗v0"
+
+
+# the lambda = 1 + i Whittaker module, built once for every example
+LAMBDA_1_I = whittaker_spec(Scalar(1, 1), 0).induced()
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(
+    st.sampled_from(enumerate_vectors(4, 3)),
+    st.builds(Scalar, *[st.fractions(-4, 4, max_denominator=4)] * 4),
+    max_size=4,
+))
+def test_vector_text_roundtrip(words):
+    v = LAMBDA_1_I.vector({(w, "v0"): s for w, s in words.items()})
+    assert LAMBDA_1_I.parse_vector(str(v)) == v
+
+
+def test_memo_values_never_leak(whittaker_module):
+    """Clearing a returned term map changes no later answer: callers get
+    fresh maps, never the shared memo entries behind them."""
+    m = whittaker_module
+    v = m.basis_vector(ev((1, 1), (4, 2)))
+    b_t0 = b_plus_t0_induce(whittaker_spec(1, 2), 3)
+    label = (ev((1, 2)), "v0")
+    calls = [
+        lambda: m.act(G(1), v).terms,
+        lambda: b_t0.act(T(1), label),
+        lambda: straighten_negative([T(-1), G(-1), L(0)], c=2),
+    ]
+    for call in calls:
+        first = call()
+        expected = dict(first)
+        assert len(expected) > 1
+        first.clear()
+        assert call() == expected

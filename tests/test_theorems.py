@@ -133,6 +133,24 @@ class TestReduceToM:
                 assert principal_compare(b, a) < 0
 
 
+def _rank_mod_p(rows, p):
+    """Rank of sparse integer rows over F_p by plain forward elimination."""
+    pivots = {}  # column -> row that is 1 there and 0 at every earlier pivot
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        for col, prow in pivots.items():
+            f = row.get(col)
+            if f:
+                for k, v in prow.items():
+                    row[k] = (row.get(k, 0) - f * v) % p
+                row = {k: v for k, v in row.items() if v}
+        if row:
+            col = next(iter(row))
+            inv = pow(row[col], -1, p)
+            pivots[col] = {k: v * inv % p for k, v in row.items()}
+    return len(pivots)
+
+
 class TestAnnihilator:
     def test_exact_kernel_small_box(self, module):
         basis, ops = annihilator_Mt(module, 1, 2, 2)
@@ -163,6 +181,34 @@ class TestAnnihilator:
         kernel = kernel_basis(images, len(evs), coord_key=lambda c: (c[0], str(c[1])))
         got = {str(evs[j]) for vecs in kernel for j in vecs}
         assert got == {"{2:2}"}
+
+    def test_kernel_dimension_agrees_mod_p(self):
+        # a second, independent rank: the stacked operator images mapped
+        # into F_p and eliminated there, for lambda and c with every
+        # coordinate nonzero
+        from test_scalars import _roots_mod
+
+        module = whittaker_spec(Scalar(1, -1, 1, -1), Scalar(-1, 1, -1, 1)).induced()
+        basis, ops = annihilator_Mt(module, 1, 4, 4)
+        domain = [(w, lbl) for w in enumerate_vectors(4, 4) for lbl in module.seed.labels()]
+        images = [
+            {(k, key): s for k, x in enumerate(ops)
+             for key, s in module.act(x, module.basis_vector(w, lbl)).terms.items()}
+            for w, lbl in domain
+        ]
+        checked = 0
+        for p in (17, 2**61 + 57):
+            if any(s._q % p == 0 for img in images for s in img.values()):
+                continue
+            i_p, r2_p = _roots_mod(p)
+            rows = [
+                {key: (s._a + s._b * i_p + (s._c + s._d * i_p) * r2_p)
+                 * pow(s._q, -1, p) % p for key, s in img.items()}
+                for img in images
+            ]
+            assert len(domain) - _rank_mod_p(rows, p) == len(basis) == 3
+            checked += 1
+        assert checked
 
     def test_trivial_seed_is_fully_annihilated(self):
         spec = whittaker_spec(1, 0)

@@ -60,6 +60,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "act-b_t0-label": ("act", "T[1/2] L[0]", "--spec", B, "--label", "G[0].v0"),
     "act-table-label": ("act", "T[1/2] G[-1/2]", "--spec", TB, "--label", "v1"),
     "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
+    # kernel vectors with irrational coefficients, not single words
+    "annihilator-whittaker-irrational": ("annihilator", "--spec",
+                                         "tests/golden/whittaker-irrational.cfg",
+                                         "--t", "3/2", "--max-weight", "2",
+                                         "--max-length", "4"),
 }
 for _family, _cfg in (("whittaker", W), ("b_t0", B), ("highorder", H), ("table", TB)):
     CASES[f"act-{_family}"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec", _cfg,

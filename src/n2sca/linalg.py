@@ -1,11 +1,17 @@
 """Exact sparse Gaussian elimination over Q(i, sqrt2).
 
 Vectors are dicts from hashable coordinates to Scalars.  Pivoting is
-deterministic: the smallest coordinate under the supplied sort key is
-eliminated first, so reduced bases are reproducible.
+deterministic.  `SpanChecker` pivots on the smallest coordinate under the
+supplied sort key; its reduced rows, and so the residues it returns,
+depend on that rule.  `kernel_basis` pivots on the coordinate that the
+fewest images touch (Markowitz's sparsity rule, ties broken by the sort
+key), which keeps fill-in low; the kernel it returns does not depend on
+the pivot rule (see its docstring).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .scalars import ONE, add_scaled
 
@@ -60,7 +66,16 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     Scalar}: each vector is reduced against the span of the earlier ones
     and scaled so that its smallest domain index has coefficient 1.
     Earlier vectors are not reduced against later ones.
+
+    Each image is reduced against the earlier pivot rows; the pivot of a
+    new row is the coordinate occurring in the fewest images, ties broken
+    by ``coord_key``.  The result does not depend on that choice: index j
+    gets a row exactly when images[j] is independent of the earlier
+    images, and otherwise yields the unique kernel vector in e_j + span{e_i
+    : i < j, images[i] independent}.  Only the dicts' insertion order can
+    change with the pivot rule.
     """
+    count = Counter(k for img in images for k in img)
     rows: list[tuple[object, dict, dict]] = []  # (pivot, image row, preimage)
     kernel: list[dict] = []
     for j in range(domain_size):
@@ -72,7 +87,7 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
                 add_scaled(img, row, -coef)
                 add_scaled(pre, rowpre, -coef)
         if img:
-            pivot = min(img, key=coord_key)
+            pivot = min(img, key=lambda k: (count[k], coord_key(k)))
             inv = img[pivot].inverse()
             rows.append(
                 (pivot, {k: inv * v for k, v in img.items()},

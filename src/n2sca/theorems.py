@@ -165,8 +165,10 @@ def reduce_to_M(
     budget is the enumerated box of the starting degree padded by its
     weight (bounding the letters that L-expansions can add).  When the
     budget runs out first, the partial trace comes back with terminal
-    None.
+    None.  A negative budget raises ValueError.
     """
+    if step_budget is not None and step_budget < 0:
+        raise ValueError(f"step budget must be non-negative, got {step_budget}")
     if v.is_zero:
         raise ValueError("cannot reduce the zero vector")
     trace = ReductionTrace(v)
@@ -219,7 +221,10 @@ def annihilator_Mt(
 
     The domain is the truncated slice; images are computed exactly (no
     codomain truncation).  Returns (basis vectors, operators used).
+    Raises ValueError unless t is half-odd.
     """
+    if t2 % 2 == 0:
+        raise ValueError(f"t must be half-odd (1/2, 3/2, ...), got {format_half(t2)}")
     spec = module.seed
     labels = list(spec.labels())
     evs = enumerate_vectors(max_weight2, max_length)

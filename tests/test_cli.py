@@ -46,6 +46,22 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, names", [
+    # the annihilator threshold t must be half-odd; an integer t is no input
+    (["annihilator", "--spec", "{cfg}", "--t", "1"], "t must be half-odd"),
+    (["annihilator", "--spec", "{cfg}", "--t", "0"], "t must be half-odd"),
+    # a negative step budget is not an exhausted one
+    (["reduce", "{1:1}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
+    (["reduce", "{}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
+])
+def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
+    code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
+    captured = capsys.readouterr()
+    assert code == USAGE
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert names in captured.err
+
+
 class TestBracket:
     def test_spec_example(self, capsys):
         code, out = run(["bracket", "G[1]", "G[-1/2]"], capsys)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from n2sca.orders import (
     eps,
     principal_compare,
 )
-from n2sca.scalars import I, ONE, Scalar, ZERO
+from n2sca.scalars import I, ONE, Scalar, ZERO, add_scaled
 from n2sca.theorems import (
     DescentObstruction,
     annihilator_Mt,
@@ -151,6 +152,23 @@ def _rank_mod_p(rows, p):
     return len(pivots)
 
 
+def _stacked_images(module, ops, domain):
+    """Image of each domain word under all ops, keyed (op index, term)."""
+    return [
+        {(k, key): s for k, x in enumerate(ops)
+         for key, s in module.act(x, module.basis_vector(w, lbl)).terms.items()}
+        for w, lbl in domain
+    ]
+
+
+def _mod_p(s, p):
+    """Image of a Scalar in F_p under the 8th-root embedding of test_scalars."""
+    from test_scalars import _roots_mod
+
+    i_p, r2_p = _roots_mod(p)
+    return (s._a + s._b * i_p + (s._c + s._d * i_p) * r2_p) * pow(s._q, -1, p) % p
+
+
 class TestAnnihilator:
     def test_exact_kernel_small_box(self, module):
         basis, ops = annihilator_Mt(module, 1, 2, 2)
@@ -186,27 +204,45 @@ class TestAnnihilator:
         # a second, independent rank: the stacked operator images mapped
         # into F_p and eliminated there, for lambda and c with every
         # coordinate nonzero
-        from test_scalars import _roots_mod
-
         module = whittaker_spec(Scalar(1, -1, 1, -1), Scalar(-1, 1, -1, 1)).induced()
         basis, ops = annihilator_Mt(module, 1, 4, 4)
         domain = [(w, lbl) for w in enumerate_vectors(4, 4) for lbl in module.seed.labels()]
-        images = [
-            {(k, key): s for k, x in enumerate(ops)
-             for key, s in module.act(x, module.basis_vector(w, lbl)).terms.items()}
-            for w, lbl in domain
-        ]
+        images = _stacked_images(module, ops, domain)
         checked = 0
         for p in (17, 2**61 + 57):
             if any(s._q % p == 0 for img in images for s in img.values()):
                 continue
-            i_p, r2_p = _roots_mod(p)
-            rows = [
-                {key: (s._a + s._b * i_p + (s._c + s._d * i_p) * r2_p)
-                 * pow(s._q, -1, p) % p for key, s in img.items()}
-                for img in images
-            ]
+            rows = [{key: _mod_p(s, p) for key, s in img.items()} for img in images]
             assert len(domain) - _rank_mod_p(rows, p) == len(basis) == 3
+            checked += 1
+        assert checked
+
+    def test_kernel_coefficients_agree_mod_p(self):
+        # the golden annihilator-whittaker-irrational box: kernel vectors
+        # with irrational coefficients, each mapped into F_p and applied to
+        # the F_p images of the domain words; a wrong coefficient leaves a
+        # nonzero image there
+        module = whittaker_spec(Scalar(1, 1), Scalar(0, 0, 1)).induced()
+        basis, ops = annihilator_Mt(module, 3, 4, 4)
+        domain = [(w, lbl) for w in enumerate_vectors(4, 4) for lbl in module.seed.labels()]
+        position = {word: j for j, word in enumerate(domain)}
+        images = _stacked_images(module, ops, domain)
+        scalars = [s for img in images for s in img.values()]
+        scalars += [s for b in basis for s in b.terms.values()]
+        assert any(not s.is_simple for s in scalars)
+        checked = 0
+        for p in (17, 2**61 + 57):
+            if any(s._q % p == 0 for s in scalars):
+                continue
+            rows = [{key: _mod_p(s, p) for key, s in img.items()} for img in images]
+            for b in basis:
+                total = {}
+                for word, s in b.terms.items():
+                    s_p = _mod_p(s, p)
+                    for key, v in rows[position[word]].items():
+                        total[key] = (total.get(key, 0) + s_p * v) % p
+                assert not any(total.values()), (p, str(b))
+            assert len(domain) - _rank_mod_p(rows, p) == len(basis) == 34
             checked += 1
         assert checked
 
@@ -297,7 +333,73 @@ class TestDegLemmaSuite:
                     assert r[4] == "pass", r
 
 
+def _kernel_basis_smallest_key(images, domain_size, coord_key):
+    """Reference elimination pivoting on the smallest coordinate under
+    coord_key, with the same echelon pass on the domain as kernel_basis."""
+    rows, kernel = [], []
+    for j in range(domain_size):
+        img, pre = add_scaled({}, images[j]), {j: ONE}
+        for pivot, row, rowpre in rows:
+            coef = img.get(pivot)
+            if coef:
+                add_scaled(img, row, -coef)
+                add_scaled(pre, rowpre, -coef)
+        if img:
+            pivot = min(img, key=coord_key)
+            inv = img[pivot].inverse()
+            rows.append((pivot, {k: inv * v for k, v in img.items()},
+                         {k: inv * v for k, v in pre.items()}))
+        else:
+            kernel.append(pre)
+    reducer = SpanChecker(coord_key=lambda j: j)
+    out = []
+    for vec in kernel:
+        residue = reducer.add(vec)
+        if residue:
+            inv = residue[min(residue)].inverse()
+            out.append({k: inv * v for k, v in residue.items()})
+    return out
+
+
+def _random_sparse_map(rng, n, m, shared, planted):
+    """n sparse images over m coordinates.  Coordinates below ``shared`` sort
+    first and occur in most images; the images at ``planted`` indices are
+    combinations of earlier images with irrational coefficients."""
+
+    def irrational():
+        return Scalar(rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                      rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2))
+
+    images = []
+    for j in range(n):
+        img = {}
+        if j in planted:
+            for i in rng.sample(range(j), min(j, 3)):
+                add_scaled(img, images[i], irrational())
+        else:
+            coords = [k for k in range(shared) if rng.random() < 0.8]
+            coords += rng.sample(range(shared, m), rng.randint(1, 3))
+            img = {k: irrational() for k in coords}
+        images.append(img)
+    return images
+
+
 class TestLinalg:
+    def test_kernel_does_not_depend_on_pivot_rule(self):
+        rng = random.Random(11)
+        for _ in range(8):
+            n = rng.randint(10, 16)
+            planted = set(rng.sample(range(2, n), 4))
+            images = _random_sparse_map(rng, n, 3 * n, 3, planted)
+            kernel = kernel_basis(images, n, coord_key=lambda c: c)
+            assert kernel == _kernel_basis_smallest_key(images, n, lambda c: c)
+            assert len(kernel) >= len(planted)
+            for vec in kernel:
+                total = {}
+                for j, s in vec.items():
+                    add_scaled(total, images[j], s)
+                assert total == {}
+
     def test_kernel_of_complex_matrix(self):
         # map e0 -> i*x, e1 -> x, kernel = span{e0 - i*e1}
         images = [{"x": I}, {"x": ONE}]

@@ -161,12 +161,12 @@ def _stacked_images(module, ops, domain):
     ]
 
 
-def _mod_p(s, p):
-    """Image of a Scalar in F_p under the 8th-root embedding of test_scalars."""
+def _embedding_mod_p(p):
+    """Scalar -> F_p under the 8th-root embedding of test_scalars."""
     from test_scalars import _roots_mod
 
     i_p, r2_p = _roots_mod(p)
-    return (s._a + s._b * i_p + (s._c + s._d * i_p) * r2_p) * pow(s._q, -1, p) % p
+    return lambda s: (s._a + s._b * i_p + (s._c + s._d * i_p) * r2_p) * pow(s._q, -1, p) % p
 
 
 class TestAnnihilator:
@@ -212,7 +212,8 @@ class TestAnnihilator:
         for p in (17, 2**61 + 57):
             if any(s._q % p == 0 for img in images for s in img.values()):
                 continue
-            rows = [{key: _mod_p(s, p) for key, s in img.items()} for img in images]
+            to_p = _embedding_mod_p(p)
+            rows = [{key: to_p(s) for key, s in img.items()} for img in images]
             assert len(domain) - _rank_mod_p(rows, p) == len(basis) == 3
             checked += 1
         assert checked
@@ -227,18 +228,19 @@ class TestAnnihilator:
         domain = [(w, lbl) for w in enumerate_vectors(4, 4) for lbl in module.seed.labels()]
         position = {word: j for j, word in enumerate(domain)}
         images = _stacked_images(module, ops, domain)
-        scalars = [s for img in images for s in img.values()]
-        scalars += [s for b in basis for s in b.terms.values()]
-        assert any(not s.is_simple for s in scalars)
+        coefficients = [s for b in basis for s in b.terms.values()]
+        assert any(s._b or s._c or s._d for s in coefficients)
+        scalars = coefficients + [s for img in images for s in img.values()]
         checked = 0
         for p in (17, 2**61 + 57):
             if any(s._q % p == 0 for s in scalars):
                 continue
-            rows = [{key: _mod_p(s, p) for key, s in img.items()} for img in images]
+            to_p = _embedding_mod_p(p)
+            rows = [{key: to_p(s) for key, s in img.items()} for img in images]
             for b in basis:
                 total = {}
                 for word, s in b.terms.items():
-                    s_p = _mod_p(s, p)
+                    s_p = to_p(s)
                     for key, v in rows[position[word]].items():
                         total[key] = (total.get(key, 0) + s_p * v) % p
                 assert not any(total.values()), (p, str(b))

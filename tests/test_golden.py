@@ -60,6 +60,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "act-b_t0-label": ("act", "T[1/2] L[0]", "--spec", B, "--label", "G[0].v0"),
     "act-table-label": ("act", "T[1/2] G[-1/2]", "--spec", TB, "--label", "v1"),
     "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
+    # a long descent whose default step budget counts a large box
+    "reduce-whittaker-1_12": ("reduce", "{1:12}", "--spec", W),
     # kernel vectors with irrational coefficients, not single words
     "annihilator-whittaker-irrational": ("annihilator", "--spec",
                                          "tests/golden/whittaker-irrational.cfg",

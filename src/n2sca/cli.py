@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, ValidationError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     except TruncationError as exc:

@@ -35,6 +35,7 @@ from .orders import (
     ZERO_VECTOR,
     parse_exponent_vector,
     principal_sort_key,
+    walk_vectors,
 )
 from .scalars import HALF, ONE, Scalar, ZERO, add_scaled, parse_scalar
 
@@ -135,9 +136,9 @@ class FiniteLetters(LetterSystem):
         presentation: AlgebraPresentation,
         letters_desc: list[GeneratorId],
         domain,
+        bounds: tuple[int, int],
         keep_squares: bool = False,
         rewrites: dict[GeneratorId, Rewrite] | None = None,
-        bounds: tuple[int, int] | None = None,
     ):
         self.presentation = presentation
         self.letters_desc = list(letters_desc)
@@ -171,36 +172,15 @@ class FiniteLetters(LetterSystem):
         return sum(self._w2[s] * e for s, e in ev.entries)
 
     def within(self, ev):
-        if self.bounds is None:
-            return True
         max_w2, max_len = self.bounds
         return self.word_weight2(ev) <= max_w2 and ev.length <= max_len
 
     def enumerate_words(self) -> list[ExponentVector]:
         """All normal words inside the bounds, by (weight, length, entries)."""
-        if self.bounds is None:
-            raise ValueError("cannot enumerate an unbounded letter system")
         max_w2, max_len = self.bounds
-        slots = sorted(self._by_slot)
-        out: list[ExponentVector] = []
-
-        def walk(idx, left_w2, left_len, acc):
-            if idx == len(slots):
-                out.append(ExponentVector(tuple(acc)))
-                return
-            slot = slots[idx]
-            w2 = self._w2[slot]
-            top = left_len if w2 == 0 else min(left_len, left_w2 // w2)
-            if not self.keep_power(self._by_slot[slot]):
-                top = min(top, 1)
-            for e in range(top + 1):
-                if e:
-                    acc.append((slot, e))
-                walk(idx + 1, left_w2 - w2 * e, left_len - e, acc)
-                if e:
-                    acc.pop()
-
-        walk(0, max_w2, max_len, [])
+        slots = [(s, self._w2[s], max_len if self.keep_power(g) else 1)
+                 for s, g in sorted(self._by_slot.items())]
+        out = walk_vectors(slots, max_w2, max_len)
         out.sort(key=lambda ev: (self.word_weight2(ev), ev.length, ev.dense_key()))
         return out
 
@@ -454,9 +434,8 @@ class BModuleSpec:
 
     family = "abstract"
 
-    def __init__(self, c: Scalar, metadata: dict | None = None):
+    def __init__(self, c: Scalar):
         self.c = c
-        self.metadata = metadata or {}
 
     def labels(self):
         raise NotImplementedError
@@ -488,8 +467,8 @@ class FiniteSeed(BModuleSpec):
     """
 
     def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,
-                 parities: dict | None = None, metadata: dict | None = None):
-        super().__init__(c, metadata)
+                 parities: dict | None = None):
+        super().__init__(c)
         self.family = family
         self._labels = tuple(labels)
         for (gen, label), out in table.items():

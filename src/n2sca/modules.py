@@ -21,33 +21,10 @@ from .algebra import (
     format_half,
     parse_half,
 )
-from .engine import BModuleSpec, FiniteLetters, FiniteSeed, InducedModule
+from .engine import BModuleSpec, FiniteLetters, FiniteSeed, InducedModule, TwistedTemplate
 from .errors import ParseError, ValidationError
 from .linalg import kernel_basis
 from .scalars import ONE, Scalar, ZERO, parse_scalar
-
-
-class SubalgebraSelector:
-    """A named, bracket-closed family of generators."""
-
-    def __init__(self, name: str, pred):
-        self.name = name
-        self.pred = pred
-
-    def contains(self, g: GeneratorId) -> bool:
-        return bool(self.pred(g))
-
-    def closed_under_bracket(self, window2: int) -> bool:
-        gens = [g for g in TWISTED.generators(window2) if self.contains(g)]
-        for x in gens:
-            for y in gens:
-                for z, _ in TWISTED.bracket(x, y).items():
-                    if not self.contains(z):
-                        return False
-        return True
-
-    def __repr__(self):
-        return f"<subalgebra {self.name}>"
 
 
 def _positive(g):
@@ -55,53 +32,18 @@ def _positive(g):
 
 
 def _frak_t(g):
-    if g.kind == "C":
-        return True
-    if g.kind == "L":
+    """The part of frak t acting on the generalized seed: L_m (m >= 1),
+    T_r (r >= 3/2) and G_p (p >= 1); the centre acts through c."""
+    if g.kind in ("L", "G"):
         return g.index2 >= 2
-    if g.kind == "T":
-        return g.index2 >= 3
-    if g.kind == "G":
-        return g.index2 >= 2
-    return False
+    return g.kind == "T" and g.index2 >= 3
 
 
-def _frak_p(g):
-    if g.kind == "C":
-        return True
-    if g.kind == "L":
-        return g.index2 >= 2
-    if g.kind == "T":
-        return g.index2 >= 1
-    if g.kind == "G":
-        return g.index2 >= 2
-    return False
-
-
-def t_upper(u2: int) -> SubalgebraSelector:
-    """G_p (p >= u), L_m (m >= u + 1/2), T_r (r >= u + 1)."""
-
-    def pred(g):
-        if g.kind == "G":
-            return g.index2 >= u2
-        if g.kind == "L":
-            return g.index2 >= u2 + 1
-        if g.kind == "T":
-            return g.index2 >= u2 + 2
-        return g.kind == "C"
-
-    return SubalgebraSelector(f"T^({format_half(u2)})", pred)
-
-
-SELECTORS = {
-    "T+": SubalgebraSelector("T+", lambda g: g.degree2 > 0),
-    "T0": SubalgebraSelector("T0", lambda g: g.twisted and g.degree2 == 0),
-    "T-": SubalgebraSelector("T-", lambda g: g.degree2 < 0),
-    "b": SubalgebraSelector("b", lambda g: g.degree2 > 0),
-    "B": SubalgebraSelector("B", lambda g: g.twisted and g.degree2 >= 0),
-    "p": SubalgebraSelector("p", _frak_p),
-    "frakT": SubalgebraSelector("frakT", _frak_t),
-}
+def t_upper(u2: int):
+    """Membership in T^(u) without its centre: G_p (p >= u),
+    L_m (m >= u + 1/2), T_r (r >= u + 1)."""
+    shift = {"G": 0, "L": 1, "T": 2}
+    return lambda g: g.kind in shift and g.index2 >= u2 + shift[g.kind]
 
 
 def validate_character(phi: dict[GeneratorId, Scalar], window2: int = 8) -> None:
@@ -137,58 +79,32 @@ def whittaker_spec(lam, c) -> FiniteSeed:
     if not isinstance(c, Scalar):
         c = Scalar(c)
     validate_character({T(1): lam})
-    return FiniteSeed(
-        "whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c,
-        metadata={"lambda": lam, "simple_candidate": bool(lam)},
-    )
+    return FiniteSeed("whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c)
 
 
-class DerivedPairSeed:
+def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
+                      c: Scalar) -> FiniteSeed:
     """Two-dimensional seed v0, v1 where v1 plays the role of G[1/2]v0.
 
-    The acting subalgebra sees v0 through the character phi; the action
-    on v1 is forced by x.v1 = (-1)^{|x|} phi(x) v1 + phi([x, G[1/2]]) v0.
+    The members of the acting subalgebra see v0 through the even
+    character phi; the action on v1 is forced by
+    x.v1 = phi(x) v1 + phi([x, G[1/2]]) v0.  Brackets are homogeneous, so
+    only the keys of phi and the generators one half-degree below them
+    can act by a nonzero map: the table lists exactly those, and every
+    other member acts by zero.
     """
-
-    def __init__(self, phi: dict[GeneratorId, Scalar], member, name: str):
-        self.phi = {g: s for g, s in phi.items() if s}
-        self.member = member
-        self.name = name
-        self._half = G(1)
-
-    def labels(self):
-        return ("v0", "v1")
-
-    def parity(self, label):
-        return 0 if label == "v0" else 1
-
-    def _phi_of(self, g):
-        return ZERO if g.parity else self.phi.get(g, ZERO)
-
-    def act(self, gen, label):
-        if not self.member(gen):
-            raise ValueError(f"{gen} does not act on the {self.name} seed")
-        if label == "v0":
-            s = self._phi_of(gen)
-            return {"v0": s} if s else {}
-        out: dict = {}
-        s = self._phi_of(gen)
-        if s:
-            out["v1"] = -s if gen.parity else s
-        cross = ZERO
-        for z, coef in TWISTED.bracket(gen, self._half).items():
-            cross = cross + coef * self._phi_of(z)
-        if cross:
-            out["v0"] = out.get("v0", ZERO) + cross
-        return {l: v for l, v in out.items() if v}
-
-    def label_text(self, label):
-        return label
-
-    def parse_label(self, text):
-        if text not in ("v0", "v1"):
-            raise ParseError(f"unknown label {text!r}")
-        return text
+    phi = {g: s for g, s in phi.items() if s and not g.parity}
+    degrees = {g.degree2 for g in phi}
+    table: dict = {}
+    for x in TWISTED.generators(max(map(abs, degrees), default=0) + 1):
+        if x.degree2 in degrees or x.degree2 + 1 in degrees:
+            s = phi.get(x, ZERO)
+            cross = ZERO
+            for z, coef in TWISTED.bracket(x, G(1)).items():
+                cross = cross + coef * phi.get(z, ZERO)
+            table[(x, "v0")] = {"v0": s}
+            table[(x, "v1")] = {"v1": s, "v0": cross}
+    return FiniteSeed(family, ("v0", "v1"), table, member, c, {"v0": 0, "v1": 1})
 
 
 class InducedSpec(BModuleSpec):
@@ -196,8 +112,8 @@ class InducedSpec(BModuleSpec):
     system; the outer engine sees its normal words as opaque labels."""
 
     def __init__(self, family: str, inner: InducedModule, c: Scalar,
-                 min_degree2: int = 1, metadata: dict | None = None):
-        super().__init__(c, metadata)
+                 min_degree2: int = 1):
+        super().__init__(c)
         self.family = family
         self.inner = inner
         self.min_degree2 = min_degree2
@@ -269,10 +185,6 @@ class InducedSpec(BModuleSpec):
         return [lbl for lbl in self._labels if lbl[1] == seed_label]
 
 
-def _frak_t_member(g: GeneratorId) -> bool:
-    return _frak_t(g) and g.kind != "C"
-
-
 def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
     """Seed for the two-step induction with free letters G[1/2], T[1/2]
     over the pair (v0, v1 = G[1/2]v0); phi lives on L[1] and T[3/2]."""
@@ -283,7 +195,7 @@ def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
     if max_w2 < 0 or max_len < 0:
         raise ValidationError("truncation bounds must be nonnegative")
     phi = {L(1): phi_l1, T(3): phi_t32}
-    seed = DerivedPairSeed(phi, _frak_t_member, "generalized-whittaker")
+    seed = derived_pair_seed(phi, _frak_t, "generalized-whittaker", c)
     letters = FiniteLetters(
         TWISTED,
         [G(1), T(1)],
@@ -291,11 +203,7 @@ def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
         bounds=(max_w2, max_len),
     )
     inner = InducedModule(letters, seed, c)
-    return InducedSpec(
-        "generalized", inner, c,
-        metadata={"phi.L1": phi_l1, "phi.T3/2": phi_t32,
-                  "simple_candidate": bool(phi_t32)},
-    )
+    return InducedSpec("generalized", inner, c)
 
 
 def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
@@ -306,14 +214,14 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
     if s2 < 1 or s2 % 2 == 0:
         raise ValidationError("s must be a positive half-odd integer")
     c = c if isinstance(c, Scalar) else Scalar(c)
-    selector = t_upper(s2)
+    upper = t_upper(s2)
     cleaned: dict[GeneratorId, Scalar] = {}
     for g, value in phi.items():
         value = value if isinstance(value, Scalar) else Scalar(value)
         if not value:
             continue
-        if not selector.contains(g) or g.kind == "C":
-            raise ValidationError(f"{g} lies outside {selector.name}")
+        if not upper(g):
+            raise ValidationError(f"{g} lies outside T^({format_half(s2)})")
         if g.parity:
             raise ValidationError(f"odd generator {g} must map to 0")
         if g.kind == "L" and g.index2 >= 2 * s2 + 2:
@@ -336,17 +244,13 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
     complement.sort(key=lambda g: (KIND_RANK[g.kind], -g.index2))
     letters = [G(1)] + complement
     letter_set = set(letters)
-    seed = DerivedPairSeed(cleaned, lambda g: selector.contains(g) and g.kind != "C",
-                           f"highorder[s={format_half(s2)}]")
+    seed = derived_pair_seed(cleaned, upper, f"highorder[s={format_half(s2)}]", c)
     system = FiniteLetters(
         TWISTED, letters, domain=lambda g: g in letter_set,
         bounds=(max_w2, max_len),
     )
     inner = InducedModule(system, seed, c)
-    return InducedSpec(
-        "highorder", inner, c,
-        metadata={"s2": s2, "phi": dict(cleaned)},
-    )
+    return InducedSpec("highorder", inner, c)
 
 
 def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
@@ -355,22 +259,15 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
     if max_k < 0:
         raise ValidationError("the G[0]-power bound must be nonnegative")
     c = spec.c
-    c24 = c * Scalar.rational(1, 24)
-    l0_rewrite = [(ONE, (G(0), G(0)))]
-    if c24:
-        l0_rewrite.append((c24, ()))
     letters = FiniteLetters(
         TWISTED, [G(0)],
         domain=lambda g: g == G(0),
-        keep_squares=True,
-        rewrites={L(0): l0_rewrite},
         bounds=(0, max_k),
+        keep_squares=True,
+        rewrites={L(0): TwistedTemplate(c).rewrite(L(0))},
     )
     inner = InducedModule(letters, spec, c)
-    return InducedSpec(
-        "b_t0", inner, c, min_degree2=0,
-        metadata={"inner_family": spec.family, "max_k": max_k},
-    )
+    return InducedSpec("b_t0", inner, c, min_degree2=0)
 
 
 def verma_untwisted(c, depth2: int) -> InducedModule:

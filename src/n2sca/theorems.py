@@ -17,6 +17,7 @@ from .modules import check_conditions
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
+    count_vectors,
     enumerate_vectors,
     principal_compare,
     principal_sort_key,
@@ -162,11 +163,14 @@ def reduce_to_M(
     prescription stalls; the loop then accepts the overshooting image
     when it is nonzero ("overshoot", the weight strictly drops) or
     applies the affine step v -> (T_u - theta)v ("affine").  The default
-    budget is the enumerated box of the starting degree padded by its
-    weight (bounding the letters that L-expansions can add).  When the
-    budget runs out first, the partial trace comes back with terminal
-    None.  A negative budget raises ValueError.
+    budget is the number of vectors in the box of the starting degree
+    padded by its weight (bounding the letters that L-expansions can
+    add), counted without listing them.  When the budget runs out first,
+    the partial trace comes back with terminal None.  A u that is not
+    positive half-odd, or a negative budget, raises ValueError.
     """
+    if u2 < 1 or u2 % 2 == 0:
+        raise ValueError("u must be a positive half-odd integer")
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be non-negative, got {step_budget}")
     if v.is_zero:
@@ -176,9 +180,7 @@ def reduce_to_M(
     if not deg0.is_zero:
         _require_conditions(module, u2)
     if step_budget is None:
-        step_budget = len(
-            enumerate_vectors(deg0.weight2, deg0.length + deg0.weight2)
-        )
+        step_budget = count_vectors(deg0.weight2, deg0.length + deg0.weight2)
     current = v
     for _ in range(step_budget):
         _, deg, _ = supp_deg(current)

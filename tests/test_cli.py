@@ -62,6 +62,38 @@ def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     assert names in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["act", "G[0]", "--spec", "{dir}"],
+    ["enumerate", "--output", "{dir}"],
+    ["closure", "--spec", "{cfg}", "--subspace", "file:{dir}"],
+])
+def test_directory_path_exit_code(argv, whittaker_cfg, tmp_path, capsys):
+    # a directory where a file is expected is an input error, not a crash
+    code = main([a.replace("{cfg}", whittaker_cfg).replace("{dir}", str(tmp_path))
+                 for a in argv])
+    captured = capsys.readouterr()
+    assert code == USAGE
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vector, u", [("{}", "1"), ("{}", "0"), ("{1:1}", "1")])
+def test_u_checked_whatever_the_start_vector(vector, u, whittaker_cfg, capsys):
+    # u is rejected before the reduction looks at the start vector
+    code = main(["reduce", vector, "--spec", whittaker_cfg, "--u", u])
+    captured = capsys.readouterr()
+    assert code == USAGE
+    assert captured.out == ""
+    assert captured.err == "error: u must be a positive half-odd integer\n"
+
+
+def test_long_reduction_finishes(whittaker_cfg, capsys):
+    # the default budget counts a box of 405,728,685 vectors without listing it
+    code = main(["reduce", "{1:40}", "--spec", whittaker_cfg])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == PASS
+    assert len(lines) == 42 and lines[-1].startswith("terminal\t")
+
+
 class TestBracket:
     def test_spec_example(self, capsys):
         code, out = run(["bracket", "G[1]", "G[-1/2]"], capsys)

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, Gm, Gp, J, Lu
 from n2sca.errors import ParseError, TruncationError, ValidationError
 from n2sca.modules import (
-    SELECTORS,
+    _frak_t,
+    _positive,
     b_plus_t0_induce,
+    derived_pair_seed,
     check_conditions,
     generalized_whittaker_spec,
     highorder_whittaker_spec,
@@ -17,7 +21,7 @@ from n2sca.modules import (
     whittaker_spec,
 )
 from n2sca.orders import ZERO_VECTOR
-from n2sca.scalars import ONE, Scalar, ZERO
+from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
 from n2sca.theorems import module_axiom_check
 
 
@@ -83,13 +87,11 @@ class TestWhittakerSpec:
     def test_conditions_hold(self):
         spec = whittaker_spec(1, 0)
         assert check_conditions(spec, 1) == (True, True)
-        assert spec.metadata["simple_candidate"]
         assert spec.parity("v0") is None  # ungraded
 
     def test_zero_lambda_flagged(self):
         spec = whittaker_spec(0, 0)
         assert check_conditions(spec, 1) == (False, True)
-        assert not spec.metadata["simple_candidate"]
 
     def test_forced_l1_value_rejected(self):
         with pytest.raises(ValidationError, match=r"G\[1/2\],G\[1/2\]"):
@@ -160,7 +162,6 @@ class TestGeneralizedSpec:
 class TestHighorderSpec:
     def test_builds_and_checks_conditions(self):
         spec = highorder_whittaker_spec(3, {T(7): ONE}, 0, (4, 2))
-        assert spec.metadata["s2"] == 3
         assert check_conditions(spec, 7) == (True, True)
 
     def test_trivial_character_rejected(self):
@@ -368,17 +369,112 @@ class TestRepresentationProperty:
         assert {x.kind, y.kind} <= {"T", "G"}
 
 
+def closed_under_bracket(member, window2):
+    """Whether every bracket of two members within the window lies in the
+    members' span, generator by generator."""
+    gens = [g for g in TWISTED.generators(window2) if member(g)]
+    return all(member(z) for x in gens for y in gens
+               for z, _ in TWISTED.bracket(x, y).items())
+
+
+# the standard subalgebras of the twisted algebra, as membership tests
+SUBALGEBRAS = {
+    "T+": lambda g: g.degree2 > 0,
+    "T0": lambda g: g.twisted and g.degree2 == 0,
+    "T-": lambda g: g.degree2 < 0,
+    "b": lambda g: g.degree2 > 0,
+    "B": lambda g: g.twisted and g.degree2 >= 0,
+    "p": lambda g: g.kind == "C" or g.index2 >= {"L": 2, "T": 1, "G": 2}[g.kind],
+    "frakT": lambda g: g.kind == "C" or _frak_t(g),
+}
+
+
 class TestSelectors:
-    @pytest.mark.parametrize("name", sorted(SELECTORS))
+    @pytest.mark.parametrize("name", sorted(SUBALGEBRAS))
     def test_closed_under_bracket(self, name):
-        assert SELECTORS[name].closed_under_bracket(6)
+        assert closed_under_bracket(SUBALGEBRAS[name], 6)
+
+    @pytest.mark.parametrize("u2", [1, 3, 5])
+    def test_t_upper_closed_under_bracket(self, u2):
+        assert closed_under_bracket(t_upper(u2), 8)
 
     def test_t_upper_window(self):
-        sel = t_upper(3)
-        assert sel.contains(G(3)) and not sel.contains(G(2))
-        assert sel.contains(L(2)) and not sel.contains(L(1))
-        assert sel.contains(T(5)) and not sel.contains(T(3))
-        assert sel.closed_under_bracket(8)
+        upper = t_upper(3)
+        assert upper(G(3)) and not upper(G(2))
+        assert upper(L(2)) and not upper(L(1))
+        assert upper(T(5)) and not upper(T(3))
+        assert not upper(C) and not upper(Lu(2))
+
+
+class ReferencePairSeed:
+    """The closed-form derived-pair action that the table seed replaced:
+    x.v0 = phi(x) v0 and x.v1 = (-1)^{|x|} phi(x) v1 + phi([x, G[1/2]]) v0,
+    with phi zero on odd generators."""
+
+    def __init__(self, phi, member, name):
+        self.phi = {g: s for g, s in phi.items() if s}
+        self.member = member
+        self.name = name
+
+    def _phi_of(self, g):
+        return ZERO if g.parity else self.phi.get(g, ZERO)
+
+    def act(self, gen, label):
+        if not self.member(gen):
+            raise ValueError(f"{gen} does not act on the {self.name} seed")
+        if label == "v0":
+            s = self._phi_of(gen)
+            return {"v0": s} if s else {}
+        out = {}
+        s = self._phi_of(gen)
+        if s:
+            out["v1"] = -s if gen.parity else s
+        cross = ZERO
+        for z, coef in TWISTED.bracket(gen, G(1)).items():
+            cross = cross + coef * self._phi_of(z)
+        if cross:
+            out["v0"] = out.get("v0", ZERO) + cross
+        return {l: v for l, v in out.items() if v}
+
+
+def _outcome(seed, gen, label):
+    try:
+        return list(seed.act(gen, label).items())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestDerivedPairSeed:
+    EVEN_POSITIVE = [L(m) for m in range(1, 9)] + [T(r2) for r2 in range(1, 17, 2)]
+    MEMBERS = [("positive", _positive), ("frakT", _frak_t)] + [
+        (f"T^({u2}/2)", t_upper(u2)) for u2 in (1, 3, 5, 7)
+    ]
+
+    def test_table_matches_closed_form(self):
+        rng = random.Random(20261018)
+        values = [ONE, -ONE, Scalar.rational(1, 2), I, SQRT2, ONE + I * SQRT2, ZERO]
+        gens = TWISTED.generators(16)
+        cases = 0
+        for _ in range(300):
+            keys = rng.sample(self.EVEN_POSITIVE, rng.randint(1, 4))
+            phi = {g: rng.choice(values) * rng.randint(1, 5) for g in keys}
+            name, member = rng.choice(self.MEMBERS)
+            want = ReferencePairSeed(phi, member, name)
+            got = derived_pair_seed(phi, member, name, ZERO)
+            for gen in gens:
+                for label in ("v0", "v1"):
+                    assert _outcome(got, gen, label) == _outcome(want, gen, label), (
+                        phi, name, gen, label)
+                    cases += 1
+        assert cases == 300 * len(gens) * 2
+
+    def test_table_lists_only_generators_that_can_act(self):
+        seed = derived_pair_seed({L(1): ONE, T(3): ONE}, _frak_t, "pair", ZERO)
+        listed = {gen for gen, _ in seed.table}
+        assert listed == {gen for gen in TWISTED.generators(4)
+                          if gen.degree2 in (1, 2, 3)}
+        assert seed.labels() == ("v0", "v1")
+        assert (seed.parity("v0"), seed.parity("v1")) == (0, 1)
 
 
 class TestConfig:

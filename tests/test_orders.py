@@ -10,6 +10,7 @@ from n2sca.orders import (
     GT,
     LT,
     ZERO_VECTOR,
+    count_vectors,
     enumerate_vectors,
     eps,
     parse_exponent_vector,
@@ -184,6 +185,14 @@ class TestEnumeration:
     def test_rejects_negative_bounds(self):
         with pytest.raises(ValueError):
             enumerate_vectors(-1, 2)
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (2, 3), (5, 3), (10, 20), (12, 24)])
+    def test_count_matches_enumeration(self, bounds):
+        assert count_vectors(*bounds) == len(enumerate_vectors(*bounds))
+
+    def test_count_rejects_negative_bounds(self):
+        with pytest.raises(ValueError):
+            count_vectors(2, -1)
 
 
 class TestMinSlotAndText:

@@ -314,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationError as exc:
         sys.stderr.write(f"inconclusive at truncation: {exc}\n")
         return INCONCLUSIVE
+    except MemoryError:
+        pass  # report after the handler, which frees the frames that filled the heap
+    sys.stderr.write("inconclusive: out of memory at this window or truncation\n")
+    return INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -341,20 +341,39 @@ def module_axiom_check(
     report: SuiteReport | None = None,
 ) -> SuiteReport:
     """act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
-    for all ordered generator pairs in the window and all sample vectors."""
+    for all ordered generator pairs in the window and all sample vectors.
+
+    The first-level images act(g, v) are computed once per generator and
+    vector, a TruncationError included: it is stored and raised again.
+    """
     if report is None:
         report = SuiteReport(f"module-axiom[w{window2}]")
     gens = TWISTED.generators(window2)
+    images: dict[tuple[GeneratorId, int], ModuleVector | TruncationError] = {}
+
+    def image(g: GeneratorId, n: int, v: ModuleVector) -> ModuleVector:
+        key = (g, n)
+        hit = images.get(key)
+        if hit is None:
+            try:
+                hit = module.act(g, v)
+            except TruncationError as exc:
+                hit = exc.with_traceback(None)
+            images[key] = hit
+        if isinstance(hit, TruncationError):
+            raise hit.with_traceback(None)
+        return hit
+
     for x in gens:
         for y in gens:
             sign = -ONE if x.parity and y.parity else ONE
             bracket = TWISTED.bracket(x, y)
             bad = None
             skipped = 0
-            for v in vectors:
+            for n, v in enumerate(vectors):
                 try:
-                    lhs = module.act(x, module.act(y, v)) + module.act(
-                        y, module.act(x, v)
+                    lhs = module.act(x, image(y, n, v)) + module.act(
+                        y, image(x, n, v)
                     ).scaled(-sign)
                     rhs = module.act_combo(bracket, v)
                 except TruncationError:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from n2sca.algebra import (
     AlgebraPresentation,
     C,
+    CheckReport,
     G,
     G1,
     G2,
@@ -31,7 +32,7 @@ from n2sca.algebra import (
     substitute_basis,
     verify_automorphism,
 )
-from n2sca.scalars import I, ONE, Scalar, parse_scalar
+from n2sca.scalars import I, ONE, Scalar, add_scaled, parse_scalar
 
 HERE = os.path.dirname(__file__)
 
@@ -154,6 +155,49 @@ def test_corrupted_presentation_fails_jacobi():
     # a violating triple must mix the dropped m=2 cocycle with intact ones
     kinds = {tuple(g.kind for g in v) for v in report.violations}
     assert ("L", "L", "L") in kinds
+
+
+def reference_jacobi_check(presentation, window2, max_violations=16):
+    """The all-triples loop that the orbit walk of jacobi_check replaced:
+    every ordered triple sums its own three terms."""
+    report = CheckReport(f"jacobi[{presentation.name}]", window2)
+    gens = presentation.generators(window2)
+    for x in gens:
+        for y in gens:
+            for z in gens:
+                report.checked += 1
+                if x.is_central or y.is_central or z.is_central:
+                    continue
+                acc = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    sign = -ONE if a.parity and c.parity else ONE
+                    for g1, s1 in presentation.bracket(b, c).items():
+                        add_scaled(acc, presentation.bracket(a, g1).terms, sign * s1)
+                if acc:
+                    report.violations.append((x, y, z))
+                    if len(report.violations) >= max_violations:
+                        return report
+    return report
+
+
+def _same_jacobi_report(pres, window2, max_violations):
+    got = jacobi_check(pres, window2, max_violations)
+    want = reference_jacobi_check(pres, window2, max_violations)
+    assert (got.ok, got.checked, got.violations, str(got)) == (
+        want.ok, want.checked, want.violations, str(want))
+    return got
+
+
+@pytest.mark.parametrize("pres", [TWISTED, TWISTED_PM, UNTWISTED_PM, UNTWISTED_12])
+def test_jacobi_matches_reference_loop(pres):
+    assert _same_jacobi_report(pres, 4, 16).ok
+
+
+@pytest.mark.parametrize("window2", [4, 6])
+@pytest.mark.parametrize("max_violations", [1, 16, 10**6])
+def test_corrupted_jacobi_matches_reference_loop(window2, max_violations):
+    bad = _CorruptedVirasoro("corrupted", ("L", "T", "G", "C"))
+    assert not _same_jacobi_report(bad, window2, max_violations).ok
 
 
 class TestPsi:

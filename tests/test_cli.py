@@ -1,4 +1,7 @@
 import io
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -280,3 +283,20 @@ class TestRoundTrips:
         terminal = out.strip().splitlines()[-1].split("\t")[1]
         v = module.parse_vector(terminal)
         assert str(v) == terminal
+
+
+def test_out_of_memory_is_inconclusive():
+    # the window is unbounded, so listing its generators fills any heap;
+    # the address-space cap is set in the child only
+    cap = 512 << 20
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from n2sca.cli import main; "
+         "sys.exit(main(['verify', 'jacobi', '--window', '100000000']))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == INCONCLUSIVE
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from n2sca.algebra import G, L, T, TWISTED
+from n2sca.algebra import G, L, SuiteReport, T, TWISTED
 from n2sca.engine import supp_deg
+from n2sca.errors import TruncationError
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.modules import generalized_whittaker_spec, whittaker_spec
 from n2sca.orders import (
@@ -20,6 +21,7 @@ from n2sca.theorems import (
     annihilator_Mt,
     closure_check,
     lemma_deg_suite,
+    module_axiom_check,
     reduce_step,
     reduce_to_M,
     whittaker_identity_check,
@@ -293,6 +295,48 @@ class TestClosure:
         subspace = [module.basis_vector(e) for e in evs]
         report = closure_check(module, subspace, 2)
         assert report.closed
+
+
+def reference_module_axiom_rows(module, window2, vectors):
+    """The module-axiom loop without the first-level image cache."""
+    report = SuiteReport("reference")
+    gens = TWISTED.generators(window2)
+    for x in gens:
+        for y in gens:
+            sign = -ONE if x.parity and y.parity else ONE
+            bad = None
+            skipped = 0
+            for v in vectors:
+                try:
+                    lhs = module.act(x, module.act(y, v)) + module.act(
+                        y, module.act(x, v)
+                    ).scaled(-sign)
+                    rhs = module.act_combo(TWISTED.bracket(x, y), v)
+                except TruncationError:
+                    skipped += 1
+                    continue
+                if lhs != rhs:
+                    bad = v
+                    break
+            got = "ok" if bad is None else f"mismatch at {bad}"
+            if skipped and bad is None:
+                got = f"ok ({skipped} boundary skips)"
+            report.add(f"axiom[{x},{y}]", f"pairs over {len(vectors)} vectors",
+                       "exact equality", got, bad is None)
+    return report.rows
+
+
+def test_module_axiom_image_cache_keeps_boundary_rows():
+    # the (4, 3) truncation of the generalized seed's letters makes many
+    # pairs leave the box, so their rows count boundary skips
+    spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+    module = spec.induced()
+    vectors = [module.basis_vector(w, lbl)
+               for w in enumerate_vectors(2, 1) for lbl in spec.labels()]
+    want = reference_module_axiom_rows(module, 2, vectors)
+    rows = module_axiom_check(module, 2, vectors).rows
+    assert rows == want
+    assert sum("boundary skips" in row[3] for row in rows) == 72
 
 
 class TestWhittakerIdentity:

@@ -18,7 +18,9 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, parse_scalar
+from .scalars import (
+    I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, join_signed, parse_scalar, signed_term,
+)
 
 TWISTED_KINDS = ("L", "T", "G", "C")
 UNTWISTED_KINDS = ("Lu", "J", "G+", "G-", "G1", "G2", "Cu")
@@ -177,107 +179,78 @@ def parse_generator(text: str) -> GeneratorId:
 gen = parse_generator
 
 
-class LinearCombo:
-    """Finitely supported map GeneratorId -> Scalar."""
+class TermMap:
+    """A finitely supported map key -> Scalar, stored without zero values:
+    the one type behind generator combinations and module vectors.
+
+    A subclass supplies three hooks: ``space``, what its keys live in
+    (None for a combination, the module for a vector); ``_like(terms)``, a
+    map of the same type and space over zero-free ``terms``; and
+    ``_pairs()``, the (body text, coefficient) pairs in print order.
+    """
 
     __slots__ = ("terms",)
+    space = None
 
-    def __init__(self, terms: dict[GeneratorId, Scalar] | None = None):
-        self.terms = {g: s for g, s in (terms or {}).items() if s}
+    def _like(self, terms: dict) -> "TermMap":
+        raise NotImplementedError
 
-    @classmethod
-    def of(cls, *pairs) -> "LinearCombo":
-        out: dict[GeneratorId, Scalar] = {}
-        for g, s in pairs:
-            add_scaled(out, {g: s if isinstance(s, Scalar) else Scalar(s)})
-        return cls(out)
-
-    @classmethod
-    def single(cls, g: GeneratorId, s: Scalar = ONE) -> "LinearCombo":
-        return cls({g: s} if s else {})
+    def _pairs(self) -> list[tuple[str, Scalar]]:
+        raise NotImplementedError
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def items(self):
         return self.terms.items()
 
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __getitem__(self, g: GeneratorId) -> Scalar:
-        return self.terms.get(g, ZERO)
-
     def __eq__(self, other):
-        return isinstance(other, LinearCombo) and self.terms == other.terms
+        return (
+            type(other) is type(self)
+            and other.space is self.space
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash(frozenset((g, s) for g, s in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "LinearCombo") -> "LinearCombo":
-        return LinearCombo(add_scaled(dict(self.terms), other.terms))
+    def __add__(self, other: "TermMap") -> "TermMap":
+        if other.space is not self.space:
+            raise ValueError("vectors belong to different modules")
+        return self._like(add_scaled(dict(self.terms), other.terms))
 
-    def __sub__(self, other: "LinearCombo") -> "LinearCombo":
+    def __sub__(self, other: "TermMap") -> "TermMap":
         return self + (-other)
 
-    def __neg__(self) -> "LinearCombo":
-        return LinearCombo({g: -s for g, s in self.terms.items()})
+    def __neg__(self) -> "TermMap":
+        return self._like({k: -s for k, s in self.terms.items()})
 
-    def scaled(self, s: Scalar) -> "LinearCombo":
+    def scaled(self, s: Scalar) -> "TermMap":
         if not s:
-            return LinearCombo()
-        return LinearCombo({g: s * t for g, t in self.terms.items()})
+            return self._like({})
+        return self._like({k: s * t for k, t in self.terms.items()})
 
-    def __rmul__(self, s) -> "LinearCombo":
-        if not isinstance(s, Scalar):
-            s = Scalar(s)
-        return self.scaled(s)
-
-    def map_generators(self, fn) -> "LinearCombo":
-        """Linear extension of a generator map fn: GeneratorId -> LinearCombo."""
-        out: dict[GeneratorId, Scalar] = {}
-        for g, s in self.terms.items():
-            add_scaled(out, fn(g).terms, s)
-        return LinearCombo(out)
+    def __rmul__(self, s) -> "TermMap":
+        return self.scaled(s if isinstance(s, Scalar) else Scalar(s))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for g, s in self.sorted_items():
-            if s.is_simple:
-                text = str(s)
-                if text == "1":
-                    body = str(g)
-                elif text == "-1":
-                    body = f"-{g}"
-                else:
-                    body = f"{text}*{g}"
-            else:
-                body = f"({s})*{g}"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(f" - {body[1:]}")
-            else:
-                chunks.append(f" + {body}")
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"combo({str(self)!r})"
+        return format_terms(self._pairs())
 
 
-ZERO_COMBO = LinearCombo()
+def format_terms(pairs) -> str:
+    """Signed-term text of (body text, coefficient) pairs, in the given
+    order: `body`, `-body`, `1/2*body` or `(1 + i)*body`, joined by + and -,
+    and `0` for no pairs."""
+    return join_signed(
+        [signed_term(str(s) if s.is_simple else f"({s})", body) for body, s in pairs]
+    )
 
 
-def _split_top_level(text: str, seps: str = "+-") -> list[tuple[str, str]]:
+def _split_top_level(text: str) -> list[tuple[str, str]]:
     """Split into (sign, chunk) pairs at top-level + and -.
 
     The +/- inside the kind tokens ``G+[..]`` and ``G-[..]`` never split:
@@ -293,7 +266,7 @@ def _split_top_level(text: str, seps: str = "+-") -> list[tuple[str, str]]:
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in seps and prev_meaningful not in ("", "*", "+", "-", "/", "("):
+        if depth == 0 and ch in "+-" and prev_meaningful not in ("", "*", "+", "-", "/", "("):
             rest = text[pos + 1 :].lstrip()
             if not (prev_meaningful == "G" and rest.startswith("[")):
                 parts.append((sign, "".join(buf)))
@@ -308,33 +281,91 @@ def _split_top_level(text: str, seps: str = "+-") -> list[tuple[str, str]]:
     return [(s, c.strip()) for s, c in parts if c.strip()]
 
 
-_GEN_TAIL_RE = re.compile(r"(Lu|G\+|G-|G1|G2|Cu|L|T|G|J|C)(\[[^\]]+\])?\s*$")
+def parse_terms(text: str, split_body) -> dict:
+    """Inverse of `format_terms`: `0`, or terms `[<scalar>*]<body>` joined
+    by + and -, as a zero-free {key: Scalar} map; a key named twice sums.
 
-
-def parse_combo(text: str) -> LinearCombo:
-    """Parse `<scalar>*<gen> (+/- ...)` text, `0` for the zero combo."""
+    ``split_body(term)`` returns the coefficient prefix of one term and the
+    key that its body names.
+    """
+    total: dict = {}
     text = text.strip()
     if text == "0":
-        return LinearCombo()
-    total: dict[GeneratorId, Scalar] = {}
+        return total
     for sign, chunk in _split_top_level(text):
-        m = _GEN_TAIL_RE.search(chunk)
-        if not m:
-            raise ParseError(f"no generator literal in term {chunk!r}")
-        g = parse_generator(m.group(0))
-        prefix = chunk[: m.start()].strip()
-        if prefix.endswith("*"):
-            prefix = prefix[:-1].strip()
+        prefix, key = split_body(chunk)
+        prefix = prefix.strip().removesuffix("*").strip()
         if prefix in ("", "+"):
             coef = ONE
         elif prefix == "-":
             coef = -ONE
         else:
             coef = parse_scalar(prefix)
-        if sign == "-":
-            coef = -coef
-        add_scaled(total, {g: coef})
-    return LinearCombo(total)
+        add_scaled(total, {key: -coef if sign == "-" else coef})
+    return total
+
+
+class LinearCombo(TermMap):
+    """Finitely supported map GeneratorId -> Scalar."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[GeneratorId, Scalar] | None = None):
+        self.terms = {g: s for g, s in (terms or {}).items() if s}
+
+    @classmethod
+    def of(cls, *pairs) -> "LinearCombo":
+        out: dict[GeneratorId, Scalar] = {}
+        for g, s in pairs:
+            add_scaled(out, {g: s if isinstance(s, Scalar) else Scalar(s)})
+        return cls(out)
+
+    @classmethod
+    def single(cls, g: GeneratorId, s: Scalar = ONE) -> "LinearCombo":
+        return cls({g: s} if s else {})
+
+    def _like(self, terms):
+        return LinearCombo(terms)
+
+    def _pairs(self):
+        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return [(str(g), s) for g, s in items]
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __getitem__(self, g: GeneratorId) -> Scalar:
+        return self.terms.get(g, ZERO)
+
+    def map_generators(self, fn) -> "LinearCombo":
+        """Linear extension of a generator map fn: GeneratorId -> LinearCombo."""
+        out: dict[GeneratorId, Scalar] = {}
+        for g, s in self.terms.items():
+            add_scaled(out, fn(g).terms, s)
+        return LinearCombo(out)
+
+    def __repr__(self) -> str:
+        return f"combo({str(self)!r})"
+
+
+ZERO_COMBO = LinearCombo()
+
+_GEN_TAIL_RE = re.compile(r"(Lu|G\+|G-|G1|G2|Cu|L|T|G|J|C)(\[[^\]]+\])?\s*$")
+
+
+def _split_generator(term: str) -> tuple[str, GeneratorId]:
+    m = _GEN_TAIL_RE.search(term)
+    if not m:
+        raise ParseError(f"no generator literal in term {term!r}")
+    return term[: m.start()], parse_generator(m.group(0))
+
+
+def parse_combo(text: str) -> LinearCombo:
+    """Parse `<scalar>*<gen> (+/- ...)` text, `0` for the zero combo."""
+    return LinearCombo(parse_terms(text, _split_generator))
 
 
 def _virasoro(m2: int, n2: int, lkind: str, ckind: str) -> LinearCombo:

@@ -28,6 +28,9 @@ from .algebra import (
     LinearCombo,
     T,
     TWISTED,
+    TermMap,
+    parse_generator,
+    parse_terms,
 )
 from .errors import ParseError, TruncationError
 from .orders import (
@@ -37,7 +40,7 @@ from .orders import (
     principal_sort_key,
     walk_vectors,
 )
-from .scalars import HALF, ONE, Scalar, ZERO, add_scaled, parse_scalar
+from .scalars import HALF, ONE, Scalar, ZERO, add_scaled
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
 
@@ -193,11 +196,24 @@ class FiniteLetters(LetterSystem):
             parts.append(str(g) if exp == 1 else f"{g}^{exp}")
         return "*".join(parts)
 
+    def parse_word(self, text: str) -> ExponentVector:
+        """Inverse of `word_text` for words of one or more letters."""
+        items: dict[int, int] = {}
+        for chunk in text.split("*"):
+            gtext, hat, etext = chunk.strip().partition("^")
+            if hat and not etext.strip().isdecimal():
+                raise ParseError(f"exponent {etext!r} of {gtext} is not a natural number")
+            slot = self.slot_of(parse_generator(gtext))
+            if slot is None:
+                raise ParseError(f"{gtext} is not a letter of this spec")
+            items[slot] = items.get(slot, 0) + (int(etext) if hat else 1)
+        return ExponentVector(items.items())
 
-class ModuleVector:
+
+class ModuleVector(TermMap):
     """Finitely supported map (word, seed label) -> Scalar."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: "InducedModule", terms: dict):
         """``terms`` must hold no zero coefficients; InducedModule.vector
@@ -206,42 +222,21 @@ class ModuleVector:
         self.terms = terms
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def space(self):
+        return self.module
 
-    def __bool__(self):
-        return not self.is_zero
+    def _like(self, terms):
+        return ModuleVector(self.module, terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleVector)
-            and self.module is other.module
-            and self.terms == other.terms
+    def _pairs(self):
+        m = self.module
+        items = sorted(
+            self.terms.items(),
+            key=lambda kv: (principal_sort_key(kv[0][0]), m.label_rank(kv[0][1])),
+            reverse=True,
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.module is not other.module:
-            raise ValueError("vectors belong to different modules")
-        return ModuleVector(self.module, add_scaled(dict(self.terms), other.terms))
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scaled(-ONE)
-
-    def __neg__(self):
-        return self.scaled(-ONE)
-
-    def scaled(self, s: Scalar) -> "ModuleVector":
-        if not s:
-            return ModuleVector(self.module, {})
-        return ModuleVector(self.module, {k: s * v for k, v in self.terms.items()})
-
-    def __rmul__(self, s) -> "ModuleVector":
-        if not isinstance(s, Scalar):
-            s = Scalar(s)
-        return self.scaled(s)
+        return [(f"{m.letters.word_text(ev)}⊗{m.seed.label_text(lbl)}", s)
+                for (ev, lbl), s in items]
 
     def supp(self) -> set[ExponentVector]:
         return {ev for ev, _ in self.terms}
@@ -250,16 +245,6 @@ class ModuleVector:
         """The seed-module coefficient of one word, as label -> Scalar."""
         return {lbl: s for (w, lbl), s in self.terms.items() if w == ev}
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (principal_sort_key(kv[0][0]), self.module.label_rank(kv[0][1])),
-            reverse=True,
-        )
-
-    def __str__(self) -> str:
-        return self.module.vector_text(self)
-
     def __repr__(self) -> str:
         return f"<vector {self}>"
 
@@ -267,10 +252,10 @@ class ModuleVector:
 class InducedModule:
     """An induced module realised over a letter system and a seed."""
 
-    def __init__(self, letters: LetterSystem, seed, c: Scalar):
+    def __init__(self, letters: LetterSystem, seed):
         self.letters = letters
         self.seed = seed
-        self.c = c
+        self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
         self._label_rank: dict = {
@@ -364,9 +349,15 @@ class InducedModule:
         if top is None:
             acted = self.seed.act(gen, label)
             return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
-        # move gen one letter to the right
+        # move gen one letter to the right; the first time gen meets this
+        # stack of top letters, fill the memo for the lower powers bottom-up,
+        # in the order the recursion would, so that its depth stays bounded
         g1 = letters.letter(top)
         rest = ev.bump(top, -1)
+        if (gen, rest, label) not in self._memo:
+            e = ev.entries[-1][1]
+            for k in range(1, e - 1):
+                self._act_basis(gen, ev.bump(top, k - e), label)
         odd = gen.parity and g1.parity
         for (ev1, lbl1), s in self._act_basis(gen, rest, label).items():
             add_scaled(acc, self._act_basis(g1, ev1, lbl1), -s if odd else s)
@@ -376,57 +367,20 @@ class InducedModule:
 
     # -- text ----------------------------------------------------------
 
-    def vector_text(self, v: ModuleVector) -> str:
-        if v.is_zero:
-            return "0"
-        chunks: list[str] = []
-        for (ev, lbl), s in v.sorted_terms():
-            body = f"{self.letters.word_text(ev)}⊗{self.seed.label_text(lbl)}"
-            if s.is_simple:
-                text = str(s)
-                if text == "1":
-                    term = body
-                elif text == "-1":
-                    term = f"-{body}"
-                else:
-                    term = f"{text}*{body}"
-            else:
-                term = f"({s})*{body}"
-            if not chunks:
-                chunks.append(term)
-            elif term.startswith("-"):
-                chunks.append(f" - {term[1:]}")
-            else:
-                chunks.append(f" + {term}")
-        return "".join(chunks)
-
     def parse_vector(self, text: str) -> ModuleVector:
-        """Inverse of vector_text for the twisted `w{...}` word form."""
-        from .algebra import _split_top_level
+        """Inverse of `str` on vectors, for the twisted `w{...}` word form."""
 
-        text = text.strip()
-        if text == "0":
-            return self.zero()
-        acc: dict = {}
-        for sign, chunk in _split_top_level(text):
-            if "⊗" not in chunk:
-                raise ParseError(f"no ⊗ separator in vector term {chunk!r}")
-            left, lbl_text = chunk.rsplit("⊗", 1)
-            left = left.strip()
-            if "w{" not in left:
-                raise ParseError(f"no w{{...}} word in vector term {chunk!r}")
-            wpos = left.index("w{")
-            word = left[wpos + 1 :]
-            prefix = left[:wpos].strip()
-            if prefix.endswith("*"):
-                prefix = prefix[:-1].strip()
-            coef = ONE if not prefix else parse_scalar(prefix)
-            if sign == "-":
-                coef = -coef
-            ev = parse_exponent_vector(word)
-            label = self.seed.parse_label(lbl_text.strip())
-            add_scaled(acc, {(ev, label): coef})
-        return ModuleVector(self, acc)
+        def split_body(term: str):
+            if "⊗" not in term:
+                raise ParseError(f"no ⊗ separator in vector term {term!r}")
+            left, lbl_text = term.rsplit("⊗", 1)
+            wpos = left.find("w{")
+            if wpos < 0:
+                raise ParseError(f"no w{{...}} word in vector term {term!r}")
+            word = parse_exponent_vector(left[wpos + 1 :])
+            return left[:wpos], (word, self.seed.parse_label(lbl_text.strip()))
+
+        return ModuleVector(self, parse_terms(text, split_body))
 
 
 class BModuleSpec:
@@ -454,7 +408,7 @@ class BModuleSpec:
 
     def induced(self) -> InducedModule:
         """The induced module over the full twisted algebra."""
-        return InducedModule(TwistedTemplate(self.c), self, self.c)
+        return InducedModule(TwistedTemplate(self.c), self)
 
 
 class FiniteSeed(BModuleSpec):
@@ -515,7 +469,7 @@ def straighten_negative(
         if g.degree2 > 0:
             raise ValueError(f"{g} has positive degree; straightening needs degree <= 0")
     seed = FiniteSeed("straightening", ("1",), {}, lambda g: False, c, {"1": 0})
-    module = InducedModule(TwistedTemplate(c), seed, c)
+    module = InducedModule(TwistedTemplate(c), seed)
     v = module.act_word(gens, module.basis_vector(ZERO_VECTOR, "1"))
     return {ev: s for (ev, _), s in v.terms.items()}
 

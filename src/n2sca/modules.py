@@ -20,11 +20,13 @@ from .algebra import (
     UNTWISTED_PM,
     format_half,
     parse_half,
+    parse_terms,
 )
 from .engine import BModuleSpec, FiniteLetters, FiniteSeed, InducedModule, TwistedTemplate
 from .errors import ParseError, ValidationError
 from .linalg import kernel_basis
-from .scalars import ONE, Scalar, ZERO, parse_scalar
+from .orders import ZERO_VECTOR
+from .scalars import Scalar, ZERO, parse_scalar
 
 
 def _positive(g):
@@ -111,9 +113,8 @@ class InducedSpec(BModuleSpec):
     """A seed realised as a truncated induced module over a small letter
     system; the outer engine sees its normal words as opaque labels."""
 
-    def __init__(self, family: str, inner: InducedModule, c: Scalar,
-                 min_degree2: int = 1):
-        super().__init__(c)
+    def __init__(self, family: str, inner: InducedModule, min_degree2: int = 1):
+        super().__init__(inner.seed.c)
         self.family = family
         self.inner = inner
         self.min_degree2 = min_degree2
@@ -150,35 +151,18 @@ class InducedSpec(BModuleSpec):
         return f"{self.inner.letters.word_text(ev)}.{stext}"
 
     def parse_label(self, text: str):
-        from .orders import ZERO_VECTOR
-
         if "." in text:
             word, stext = text.rsplit(".", 1)
-            ev = self._parse_word(word)
+            try:
+                ev = self.inner.letters.parse_word(word)
+            except ParseError as exc:
+                raise ParseError(f"label {text!r}: {exc}") from None
         else:
             ev, stext = ZERO_VECTOR, text
         label = (ev, self.inner.seed.parse_label(stext))
         if label not in self._label_set:
             raise ParseError(f"label {text!r} lies outside the truncation")
         return label
-
-    def _parse_word(self, text: str):
-        from .algebra import parse_generator
-        from .orders import ExponentVector
-
-        items: dict[int, int] = {}
-        for chunk in text.split("*"):
-            chunk = chunk.strip()
-            if "^" in chunk:
-                gtext, etext = chunk.rsplit("^", 1)
-                exp = int(etext)
-            else:
-                gtext, exp = chunk, 1
-            slot = self.inner.letters.slot_of(parse_generator(gtext))
-            if slot is None:
-                raise ParseError(f"{gtext} is not a letter of this spec")
-            items[slot] = items.get(slot, 0) + exp
-        return ExponentVector(items.items())
 
     def slice_labels(self, seed_label) -> list:
         """All labels over one seed vector (the U(b)-saturated slice)."""
@@ -202,8 +186,7 @@ def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
         domain=lambda g: g in (G(1), T(1)),
         bounds=(max_w2, max_len),
     )
-    inner = InducedModule(letters, seed, c)
-    return InducedSpec("generalized", inner, c)
+    return InducedSpec("generalized", InducedModule(letters, seed))
 
 
 def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
@@ -249,8 +232,7 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
         TWISTED, letters, domain=lambda g: g in letter_set,
         bounds=(max_w2, max_len),
     )
-    inner = InducedModule(system, seed, c)
-    return InducedSpec("highorder", inner, c)
+    return InducedSpec("highorder", InducedModule(system, seed))
 
 
 def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
@@ -258,16 +240,14 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
     letter (with L[0] -> G[0]^2 + c/24), truncated at G[0]^max_k."""
     if max_k < 0:
         raise ValidationError("the G[0]-power bound must be nonnegative")
-    c = spec.c
     letters = FiniteLetters(
         TWISTED, [G(0)],
         domain=lambda g: g == G(0),
         bounds=(0, max_k),
         keep_squares=True,
-        rewrites={L(0): TwistedTemplate(c).rewrite(L(0))},
+        rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))},
     )
-    inner = InducedModule(letters, spec, c)
-    return InducedSpec("b_t0", inner, c, min_degree2=0)
+    return InducedSpec("b_t0", InducedModule(letters, spec), min_degree2=0)
 
 
 def verma_untwisted(c, depth2: int) -> InducedModule:
@@ -276,17 +256,8 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
     if depth2 < 0:
         raise ValidationError("depth must be nonnegative")
     c = c if isinstance(c, Scalar) else Scalar(c)
-    letters: list[GeneratorId] = []
-    for kind in ("Lu", "J", "G+", "G-"):
-        step_odd = kind in ("G+", "G-")
-        for i2 in range(-depth2, 0):
-            if step_odd and i2 % 2 == 0:
-                continue
-            if not step_odd and i2 % 2:
-                continue
-            letters.append(GeneratorId(kind, i2))
+    letters = [g for g in UNTWISTED_PM.generators(depth2) if g.degree2 < 0]
     letters.sort(key=lambda g: (g.index2, KIND_RANK[g.kind]))
-    letter_set = set(letters)
     system = FiniteLetters(
         UNTWISTED_PM, letters,
         domain=lambda g: not g.is_central and g.degree2 < 0,
@@ -294,7 +265,7 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
     )
     seed = FiniteSeed("vacuum", ("1",), {},
                       lambda g: g.degree2 >= 0 and not g.is_central, c, {"1": 0})
-    return InducedModule(system, seed, c)
+    return InducedModule(system, seed)
 
 
 def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:
@@ -398,6 +369,21 @@ def _int(text: str) -> int:
         raise ParseError(str(exc)) from None
 
 
+def _label_splitter(gen: GeneratorId, labels):
+    """Splits a term `[<scalar>*]<label>` of gen's action into (prefix, label)."""
+
+    def split(term: str) -> tuple[str, str]:
+        prefix, _, label = term.rpartition("*")
+        if not prefix and label.startswith(("+", "-")):
+            prefix, label = label[0], label[1:]
+        label = label.strip()
+        if label not in labels:
+            raise ParseError(f"{gen} action names undeclared label {label!r}")
+        return prefix, label
+
+    return split
+
+
 def load_spec_config(text: str) -> BModuleSpec | InducedModule:
     """Parse the line-oriented `key = value` module description."""
     entries: dict[str, str] = {}
@@ -415,43 +401,29 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
     if family is None:
         raise ParseError("config is missing the family key")
 
-    def scalar_of(key, default=None):
+    def read(key, parse, default=None):
         if key not in entries:
             if default is None:
                 raise ParseError(f"config is missing {key}")
             return default
-        return parse_scalar(entries[key])
+        return parse(entries[key])
 
-    def half_of(key, default=None):
-        if key not in entries:
-            if default is None:
-                raise ParseError(f"config is missing {key}")
-            return default
-        return parse_half(entries[key])
-
-    def nat_of(key, default=None):
-        if key not in entries:
-            if default is None:
-                raise ParseError(f"config is missing {key}")
-            return default
-        return _int(entries[key])
-
-    c = scalar_of("c", ZERO)
+    c = read("c", parse_scalar, ZERO)
     if family == "whittaker":
-        return whittaker_spec(scalar_of("lambda"), c)
+        return whittaker_spec(read("lambda", parse_scalar), c)
     if family == "generalized":
         return generalized_whittaker_spec(
-            scalar_of("phi.L1", ZERO), scalar_of("phi.T3/2", ZERO), c,
-            (half_of("max_weight", 4), nat_of("max_length", 3)),
+            read("phi.L1", parse_scalar, ZERO), read("phi.T3/2", parse_scalar, ZERO),
+            c, (read("max_weight", parse_half, 4), read("max_length", _int, 3)),
         )
     if family == "highorder":
-        s2 = half_of("s")
+        s2 = read("s", parse_half)
         phi = {}
         for key, value in entries.items():
             if key.startswith("phi."):
                 phi[_parse_phi_key(key[4:])] = parse_scalar(value)
         return highorder_whittaker_spec(
-            s2, phi, c, (half_of("max_weight", 4), nat_of("max_length", 3))
+            s2, phi, c, (read("max_weight", parse_half, 4), read("max_length", _int, 3))
         )
     if family == "b_t0":
         inner_entries = {
@@ -461,9 +433,9 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
         inner = load_spec_config(inner_text)
         if not isinstance(inner, BModuleSpec):
             raise ParseError("inner family must be a seed spec")
-        return b_plus_t0_induce(inner, nat_of("max_g0", 3))
+        return b_plus_t0_induce(inner, read("max_g0", _int, 3))
     if family == "verma":
-        return verma_untwisted(c, half_of("depth", 3))
+        return verma_untwisted(c, read("depth", parse_half, 3))
     if family == "table":
         labels = [l.strip() for l in entries.get("labels", "v0").split(",")]
         parities = {}
@@ -478,15 +450,8 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
                     raise ParseError(f"bad action key {key!r}")
                 _, gen_text, label = parts
                 gen_id = _parse_phi_key(gen_text)
-                out: dict[str, Scalar] = {}
-                for chunk in value.split("+"):
-                    chunk = chunk.strip()
-                    if "*" in chunk:
-                        s_text, l_text = chunk.rsplit("*", 1)
-                        out[l_text.strip()] = parse_scalar(s_text)
-                    else:
-                        out[chunk] = ONE
-                table[(gen_id, label)] = out
+                split = _label_splitter(gen_id, labels)
+                table[(gen_id, label)] = parse_terms(value, split)
         if len(labels) == 1:
             for (gen_id, label), out in table.items():
                 phi_check[gen_id] = out.get(labels[0], ZERO)

@@ -101,11 +101,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._a, self._q)
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b or self._c or self._d)
 
@@ -194,18 +189,13 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "Scalar":
-        return _new(self._a, self._b, -self._c, -self._d, self._q)
-
-    def conj_i(self) -> "Scalar":
-        return _new(self._a, -self._b, self._c, -self._d, self._q)
-
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("inversion of the zero scalar")
         a, b, c, d, q = self._a, self._b, self._c, self._d, self._q
-        # y = self * conj_sqrt2(self) = (u + v*i) / q^2 lies in Q(i); then
-        # 1/self = conj_sqrt2(self) * conj_i(y) / |y|^2 with |y|^2 > 0 rational.
+        # with s' = (a + b*i - c*sqrt2 - d*i*sqrt2) / q the sqrt2-conjugate,
+        # y = self * s' = (u + v*i) / q^2 lies in Q(i); then
+        # 1/self = s' * conj(y) / |y|^2 with |y|^2 > 0 rational.
         u = a * a - b * b - 2 * (c * c - d * d)
         v = 2 * (a * b - 2 * c * d)
         return _reduced(
@@ -243,24 +233,11 @@ class Scalar:
         return sum(1 for x in (self._a, self._b, self._c, self._d) if x) <= 1
 
     def __str__(self) -> str:
-        parts = []
-        for coef, unit in ((self.a, ""), (self.b, "i"), (self.c, "r2"), (self.d, "i*r2")):
-            if not coef:
-                continue
-            if not unit:
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append(unit)
-            elif coef == -1:
-                parts.append("-" + unit)
-            else:
-                parts.append(f"{coef}*{unit}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        parts = [str(self.a)] if self._a else []
+        for coef, unit in ((self.b, "i"), (self.c, "r2"), (self.d, "i*r2")):
+            if coef:
+                parts.append(signed_term(str(coef), unit))
+        return join_signed(parts)
 
     def __repr__(self) -> str:
         return f"Scalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -298,6 +275,21 @@ SQRT2 = _new(0, 0, 1, 0, 1)
 I_SQRT2 = _new(0, 0, 0, 1, 1)
 HALF = _new(1, 0, 0, 0, 2)
 INV_SQRT2 = _new(0, 0, 1, 0, 2)  # 1/sqrt2 = sqrt2/2
+
+
+def signed_term(coef: str, body: str) -> str:
+    """One term from a coefficient text: `body`, `-body` or `coef*body`."""
+    return body if coef == "1" else f"-{body}" if coef == "-1" else f"{coef}*{body}"
+
+
+def join_signed(parts: list[str]) -> str:
+    """Signed term texts joined by ` + `, or ` - ` in place of a leading
+    minus; `0` for none."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+    )
 
 
 def add_scaled(acc: dict, terms: dict, coef: Scalar = ONE) -> dict:

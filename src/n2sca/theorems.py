@@ -451,11 +451,10 @@ def lemma_deg_suite(
 
 
 def _commutator_words(x: GeneratorId, word: list[GeneratorId]):
-    """[x, g1...gk] expanded as a list of (sign scalar, word-with-combo).
-
-    Yields (scalar, prefix, combo_term_gen, suffix) flattened into plain
-    generator words.
-    """
+    """The super commutator [x, g1...gk] as a list of (scalar, word) pairs:
+    for each position i and each term z of [x, gi], the word g1...gi-1 z
+    gi+1...gk with the Koszul sign of moving x past g1...gi-1 times the
+    coefficient of z."""
     out: list[tuple[Scalar, list[GeneratorId]]] = []
     sign = ONE
     for idx, g in enumerate(word):

@@ -180,6 +180,45 @@ class TestActReduce:
         assert code == USAGE
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("label, value, expected", [
+        ("v0", "(1 + i)*v0", "(1 + i)*w{}⊗v0"),
+        ("v1", "v1 - v0", "w{}⊗v1 - w{}⊗v0"),
+        ("v0", "1*v0 + 1*v0", "2*w{}⊗v0"),
+    ])
+    def test_table_actions_use_the_combination_grammar(self, label, value, expected,
+                                                       tmp_path, capsys):
+        path = tmp_path / "table.cfg"
+        path.write_text(f"family = table\nlabels = v0, v1\nact.T1/2.{label} = {value}\n")
+        code = main(["act", "T[1/2]", "--spec", str(path), "--label", label])
+        captured = capsys.readouterr()
+        assert code == PASS and captured.err == ""
+        assert captured.out == expected + "\n"
+
+    @pytest.mark.parametrize("exponent", ["x", "-1", ""])
+    def test_label_exponent_must_be_a_natural_number(self, exponent, tmp_path, capsys):
+        path = tmp_path / "b_t0.cfg"
+        path.write_text("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n")
+        label = f"G[0]^{exponent}.v0"
+        code = main(["act", "T[1/2]", "--spec", str(path), "--label", label])
+        captured = capsys.readouterr()
+        assert code == USAGE and captured.out == ""
+        assert captured.err == (f"error: label {label!r}: exponent {exponent!r} "
+                                "of G[0] is not a natural number\n")
+
+    def test_deep_act_keeps_the_stack_shallow(self, whittaker_cfg):
+        # G[0] passes 500 letters G[-1/2]; the memo is filled bottom-up, so
+        # the recursion depth does not grow with the exponent.  A fresh
+        # interpreter runs it at the default recursion limit.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "n2sca.cli", "act", "G[0]", "--spec", whittaker_cfg,
+             "--vector", "{4:500}"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == PASS and proc.stderr == ""
+        assert proc.stdout.count("\n") == 1
+
     def test_truncation_exit_code(self, generalized_cfg, capsys):
         # pushing the seed's polynomial layer past its bound is inconclusive
         code, _ = run(

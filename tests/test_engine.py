@@ -193,6 +193,12 @@ class TestVectorText:
         ).scaled(Scalar.rational(-3, 2))
         assert m.parse_vector(str(v)) == v
 
+    def test_negative_leading_term_reparses(self, whittaker_module):
+        m = whittaker_module
+        v = m.basis_vector(eps(1)).scaled(-ONE) + m.basis_vector(eps(4))
+        assert str(v) == "-w{1:1}⊗v0 + w{4:1}⊗v0"
+        assert m.parse_vector(str(v)) == v
+
     def test_deterministic_order(self, whittaker_module):
         m = whittaker_module
         v = m.basis_vector(eps(4)) + m.basis_vector(eps(1))

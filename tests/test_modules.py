@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca.algebra import C, G, L, T, TWISTED, Gm, Gp, J, Lu
+from n2sca.algebra import C, G, L, T, TWISTED, Gm, Gp, J, Lu, format_terms, parse_combo
 from n2sca.errors import ParseError, TruncationError, ValidationError
 from n2sca.modules import (
     _frak_t,
@@ -556,3 +556,55 @@ def test_config_loader_loads_or_raises_input_errors(text):
         load_spec_config(text)
     except (ParseError, ValidationError):
         pass
+
+
+def table_seed(value: str):
+    return load_spec_config(f"family = table\nlabels = v0, v1\nact.T1/2.v0 = {value}\n")
+
+
+# one printer and one parser serve combinations, module vectors (over a
+# plain and an induced seed, whose labels are words) and table actions
+TERM_PARSERS = {
+    "combo": parse_combo,
+    "vector": whittaker_spec(1, 0).induced().parse_vector,
+    "word-label vector": generalized_whittaker_spec(1, 1, 0, (2, 3)).induced().parse_vector,
+    "table action": table_seed,
+}
+# terms built from well-formed and malformed coefficients and bodies, plus
+# free text over the grammar's characters
+COEFFICIENTS = st.sampled_from(["", "2*", "1/2*", "-", "(1 + i)*", "(1 +", "1/0*",
+                                "x*", "i*", "*", "2"])
+BODIES = st.sampled_from([
+    "L[1]", "G+[1/2]", "C", "L[x]", "T[1]", "v0", "v1", "v9", "0", "",
+    "w{}⊗v0", "w{1:2}⊗v1", "w{0:1}⊗v0", "w{1:2⊗v0", "w{}v0", "⊗v0",
+    "w{}⊗G[1/2]^2.v0", "w{}⊗G[1/2]^x.v0", "w{}⊗G[1/2]^-1.v0", "w{}⊗G[1/2]^.v0",
+    "w{}⊗T[1/2]*G[1/2].v1", "w{}⊗L[1].v0", "w{}⊗G[1/2].v9", "w{}⊗.v0",
+])
+SEPARATORS = st.sampled_from([" + ", " - ", "+", "-", " ", ""])
+TERM_TEXTS = st.one_of(
+    st.lists(st.tuples(SEPARATORS, COEFFICIENTS, BODIES), min_size=1, max_size=4).map(
+        lambda terms: "".join(sep + coef + body for sep, coef, body in terms)
+    ),
+    st.text(alphabet="0123456789/-+*()ir2wv{}:,⊗[]LTGC.^ ", max_size=12),
+)
+
+
+@pytest.mark.parametrize("parser", sorted(TERM_PARSERS))
+@settings(max_examples=200, deadline=None)
+@given(text=TERM_TEXTS)
+def test_term_parsers_parse_or_raise_parse_error(parser, text):
+    try:
+        TERM_PARSERS[parser](text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(["v0", "v1"]),
+    st.builds(Scalar, *[st.fractions(-4, 4, max_denominator=4)] * 4).filter(bool),
+    max_size=2,
+))
+def test_table_action_roundtrip(action):
+    seed = table_seed(format_terms(list(action.items())))
+    assert seed.table[(T(1), "v0")] == action

@@ -211,25 +211,22 @@ class FiniteLetters(LetterSystem):
 
 
 class ModuleVector(TermMap):
-    """Finitely supported map (word, seed label) -> Scalar."""
+    """Finitely supported map (word, seed label) -> Scalar; its ``space``
+    is the InducedModule it belongs to."""
 
-    __slots__ = ("module",)
+    __slots__ = ("space",)
 
     def __init__(self, module: "InducedModule", terms: dict):
         """``terms`` must hold no zero coefficients; InducedModule.vector
         filters outside input."""
-        self.module = module
+        self.space = module
         self.terms = terms
 
-    @property
-    def space(self):
-        return self.module
-
     def _like(self, terms):
-        return ModuleVector(self.module, terms)
+        return ModuleVector(self.space, terms)
 
     def _pairs(self):
-        m = self.module
+        m = self.space
         items = sorted(
             self.terms.items(),
             key=lambda kv: (principal_sort_key(kv[0][0]), m.label_rank(kv[0][1])),
@@ -283,7 +280,7 @@ class InducedModule:
     # -- the action ---------------------------------------------------
 
     def act(self, gen: GeneratorId, v: ModuleVector) -> ModuleVector:
-        if v.module is not self:
+        if v.space is not self:
             raise ValueError("vector belongs to a different module")
         self.presentation.check_member(gen)
         acc: dict = {}

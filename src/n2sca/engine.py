@@ -280,18 +280,24 @@ class InducedModule:
     # -- the action ---------------------------------------------------
 
     def act(self, gen: GeneratorId, v: ModuleVector) -> ModuleVector:
+        return ModuleVector(self, self.act_into({}, gen, v))
+
+    def act_into(self, acc: dict, gen: GeneratorId, v: ModuleVector,
+                 coef: Scalar = ONE) -> dict:
+        """acc += coef * (gen . v) in place, as `add_scaled` does; returns acc."""
         if v.space is not self:
             raise ValueError("vector belongs to a different module")
         self.presentation.check_member(gen)
-        acc: dict = {}
+        unit = coef.unit_sign
         for (ev, lbl), s in v.terms.items():
-            add_scaled(acc, self._act_basis(gen, ev, lbl), s)
-        return ModuleVector(self, acc)
+            add_scaled(acc, self._act_basis(gen, ev, lbl),
+                       s if unit == 1 else -s if unit else coef * s)
+        return acc
 
     def act_combo(self, combo: LinearCombo, v: ModuleVector) -> ModuleVector:
         acc: dict = {}
         for g, s in combo.items():
-            add_scaled(acc, self.act(g, v).terms, s)
+            self.act_into(acc, g, v, s)
         return ModuleVector(self, acc)
 
     def act_word(self, gens, v: ModuleVector) -> ModuleVector:

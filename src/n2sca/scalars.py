@@ -101,6 +101,13 @@ class Scalar:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
+    @property
+    def unit_sign(self) -> int:
+        """1 or -1 when the scalar is that integer, else 0."""
+        if self._q == 1 and self._a in (1, -1) and not (self._b or self._c or self._d):
+            return self._a
+        return 0
+
     def __bool__(self) -> bool:
         return bool(self._a or self._b or self._c or self._d)
 
@@ -295,16 +302,21 @@ def join_signed(parts: list[str]) -> str:
 def add_scaled(acc: dict, terms: dict, coef: Scalar = ONE) -> dict:
     """acc += coef * terms over sparse {key: Scalar} maps, in place.
 
-    Keys whose sum is zero are dropped, so a zero-free acc stays zero-free;
-    only acc is written.  Returns acc.
+    Keys whose sum is zero are dropped, and so are zero values in terms, so
+    a zero-free acc stays zero-free; only acc is written.  A coef of +1 or
+    -1 adds or subtracts without a product.  Returns acc.
     """
+    unit = coef.unit_sign
     get = acc.get
     for k, v in terms.items():
-        if coef is not ONE:
-            v = coef * v
         old = get(k)
-        if old is not None:
-            v = old + v
+        if unit == 1:
+            if old is not None:
+                v = old + v
+        elif unit:
+            v = -v if old is None else old - v
+        else:
+            v = coef * v if old is None else old + coef * v
         if v:
             acc[k] = v
         elif old is not None:
@@ -312,89 +324,86 @@ def add_scaled(acc: dict, terms: dict, coef: Scalar = ONE) -> dict:
     return acc
 
 
-class _ScalarParser:
-    """Recursive-descent parser for `1/2 + 3*i - (1/4)*r2` expressions."""
+MAX_SCALAR_NESTING = 200
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _scalar_atom(text: str, pos: int) -> tuple[Scalar, int]:
+    """The number, `i` or `r2` that starts at text[pos], and the position
+    after it."""
+    ch = text[pos] if pos < len(text) else ""
+    if ch == "i":
+        return I, pos + 1
+    if ch == "r":
+        if text[pos : pos + 2] != "r2":
+            raise ParseError(f"unknown symbol at {text[pos:]!r}")
+        return SQRT2, pos + 2
+    if not ch.isdecimal():
+        raise ParseError(f"unexpected character {ch!r} in scalar {text!r}")
+    end = _skip(text, pos, str.isdecimal)
+    num = int(text[pos:end])
+    slash = _skip(text, end, str.isspace)
+    if text[slash : slash + 1] == "/":
+        start = _skip(text, slash + 1, str.isspace)
+        stop = _skip(text, start, str.isdecimal)
+        if stop > start:
+            den = int(text[start:stop])
+            if not den:
+                raise ParseError(f"zero denominator in scalar {text!r}")
+            return Scalar.rational(num, den), stop
+    return Scalar.rational(num), end
 
-    def expr(self) -> Scalar:
-        value = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
 
-    def term(self) -> Scalar:
-        value = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self) -> Scalar:
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return -self.factor()
-        if ch == "+":
-            self.pos += 1
-            return self.factor()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ParseError(f"missing ')' in scalar {self.text!r}")
-            self.pos += 1
-            return value
-        if ch == "i":
-            self.pos += 1
-            return I
-        if ch == "r":
-            if self.text[self.pos : self.pos + 2] != "r2":
-                raise ParseError(f"unknown symbol at {self.text[self.pos:]!r}")
-            self.pos += 2
-            return SQRT2
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            num = int(self.text[start : self.pos])
-            if self.peek() == "/":
-                save = self.pos
-                self.pos += 1
-                ch2 = self.peek()
-                if ch2.isdigit():
-                    start = self.pos
-                    while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                        self.pos += 1
-                    den = int(self.text[start : self.pos])
-                    if not den:
-                        raise ParseError(f"zero denominator in scalar {self.text!r}")
-                    return Scalar.rational(num, den)
-                self.pos = save
-            return Scalar.rational(num)
-        raise ParseError(f"unexpected character {ch!r} in scalar {self.text!r}")
+def _skip(text: str, pos: int, pred) -> int:
+    while pos < len(text) and pred(text[pos]):
+        pos += 1
+    return pos
 
 
 def parse_scalar(text: str) -> Scalar:
-    p = _ScalarParser(text)
-    value = p.expr()
-    if p.peek():
-        raise ParseError(f"trailing input in scalar {text!r}: {text[p.pos:]!r}")
-    return value
+    """Parse `1/2 + 3*i - (1/4)*r2`: sums and products of numbers, `i` and
+    `r2`, with unary signs and parentheses.
+
+    One left-to-right pass keeps an explicit stack with one entry per open
+    parenthesis, so no input depends on the interpreter's recursion limit;
+    nesting deeper than MAX_SCALAR_NESTING is a ParseError.
+    """
+    stack = []  # (total, product, negate) outside each open parenthesis
+    total, product, negate = ZERO, None, False
+    operand = True  # an operand comes next, not an operator
+    pos = 0
+    while True:
+        pos = _skip(text, pos, str.isspace)
+        ch = text[pos : pos + 1]
+        pos += 1
+        if operand:
+            if ch in ("+", "-"):
+                negate ^= ch == "-"
+                continue
+            if ch == "(":
+                if len(stack) == MAX_SCALAR_NESTING:
+                    raise ParseError(
+                        f"scalar nests parentheses deeper than {MAX_SCALAR_NESTING}"
+                    )
+                stack.append((total, product, negate))
+                total, product, negate = ZERO, None, False
+                continue
+            value, pos = _scalar_atom(text, pos - 1)
+        elif ch == "*":
+            operand = True
+            continue
+        elif ch in ("+", "-"):
+            total, product, negate, operand = total + product, None, ch == "-", True
+            continue
+        elif ch == ")" and stack:
+            value = total + product
+            total, product, negate = stack.pop()
+        elif stack:
+            raise ParseError(f"missing ')' in scalar {text!r}")
+        elif ch:
+            raise ParseError(f"trailing input in scalar {text!r}: {text[pos - 1:]!r}")
+        else:
+            return total + product
+        if negate:
+            value = -value
+        product = value if product is None else product * value
+        negate = operand = False

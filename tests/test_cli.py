@@ -120,6 +120,14 @@ class TestBracket:
         assert code == USAGE
         assert err.count("\n") == 1 and "zero denominator" in err
 
+    @pytest.mark.parametrize("x", ["(" * 2000 + "1" + ")" * 2000 + "*L[1]", "-" * 3000 + "L[1]"],
+                             ids=["2000-parentheses", "3000-minus-signs"])
+    def test_deep_coefficient_is_a_parse_error(self, x, capsys):
+        code = main(["bracket", "--", x, "L[-1]"])
+        captured = capsys.readouterr()
+        assert code == USAGE and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
     def test_wrong_basis_exit_code(self, capsys):
         code, _ = run(["bracket", "G1[1/2]", "G1[-1/2]"], capsys)
         assert code == USAGE  # G1 is not in the twisted presentation

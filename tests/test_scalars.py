@@ -1,17 +1,25 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from n2sca.algebra import parse_generator
+from n2sca.errors import ParseError
+from n2sca.orders import parse_exponent_vector
 from n2sca.scalars import (
     I,
     INV_SQRT2,
+    MAX_SCALAR_NESTING,
     ONE,
     SQRT2,
     Scalar,
     ZERO,
+    add_scaled,
     parse_scalar,
 )
 
@@ -87,6 +95,83 @@ def test_double_negation(x):
 @given(scalars)
 def test_print_parse_roundtrip(x):
     assert parse_scalar(str(x)) == x
+
+
+wide = st.fractions(min_value=-(2**80), max_value=2**80, max_denominator=2**40)
+
+
+@given(st.builds(Scalar, wide, wide, wide, wide))
+def test_print_parse_roundtrip_wide(x):
+    assert parse_scalar(str(x)) == x
+
+
+def _parses_or_raises_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@given(st.text("0123456789/+-*() ir2x.²٣", max_size=40) | st.text(max_size=20))
+def test_malformed_scalar_text(text):
+    _parses_or_raises_parse_error(parse_scalar, text)
+
+
+@given(st.text("LuTGCJ+-12[]/ 0123456789x.²", max_size=16) | st.text(max_size=12))
+def test_malformed_generator_text(text):
+    _parses_or_raises_parse_error(parse_generator, text)
+
+
+@given(st.text("{}:, -0123456789x²", max_size=24) | st.text(max_size=12))
+def test_malformed_exponent_vector_text(text):
+    _parses_or_raises_parse_error(parse_exponent_vector, text)
+
+
+def test_unary_signs_and_nesting():
+    n = MAX_SCALAR_NESTING
+    assert parse_scalar("-" * 3001 + "i") == -I
+    assert parse_scalar("2*" + "-+" * 1000 + "1/2") == ONE
+    assert parse_scalar("(" * n + "1/2 + i" + ")" * n + "*2") == Scalar(1, 2)
+    with pytest.raises(ParseError, match=f"deeper than {n}"):
+        parse_scalar("(" * (n + 1) + "1" + ")" * (n + 1))
+
+
+def test_nesting_does_not_depend_on_the_recursion_limit():
+    # a fresh interpreter, with a recursion limit far below the nesting
+    code = (
+        "import sys\n"
+        "from n2sca.scalars import MAX_SCALAR_NESTING as n, parse_scalar\n"
+        "sys.setrecursionlimit(40)\n"
+        "print(parse_scalar('(' * n + '-' * 3000 + 'r2' + ')' * n))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "r2\n", "")
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+coefficients = st.one_of(
+    st.just(ONE),
+    st.just(Scalar(1)),
+    st.just(-ONE),
+    st.builds(Scalar, small),
+    st.builds(Scalar, small, small, small, small).filter(lambda x: not x.is_rational),
+)
+term_maps = st.dictionaries(
+    st.integers(0, 5), st.just(ZERO) | st.builds(Scalar, small, small)
+)
+
+
+@given(term_maps, term_maps, coefficients)
+def test_add_scaled_matches_a_plain_dict_sum(acc, terms, coef):
+    acc = {k: v for k, v in acc.items() if v}
+    want = {k: acc.get(k, ZERO) + coef * v for k, v in terms.items()}
+    want = {k: v for k, v in {**acc, **want}.items() if v}
+    before = dict(terms)
+    assert add_scaled(acc, terms, coef) is acc
+    assert acc == want and all(acc.values())
+    assert terms == before
 
 
 def test_parse_examples():

@@ -7,7 +7,11 @@ from n2sca.algebra import G, L, SuiteReport, T, TWISTED
 from n2sca.engine import supp_deg
 from n2sca.errors import TruncationError
 from n2sca.linalg import SpanChecker, kernel_basis
-from n2sca.modules import generalized_whittaker_spec, whittaker_spec
+from n2sca.modules import (
+    generalized_whittaker_spec,
+    highorder_whittaker_spec,
+    whittaker_spec,
+)
 from n2sca.orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -337,6 +341,21 @@ def test_module_axiom_image_cache_keeps_boundary_rows():
     rows = module_axiom_check(module, 2, vectors).rows
     assert rows == want
     assert sum("boundary skips" in row[3] for row in rows) == 72
+
+
+def test_module_axiom_rows_match_all_pairs_on_a_failing_module():
+    # the order-3/2 seed truncated at (6, 2) fails the axiom on nine rows at
+    # window 4: the mirror of a failing row is evaluated, not replayed, and
+    # many passing rows, replayed ones among them, count boundary skips
+    spec = highorder_whittaker_spec(3, {T(7): ONE}, 1, (6, 2))
+    module = spec.induced()
+    vectors = [module.basis_vector(w, lbl)
+               for w in enumerate_vectors(0, 0) for lbl in spec.labels()]
+    want = reference_module_axiom_rows(module, 4, vectors)
+    rows = module_axiom_check(module, 4, vectors).rows
+    assert rows == want
+    assert sum(row[4] == "FAIL" for row in rows) == 9
+    assert sum("boundary skips" in row[3] for row in rows) == 197
 
 
 class TestWhittakerIdentity:

@@ -92,39 +92,26 @@ def test_double_negation(x):
     assert -(-x) == x
 
 
-@given(scalars)
+wide = st.fractions(min_value=-(2**80), max_value=2**80, max_denominator=2**40)
+
+
+@given(scalars | st.builds(Scalar, wide, wide, wide, wide))
 def test_print_parse_roundtrip(x):
     assert parse_scalar(str(x)) == x
 
 
-wide = st.fractions(min_value=-(2**80), max_value=2**80, max_denominator=2**40)
-
-
-@given(st.builds(Scalar, wide, wide, wide, wide))
-def test_print_parse_roundtrip_wide(x):
-    assert parse_scalar(str(x)) == x
-
-
-def _parses_or_raises_parse_error(parse, text):
+@pytest.mark.parametrize("parse, alphabet", [
+    (parse_scalar, "0123456789/+-*() ir2x.²٣"),
+    (parse_generator, "LuTGCJ+-12[]/ 0123456789x.²"),
+    (parse_exponent_vector, "{}:, -0123456789x²"),
+], ids=["scalar", "generator", "exponent-vector"])
+@given(data=st.data())
+def test_malformed_text_parses_or_raises_parse_error(parse, alphabet, data):
+    text = data.draw(st.text(alphabet, max_size=30) | st.text(max_size=12))
     try:
         parse(text)
     except ParseError:
         pass
-
-
-@given(st.text("0123456789/+-*() ir2x.²٣", max_size=40) | st.text(max_size=20))
-def test_malformed_scalar_text(text):
-    _parses_or_raises_parse_error(parse_scalar, text)
-
-
-@given(st.text("LuTGCJ+-12[]/ 0123456789x.²", max_size=16) | st.text(max_size=12))
-def test_malformed_generator_text(text):
-    _parses_or_raises_parse_error(parse_generator, text)
-
-
-@given(st.text("{}:, -0123456789x²", max_size=24) | st.text(max_size=12))
-def test_malformed_exponent_vector_text(text):
-    _parses_or_raises_parse_error(parse_exponent_vector, text)
 
 
 def test_unary_signs_and_nesting():

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .scalars import (
-    I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, join_signed, parse_scalar, signed_term,
+    I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, as_scalar, join_signed, parse_scalar,
+    signed_term,
 )
 
 TWISTED_KINDS = ("L", "T", "G", "C")
@@ -101,15 +102,22 @@ def format_half(index2: int) -> str:
     return str(index2 // 2) if index2 % 2 == 0 else f"{index2}/2"
 
 
+_HALF_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_half(text: str) -> int:
-    """`m` or `p/q` text -> doubled integer; rejects non-half-integers."""
+    """`m` or `p/q` text -> doubled integer; rejects non-half-integers and,
+    before any arithmetic, decimal and exponent forms such as `1e9999`."""
+    m = _HALF_RE.fullmatch(text.strip())
+    if not m:
+        raise ParseError(f"{text!r} is not of the form m or p/q")
     try:
-        f = Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    f2 = f * 2
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # past the interpreter's digit limit
+        raise ParseError(f"{text.strip()[:20]}... has too many digits") from None
+    if not den:
+        raise ParseError(f"zero denominator in {text!r}")
+    f2 = Fraction(2 * num, den)
     if f2.denominator != 1:
         raise ParseError(f"{text!r} is not a half-integer")
     return int(f2)
@@ -235,7 +243,7 @@ class TermMap:
         return self._like({k: s * t for k, t in self.terms.items()})
 
     def __rmul__(self, s) -> "TermMap":
-        return self.scaled(s if isinstance(s, Scalar) else Scalar(s))
+        return self.scaled(as_scalar(s))
 
     def __str__(self) -> str:
         return format_terms(self._pairs())
@@ -317,7 +325,7 @@ class LinearCombo(TermMap):
     def of(cls, *pairs) -> "LinearCombo":
         out: dict[GeneratorId, Scalar] = {}
         for g, s in pairs:
-            add_scaled(out, {g: s if isinstance(s, Scalar) else Scalar(s)})
+            add_scaled(out, {g: as_scalar(s)})
         return cls(out)
 
     @classmethod
@@ -779,8 +787,11 @@ def jacobi_check(
     return report
 
 
-def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int) -> CheckReport:
-    """Check map([x,y]) == [map(x), map(y)] for all pairs in the window."""
+def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int,
+                        target: AlgebraPresentation | None = None) -> CheckReport:
+    """Check map([x,y]) == [map(x), map(y)] for all pairs in the window;
+    the right-hand bracket is taken in ``target`` (default: the source)."""
+    target = target or presentation
     report = CheckReport(f"automorphism[{presentation.name}]", window2)
     gens = presentation.generators(window2)
     for x in gens:
@@ -788,7 +799,7 @@ def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int)
         for y in gens:
             report.checked += 1
             lhs = map_fn(presentation.bracket(x, y))
-            rhs = presentation.bracket_combo(mx, map_fn(LinearCombo.single(y)))
+            rhs = target.bracket_combo(mx, map_fn(LinearCombo.single(y)))
             if lhs != rhs:
                 report.violations.append((x, y))
                 if len(report.violations) >= 16:

@@ -40,57 +40,21 @@ from .orders import (
     principal_sort_key,
     walk_vectors,
 )
-from .scalars import HALF, ONE, Scalar, ZERO, add_scaled
+from .scalars import HALF, ONE, Scalar, ZERO, add_scaled, as_scalar
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
 
 
-class LetterSystem:
-    """Ordered letters plus rewrite rules; subclasses fix the template."""
-
-    presentation: AlgebraPresentation
-
-    def slot_of(self, gen: GeneratorId) -> int | None:
-        """Slot of a letter, None for a mover.
-
-        Raises TruncationError for a generator that belongs to the letter
-        family but lies outside the registered (truncated) range.
-        """
-        raise NotImplementedError
-
-    def letter(self, slot: int) -> GeneratorId:
-        raise NotImplementedError
-
-    def keep_power(self, gen: GeneratorId) -> bool:
-        """Whether powers of this letter are basis monomials; odd letters
-        that answer False fold g.g -> (1/2)[g, g]."""
-        raise NotImplementedError
-
-    def rewrite(self, gen: GeneratorId) -> Rewrite | None:
-        return None
-
-    def word_weight2(self, ev: ExponentVector) -> int:
-        raise NotImplementedError
-
-    def within(self, ev: ExponentVector) -> bool:
-        return True
-
-    def word_text(self, ev: ExponentVector) -> str:
-        raise NotImplementedError
-
-
-class TwistedTemplate(LetterSystem):
+class TwistedTemplate:
     """The negative-monomial template of the twisted algebra."""
 
     presentation = TWISTED
 
     def __init__(self, c: Scalar):
-        self.c = c
         c24 = c * Scalar.rational(1, 24)
         self._l0_rewrite: Rewrite = [(ONE, (G(0), G(0)))]
         if c24:
             self._l0_rewrite.append((c24, ()))
-        self._c_rewrite: Rewrite = [(self.c, ())] if self.c else []
 
     def slot_of(self, gen):
         k = gen.kind
@@ -109,8 +73,6 @@ class TwistedTemplate(LetterSystem):
         return True
 
     def rewrite(self, gen):
-        if gen.kind == "C":
-            return self._c_rewrite
         if gen.kind == "L" and gen.index2 <= 0:
             if gen.index2 == 0:
                 return self._l0_rewrite
@@ -119,14 +81,14 @@ class TwistedTemplate(LetterSystem):
             return [(Scalar.rational((-1) ** m), (half, half))]
         return None
 
-    def word_weight2(self, ev):
-        return ev.weight2
+    def within(self, ev):
+        return True
 
     def word_text(self, ev):
         return "w" + str(ev)
 
 
-class FiniteLetters(LetterSystem):
+class FiniteLetters:
     """Finitely many registered letters, leftmost first.
 
     ``domain`` tells which generators belong to the letter family at all;
@@ -247,9 +209,16 @@ class ModuleVector(TermMap):
 
 
 class InducedModule:
-    """An induced module realised over a letter system and a seed."""
+    """An induced module realised over a letter system and a seed.
 
-    def __init__(self, letters: LetterSystem, seed):
+    A letter system (`TwistedTemplate` or `FiniteLetters`) has a
+    ``presentation``, ``slot_of(gen)`` (None for a mover; TruncationError
+    for a letter outside the registered range), ``letter(slot)``,
+    ``keep_power(gen)`` (False folds an odd g.g -> (1/2)[g, g]),
+    ``rewrite(gen)`` (a Rewrite or None), ``within(ev)`` and ``word_text(ev)``.
+    """
+
+    def __init__(self, letters, seed):
         self.letters = letters
         self.seed = seed
         self.c = seed.c
@@ -463,8 +432,7 @@ def straighten_negative(
     """Expand a product of nonpositive-degree twisted generators in the
     normal monomial basis; the central element is replaced by ``c`` and
     ``L[0]`` by ``G[0]^2 + c/24``."""
-    if not isinstance(c, Scalar):
-        c = Scalar(c)
+    c = as_scalar(c)
     gens = list(word)
     for g in gens:
         if not g.twisted:

@@ -55,9 +55,6 @@ class SpanChecker:
     def rank(self) -> int:
         return len(self.rows)
 
-    def basis(self) -> list[dict]:
-        return [dict(row) for _, row in self.rows]
-
 
 def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     """Kernel of the linear map sending domain basis vector j to images[j].

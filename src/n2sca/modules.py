@@ -26,19 +26,11 @@ from .engine import BModuleSpec, FiniteLetters, FiniteSeed, InducedModule, Twist
 from .errors import ParseError, ValidationError
 from .linalg import kernel_basis
 from .orders import ZERO_VECTOR
-from .scalars import Scalar, ZERO, parse_scalar
+from .scalars import Scalar, ZERO, as_scalar, parse_scalar
 
 
 def _positive(g):
     return g.degree2 > 0
-
-
-def _frak_t(g):
-    """The part of frak t acting on the generalized seed: L_m (m >= 1),
-    T_r (r >= 3/2) and G_p (p >= 1); the centre acts through c."""
-    if g.kind in ("L", "G"):
-        return g.index2 >= 2
-    return g.kind == "T" and g.index2 >= 3
 
 
 def t_upper(u2: int):
@@ -76,10 +68,7 @@ def validate_character(phi: dict[GeneratorId, Scalar], window2: int = 8) -> None
 def whittaker_spec(lam, c) -> FiniteSeed:
     """The one-dimensional seed with T[1/2] acting by lam and every other
     positive generator by zero (the non-graded Whittaker seed)."""
-    if not isinstance(lam, Scalar):
-        lam = Scalar(lam)
-    if not isinstance(c, Scalar):
-        c = Scalar(c)
+    lam, c = as_scalar(lam), as_scalar(c)
     validate_character({T(1): lam})
     return FiniteSeed("whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c)
 
@@ -169,24 +158,30 @@ class InducedSpec(BModuleSpec):
         return [lbl for lbl in self._labels if lbl[1] == seed_label]
 
 
+def _derived_pair_spec(s2: int, phi: dict[GeneratorId, Scalar], c: Scalar, truncation,
+                       seed_family: str, family: str) -> InducedSpec:
+    """The derived pair (v0, v1 = G[1/2]v0) under phi on T^(s), induced over
+    G[1/2] and the positive generators outside T^(s)."""
+    if min(truncation) < 0:
+        raise ValidationError("truncation bounds must be nonnegative")
+    upper = t_upper(s2)
+    complement = [g for g in TWISTED.generators(s2)
+                  if g.degree2 > 0 and g != G(1) and not upper(g)]
+    letters = [G(1)] + sorted(complement, key=lambda g: (KIND_RANK[g.kind], -g.index2))
+    system = FiniteLetters(TWISTED, letters, domain=set(letters).__contains__,
+                           bounds=tuple(truncation))
+    seed = derived_pair_seed(phi, upper, seed_family, c)
+    return InducedSpec(family, InducedModule(system, seed))
+
+
 def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
     """Seed for the two-step induction with free letters G[1/2], T[1/2]
-    over the pair (v0, v1 = G[1/2]v0); phi lives on L[1] and T[3/2]."""
-    phi_l1 = phi_l1 if isinstance(phi_l1, Scalar) else Scalar(phi_l1)
-    phi_t32 = phi_t32 if isinstance(phi_t32, Scalar) else Scalar(phi_t32)
-    c = c if isinstance(c, Scalar) else Scalar(c)
-    max_w2, max_len = truncation
-    if max_w2 < 0 or max_len < 0:
-        raise ValidationError("truncation bounds must be nonnegative")
-    phi = {L(1): phi_l1, T(3): phi_t32}
-    seed = derived_pair_seed(phi, _frak_t, "generalized-whittaker", c)
-    letters = FiniteLetters(
-        TWISTED,
-        [G(1), T(1)],
-        domain=lambda g: g in (G(1), T(1)),
-        bounds=(max_w2, max_len),
-    )
-    return InducedSpec("generalized", InducedModule(letters, seed))
+    over the pair (v0, v1 = G[1/2]v0); phi lives on L[1] and T[3/2].
+    This is the order-1/2 case of `highorder_whittaker_spec`, except that
+    phi may vanish."""
+    phi = {L(1): as_scalar(phi_l1), T(3): as_scalar(phi_t32)}
+    return _derived_pair_spec(1, phi, as_scalar(c), truncation,
+                              "generalized-whittaker", "generalized")
 
 
 def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
@@ -196,11 +191,10 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
     positive generators below the T^(s) cutoff."""
     if s2 < 1 or s2 % 2 == 0:
         raise ValidationError("s must be a positive half-odd integer")
-    c = c if isinstance(c, Scalar) else Scalar(c)
     upper = t_upper(s2)
     cleaned: dict[GeneratorId, Scalar] = {}
     for g, value in phi.items():
-        value = value if isinstance(value, Scalar) else Scalar(value)
+        value = as_scalar(value)
         if not value:
             continue
         if not upper(g):
@@ -214,25 +208,8 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
         cleaned[g] = value
     if not cleaned:
         raise ValidationError("the character must be non-trivial")
-    max_w2, max_len = truncation
-    if max_w2 < 0 or max_len < 0:
-        raise ValidationError("truncation bounds must be nonnegative")
-    complement = []
-    for m2 in range(2, s2, 2):
-        complement.append(L(m2 // 2))
-    for p2 in range(2, s2):
-        complement.append(G(p2))
-    for r2 in range(1, s2 + 1, 2):
-        complement.append(T(r2))
-    complement.sort(key=lambda g: (KIND_RANK[g.kind], -g.index2))
-    letters = [G(1)] + complement
-    letter_set = set(letters)
-    seed = derived_pair_seed(cleaned, upper, f"highorder[s={format_half(s2)}]", c)
-    system = FiniteLetters(
-        TWISTED, letters, domain=lambda g: g in letter_set,
-        bounds=(max_w2, max_len),
-    )
-    return InducedSpec("highorder", InducedModule(system, seed))
+    return _derived_pair_spec(s2, cleaned, as_scalar(c), truncation,
+                              f"highorder[s={format_half(s2)}]", "highorder")
 
 
 def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
@@ -255,7 +232,7 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
     letters act freely on a vacuum killed by the nonnegative part."""
     if depth2 < 0:
         raise ValidationError("depth must be nonnegative")
-    c = c if isinstance(c, Scalar) else Scalar(c)
+    c = as_scalar(c)
     letters = [g for g in UNTWISTED_PM.generators(depth2) if g.degree2 < 0]
     letters.sort(key=lambda g: (g.index2, KIND_RANK[g.kind]))
     system = FiniteLetters(

@@ -284,6 +284,11 @@ HALF = _new(1, 0, 0, 0, 2)
 INV_SQRT2 = _new(0, 0, 1, 0, 2)  # 1/sqrt2 = sqrt2/2
 
 
+def as_scalar(x) -> Scalar:
+    """x itself when it is a Scalar, else Scalar(x)."""
+    return x if isinstance(x, Scalar) else Scalar(x)
+
+
 def signed_term(coef: str, body: str) -> str:
     """One term from a coefficient text: `body`, `-body` or `coef*body`."""
     return body if coef == "1" else f"-{body}" if coef == "-1" else f"{coef}*{body}"

@@ -227,17 +227,14 @@ def suite_substitution(window2: int = 8, seed: int = 0) -> SuiteReport:
     substitutions invert each other, and the twisted +/- convention
     agrees with the defining basis under G- = i G."""
     report = SuiteReport("substitution")
-    gens_pm = UNTWISTED_PM.generators(window2)
-    bad = 0
-    for x in gens_pm:
-        sx = substitute_basis(LinearCombo.single(x), "pm_to_12")
-        for y in gens_pm:
-            sy = substitute_basis(LinearCombo.single(y), "pm_to_12")
-            lhs = substitute_basis(UNTWISTED_PM.bracket(x, y), "pm_to_12")
-            if lhs != UNTWISTED_12.bracket_combo(sx, sy):
-                bad += 1
-    report.add("transport[pm->12]", f"window2={window2}", "0 mismatches",
-               str(bad), bad == 0)
+
+    def transport(name, source, target, direction):
+        r = verify_automorphism(lambda x: substitute_basis(x, direction), source,
+                                window2, target)
+        report.add(f"transport[{name}]", f"window2={window2}", "0 mismatches",
+                   str(len(r.violations)), r.ok)
+
+    transport("pm->12", UNTWISTED_PM, UNTWISTED_12, "pm_to_12")
 
     rng = random.Random(seed)
     bad = 0
@@ -258,17 +255,7 @@ def suite_substitution(window2: int = 8, seed: int = 0) -> SuiteReport:
             bad += 1
     report.add("inverse-pair", "100 random combos", "identity", str(bad), bad == 0)
 
-    gens_tw = TWISTED.generators(window2)
-    bad = 0
-    for x in gens_tw:
-        sx = substitute_basis(LinearCombo.single(x), "twisted_pm")
-        for y in gens_tw:
-            sy = substitute_basis(LinearCombo.single(y), "twisted_pm")
-            lhs = substitute_basis(TWISTED_PM.bracket(x, y), "twisted_pm")
-            if lhs != TWISTED.bracket_combo(sx, sy):
-                bad += 1
-    report.add("transport[twisted-pm]", f"window2={window2}", "0 mismatches",
-               str(bad), bad == 0)
+    transport("twisted-pm", TWISTED_PM, TWISTED, "twisted_pm")
     return report
 
 

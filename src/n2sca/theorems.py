@@ -13,7 +13,7 @@ from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
 from .engine import BModuleSpec, InducedModule, ModuleVector, supp_deg
 from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
-from .modules import check_conditions
+from .modules import check_conditions, t_upper
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -231,15 +231,9 @@ def annihilator_Mt(
     labels = list(spec.labels())
     evs = enumerate_vectors(max_weight2, max_length)
     domain = [(ev, lbl) for ev in evs for lbl in labels]
-    ops: list[GeneratorId] = []
-    # beyond degree max_weight2/2 + t the whole slice is provably killed
-    cap2 = max_weight2 + t2 + 2
-    for m2 in range(t2 + 1, cap2 + 1, 2):  # L_{that+1/2}: even indices >= t+1/2
-        ops.append(L(m2 // 2))
-    for r2 in range(t2 + 2, cap2 + 1, 2):  # T_{that+1}: odd indices >= t+1
-        ops.append(T(r2))
-    for p2 in range(t2, cap2 + 1):  # G_{that}: all half-integers >= t
-        ops.append(G(p2))
+    # the operators are T^(t) up to degree max_weight2/2 + t + 1: beyond
+    # it the whole slice is provably killed
+    ops = [g for g in TWISTED.generators(max_weight2 + t2 + 2) if t_upper(t2)(g)]
     # stack all operator images into one map
     images = []
     for ev, lbl in domain:
@@ -338,7 +332,6 @@ def module_axiom_check(
     module: InducedModule,
     window2: int,
     vectors: list[ModuleVector],
-    report: SuiteReport | None = None,
 ) -> SuiteReport:
     """act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
     for all ordered generator pairs in the window and all sample vectors.
@@ -351,8 +344,7 @@ def module_axiom_check(
     -(-1)^{|x||y|} times the (x, y) sum, over the same acts (why:
     notes/decisions.md).  Otherwise it is evaluated in its turn.
     """
-    if report is None:
-        report = SuiteReport(f"module-axiom[w{window2}]")
+    report = SuiteReport(f"module-axiom[w{window2}]")
     gens = TWISTED.generators(window2)
     images: dict[tuple[GeneratorId, int], ModuleVector | TruncationError] = {}
 

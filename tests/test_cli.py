@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,18 @@ class TestBracket:
         err = capsys.readouterr().err
         assert code == USAGE
         assert err.count("\n") == 1 and "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "x", ["L[1e999999]", "L[1e9999999]", "T[0.5]", "L[1_0]", "L[" + "9" * 5000 + "]"],
+        ids=["exponent", "long-exponent", "decimal", "underscore", "5000-digits"])
+    def test_index_outside_the_grammar_is_a_fast_parse_error(self, x, capsys):
+        start = time.perf_counter()
+        code = main(["bracket", x, "L[1]"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == USAGE and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert elapsed < 0.25
 
     @pytest.mark.parametrize("x", ["(" * 2000 + "1" + ")" * 2000 + "*L[1]", "-" * 3000 + "L[1]"],
                              ids=["2000-parentheses", "3000-minus-signs"])

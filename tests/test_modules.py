@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca.algebra import C, G, L, T, TWISTED, Gm, Gp, J, Lu, format_terms, parse_combo
+from n2sca.algebra import (
+    C, G, KIND_RANK, L, T, TWISTED, Gm, Gp, J, Lu, format_terms, parse_combo,
+)
 from n2sca.errors import ParseError, TruncationError, ValidationError
 from n2sca.modules import (
-    _frak_t,
     _positive,
     b_plus_t0_induce,
     derived_pair_seed,
@@ -23,6 +24,24 @@ from n2sca.modules import (
 from n2sca.orders import ZERO_VECTOR
 from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
 from n2sca.theorems import module_axiom_check
+
+
+def _frak_t(g):
+    """The acting subalgebra the generalized seed once had: L_m (m >= 1),
+    T_r (r >= 3/2) and G_p (p >= 1).  It is T^(1/2) without G[1/2]."""
+    if g.kind in ("L", "G"):
+        return g.index2 >= 2
+    return g.kind == "T" and g.index2 >= 3
+
+
+def reference_highorder_letters(s2):
+    """The explicit ranges the order-s letters were once built from:
+    G[1/2], then L_m (1 <= m < s), G_p (1 < p < s), T_r (1/2 <= r <= s)."""
+    complement = ([L(m2 // 2) for m2 in range(2, s2, 2)]
+                  + [G(p2) for p2 in range(2, s2)]
+                  + [T(r2) for r2 in range(1, s2 + 1, 2)])
+    complement.sort(key=lambda g: (KIND_RANK[g.kind], -g.index2))
+    return [G(1)] + complement
 
 
 def act_through(spec, gen, vec):
@@ -185,6 +204,22 @@ class TestHighorderSpec:
             got = {ho.label_text(k): s for k, s in ho.act(x, v0).items()}
             want = {gw.label_text(k): s for k, s in gw.act(x, v0).items()}
             assert got == want, x
+
+    @pytest.mark.parametrize("s2", [1, 3, 5, 7])
+    def test_letters_match_reference_ranges(self, s2):
+        spec = highorder_whittaker_spec(s2, {L((s2 + 1) // 2): ONE}, 0, (2, 1))
+        assert spec.inner.letters.letters_desc == reference_highorder_letters(s2)
+
+    def test_generalized_seed_matches_frak_t_reference(self):
+        # T^(1/2) and frak t differ only at the letter G[1/2], which never
+        # reaches the seed
+        phi = {L(1): Scalar(2), T(3): -ONE}
+        seed = generalized_whittaker_spec(2, -1, 0, (4, 3)).inner.seed
+        want = ReferencePairSeed(phi, _frak_t, "generalized-whittaker")
+        for gen in TWISTED.generators(8):
+            if gen != G(1):
+                for label in ("v0", "v1"):
+                    assert _outcome(seed, gen, label) == _outcome(want, gen, label)
 
 
 class TestBT0Spec:

@@ -254,6 +254,21 @@ class TestAnnihilator:
             checked += 1
         assert checked
 
+    @staticmethod
+    def reference_ops(t2, max_weight2):
+        """The explicit ranges the operator list was once built from:
+        L_{that+1/2}, T_{that+1}, G_{that} for t <= that <= max_weight/2 + t + 1."""
+        cap2 = max_weight2 + t2 + 2
+        return ([L(m2 // 2) for m2 in range(t2 + 1, cap2 + 1, 2)]
+                + [T(r2) for r2 in range(t2 + 2, cap2 + 1, 2)]
+                + [G(p2) for p2 in range(t2, cap2 + 1)])
+
+    @pytest.mark.parametrize("t2", [1, 3, 5])
+    def test_operators_match_reference_ranges(self, module, t2):
+        for max_weight2 in (0, 1, 2, 5, 8):
+            _, ops = annihilator_Mt(module, t2, max_weight2, 0)
+            assert ops == self.reference_ops(t2, max_weight2), max_weight2
+
     def test_trivial_seed_is_fully_annihilated(self):
         spec = whittaker_spec(1, 0)
         module = spec.induced()

@@ -42,11 +42,11 @@ from .modules import (
     BModuleSpec,
     b_plus_t0_induce,
     check_conditions,
+    check_seed,
     generalized_whittaker_spec,
     highorder_whittaker_spec,
     lemma31_check,
     load_spec_config,
-    validate_character,
     verma_untwisted,
     whittaker_spec,
 )

@@ -200,12 +200,6 @@ class TermMap:
     __slots__ = ("terms",)
     space = None
 
-    def _like(self, terms: dict) -> "TermMap":
-        raise NotImplementedError
-
-    def _pairs(self) -> list[tuple[str, Scalar]]:
-        raise NotImplementedError
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -389,8 +383,9 @@ def _virasoro(m2: int, n2: int, lkind: str, ckind: str) -> LinearCombo:
 class AlgebraPresentation:
     """A named basis with its structure constants.
 
-    ``bracket_pair`` gives [x, y] for the canonical kind order; the public
-    bracket falls back to super-antisymmetry for the swapped order.
+    A subclass supplies ``_pair(x, y)``: [x, y] for the canonical kind
+    order, None for the swapped order, where the public bracket falls back
+    to super-antisymmetry.
     """
 
     def __init__(self, name: str, kinds: tuple[str, ...]):
@@ -422,9 +417,6 @@ class AlgebraPresentation:
                     continue
                 out.append(GeneratorId(kind, i2))
         return out
-
-    def _pair(self, x: GeneratorId, y: GeneratorId) -> LinearCombo | None:
-        raise NotImplementedError
 
     def bracket(self, x: GeneratorId, y: GeneratorId) -> LinearCombo:
         self.check_member(x)

@@ -11,7 +11,10 @@ import argparse
 import sys
 
 from .algebra import (
+    L,
     PRESENTATIONS,
+    T,
+    format_half,
     jacobi_check,
     parse_combo,
     parse_generator,
@@ -21,6 +24,7 @@ from .engine import InducedModule
 from .errors import ParseError, TruncationError, ValidationError
 from .modules import (
     BModuleSpec,
+    InducedSpec,
     b_plus_t0_induce,
     check_conditions,
     generalized_whittaker_spec,
@@ -29,7 +33,7 @@ from .modules import (
     whittaker_spec,
 )
 from .orders import enumerate_vectors, parse_exponent_vector
-from .scalars import parse_scalar
+from .scalars import ONE
 from .suites import SUITES
 from .theorems import annihilator_Mt, closure_check, reduce_to_M
 
@@ -89,6 +93,9 @@ def _cmd_reduce(args) -> int:
     v = module.basis_vector(ev, label)
     trace = reduce_to_M(module, v, parse_half(args.u), args.budget)
     _emit(args, "\n".join(trace.lines()) + "\n")
+    if trace.failure:
+        sys.stderr.write(f"check failed: {trace.failure}\n")
+        return FAIL
     if trace.terminal is None:
         sys.stderr.write(
             f"inconclusive: {len(trace.steps)}-step budget spent before the seed module\n"
@@ -129,19 +136,16 @@ def _cmd_closure(args) -> int:
         subspace = [module.basis_vector(ev, lbl)
                     for ev in evs for lbl in spec.labels()]
         universe = None
-    else:
-        if not args.subspace.startswith("seed:"):
-            raise ParseError(
-                "subspace must be 'full', 'seed:<label>' or 'file:<path>'"
-            )
+    elif args.subspace.startswith("seed:"):
         seed_label = args.subspace[5:]
-        want = [lbl for lbl in spec.labels()
-                if getattr(spec, "slice_labels", None)
-                and lbl in spec.slice_labels(spec.inner.seed.parse_label(seed_label))]
-        if not want:
+        if isinstance(spec, InducedSpec):
+            want = spec.slice_labels(spec.inner.seed.parse_label(seed_label))
+        else:
             want = [spec.parse_label(seed_label)]
         subspace = [module.basis_vector(ev, lbl) for ev in evs for lbl in want]
         universe = {(ev, lbl) for ev in evs for lbl in spec.labels()}
+    else:
+        raise ParseError("subspace must be 'full', 'seed:<label>' or 'file:<path>'")
     report = closure_check(module, subspace, args.window, universe=universe)
     _emit(args, str(report) + "\n")
     if not report.closed:
@@ -154,7 +158,7 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = {}
-    import inspect
+    import inspect  # imported here: only `verify` needs it, and it is slow to load
 
     params = inspect.signature(fn).parameters
     if "seed" in params:
@@ -193,18 +197,16 @@ def _demo_lines(which: str) -> list[str]:
             report = closure_check(module, subspace, 4, universe=universe)
             out.append(f"phi(T3/2)={phi_t32}: odd slice {report}")
     elif which == "highorder":
-        from .algebra import T as Tgen
-
-        spec = highorder_whittaker_spec(3, {Tgen(7): parse_scalar("1")}, 0, (4, 2))
+        # T[7/2] = -2[G[3/2], G[2]] acts by zero on every module seed of order 3/2
+        spec = highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
         out.append(f"labels: {len(spec.labels())}")
-        out.append(f"conditions at u=7/2: {check_conditions(spec, 7)}")
+        for u2 in (5, 7):
+            out.append(f"conditions at u={format_half(u2)}: {check_conditions(spec, u2)}")
     elif which == "b-t0":
         spec = b_plus_t0_induce(whittaker_spec(1, 0), 3)
         out.append(f"labels: {', '.join(spec.label_text(l) for l in spec.labels())}")
-        from .algebra import G as Ggen, T as Tgen
-
         g0v0 = spec.labels()[1]
-        image = spec.act(Tgen(1), g0v0)
+        image = spec.act(T(1), g0v0)
         shown = ", ".join(f"{spec.label_text(k)}: {s}" for k, s in image.items())
         out.append(f"T[1/2] . {spec.label_text(g0v0)} = {shown}")
     else:

@@ -356,27 +356,21 @@ class InducedModule:
 
 
 class BModuleSpec:
-    """Base class: a seed module for the induction engine."""
+    """Base class of the seed modules that `induced()` wraps.
+
+    A seed has a charge ``c`` and a finite basis of opaque labels, and it
+    provides ``labels()`` (the basis, in its output order),
+    ``parity(label)`` (0, 1, or None for an ungraded label),
+    ``act(gen, label)`` (a {label: Scalar} map; ValueError for a generator
+    that does not act on the seed, TruncationError past a truncation),
+    ``label_text(label)`` and its inverse ``parse_label(text)`` (which
+    raises ParseError).
+    """
 
     family = "abstract"
 
     def __init__(self, c: Scalar):
         self.c = c
-
-    def labels(self):
-        raise NotImplementedError
-
-    def parity(self, label):
-        raise NotImplementedError
-
-    def act(self, gen: GeneratorId, label) -> dict:
-        raise NotImplementedError
-
-    def label_text(self, label) -> str:
-        raise NotImplementedError
-
-    def parse_label(self, text: str):
-        raise NotImplementedError
 
     def induced(self) -> InducedModule:
         """The induced module over the full twisted algebra."""
@@ -403,7 +397,7 @@ class FiniteSeed(BModuleSpec):
                     raise ParseError(f"{gen} action names undeclared label {name!r}")
         self.table = {key: {l: s for l, s in out.items() if s}
                       for key, out in table.items()}
-        self._acts = acts
+        self.acts = acts
         self._parities = parities or {}
 
     def labels(self):
@@ -413,7 +407,7 @@ class FiniteSeed(BModuleSpec):
         return self._parities.get(label)
 
     def act(self, gen, label):
-        if not self._acts(gen):
+        if not self.acts(gen):
             raise ValueError(f"{gen} does not act on the {self.family} seed")
         return dict(self.table.get((gen, label), {}))
 

@@ -13,7 +13,7 @@ from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
 from .engine import BModuleSpec, InducedModule, ModuleVector, supp_deg
 from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
-from .modules import check_conditions, t_upper
+from .modules import check_conditions, module_axiom_rows, t_upper
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -93,8 +93,6 @@ def _descend(module: InducedModule, v: ModuleVector, u2: int):
         raise DescentObstruction(
             f"deg went {deg} -> {new_deg}, claimed drop was to {expected}", x, image
         )
-    if principal_compare(new_deg, deg) >= 0:
-        raise AssertionError(f"descent did not decrease: {deg} -> {new_deg}")
     return x, image
 
 
@@ -132,6 +130,7 @@ class ReductionTrace:
         self.start = start
         self.steps: list[tuple[str, str, ExponentVector, int, int]] = []
         self.terminal: ModuleVector | None = None
+        self.failure: str | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -162,7 +161,9 @@ def reduce_to_M(
     ("corollary" steps).  At an even minimal fermion exponent the
     prescription stalls; the loop then accepts the overshooting image
     when it is nonzero ("overshoot", the weight strictly drops) or
-    applies the affine step v -> (T_u - theta)v ("affine").  The default
+    applies the affine step v -> (T_u - theta)v ("affine").  A step that
+    does not descend, or an affine step that annihilates, ends the trace
+    with ``failure`` naming the step kind and the degrees.  The default
     budget is the number of vectors in the box of the starting degree
     padded by its weight (bounding the letters that L-expansions can
     add), counted without listing them.  When the budget runs out first,
@@ -199,14 +200,12 @@ def reduce_to_M(
                 image = module.act(T(u2), current) + current.scaled(-theta)
                 kind, op = "affine", f"T[{format_half(u2)}] - ({theta})"
                 if image.is_zero:
-                    raise AssertionError(
-                        f"affine step annihilated the vector at deg {deg}"
-                    ) from obstruction
+                    trace.failure = f"affine step annihilated the vector at deg {deg}"
+                    return trace
         _, new_deg, _ = supp_deg(image)
         if principal_compare(new_deg, deg) >= 0:
-            raise AssertionError(
-                f"{kind} step failed to descend: {deg} -> {new_deg}"
-            )
+            trace.failure = f"{kind} step failed to descend: {deg} -> {new_deg}"
+            return trace
         current = image
         trace.steps.append((kind, op, new_deg, new_deg.weight2, new_deg.length))
     _, deg, _ = supp_deg(current)
@@ -334,67 +333,15 @@ def module_axiom_check(
     vectors: list[ModuleVector],
 ) -> SuiteReport:
     """act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
-    for all ordered generator pairs in the window and all sample vectors.
-
-    The first-level images act(g, v) are computed once per generator and
-    vector, a TruncationError included: it is stored and raised again.
-    Each row sums both sides into one accumulator and checks that it is
-    empty.  Row (y, x) is the row of (x, y) replayed when (x, y) passed and
-    [y, x] == -(-1)^{|x||y|} [x, y] holds exactly: each of its sums is then
-    -(-1)^{|x||y|} times the (x, y) sum, over the same acts (why:
-    notes/decisions.md).  Otherwise it is evaluated in its turn.
-    """
+    for all ordered generator pairs in the window and all sample vectors,
+    one `module_axiom_rows` row per pair."""
     report = SuiteReport(f"module-axiom[w{window2}]")
-    gens = TWISTED.generators(window2)
-    images: dict[tuple[GeneratorId, int], ModuleVector | TruncationError] = {}
-
-    def image(g: GeneratorId, n: int, v: ModuleVector) -> ModuleVector:
-        key = (g, n)
-        hit = images.get(key)
-        if hit is None:
-            try:
-                hit = module.act(g, v)
-            except TruncationError as exc:
-                hit = exc.with_traceback(None)
-            images[key] = hit
-        if isinstance(hit, TruncationError):
-            raise hit.with_traceback(None)
-        return hit
-
-    def row(x: GeneratorId, y: GeneratorId, sign: Scalar, bracket) -> tuple[str, bool]:
-        minus_sign = -sign
-        minus_bracket = [(z, -s) for z, s in bracket.items()]
-        skipped = 0
-        for n, v in enumerate(vectors):
-            acc: dict = {}
-            try:
-                module.act_into(acc, x, image(y, n, v))
-                module.act_into(acc, y, image(x, n, v), minus_sign)
-                for z, s in minus_bracket:
-                    add_scaled(acc, image(z, n, v).terms, s)
-            except TruncationError:
-                skipped += 1
-                continue
-            if acc:
-                return f"mismatch at {v}", False
-        return (f"ok ({skipped} boundary skips)" if skipped else "ok"), True
-
-    replay: dict[tuple[GeneratorId, GeneratorId], tuple[str, bool]] = {}
-    for i, x in enumerate(gens):
-        for j, y in enumerate(gens):
-            got = replay.pop((x, y), None)
-            if got is None:
-                sign = -ONE if x.parity and y.parity else ONE
-                bracket = TWISTED.bracket(x, y)
-                got = row(x, y, sign, bracket)
-                if got[1] and j > i and TWISTED.bracket(y, x) == bracket.scaled(-sign):
-                    replay[(y, x)] = got
-            report.add(
-                f"axiom[{x},{y}]",
-                f"pairs over {len(vectors)} vectors",
-                "exact equality",
-                *got,
-            )
+    inputs = f"pairs over {len(vectors)} vectors"
+    for x, y, bad, skipped in module_axiom_rows(module, TWISTED.generators(window2),
+                                                vectors):
+        got = (f"mismatch at {vectors[bad]}" if bad is not None
+               else f"ok ({skipped} boundary skips)" if skipped else "ok")
+        report.add(f"axiom[{x},{y}]", inputs, "exact equality", got, bad is None)
     return report
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import resource
@@ -6,8 +7,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from n2sca import cli
 from n2sca.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture()
@@ -248,6 +253,74 @@ class TestActReduce:
             capsys,
         )
         assert code == INCONCLUSIVE
+
+
+# the seeds of highorder.cfg and table.cfg are not modules: the first
+# failing row of the module axiom, [x, y] on a label, is the one error line
+NOT_MODULES = {
+    "highorder.cfg": "the highorder[s=3/2] seed is not a module: "
+                     "[G[3/2],G[2]] breaks the module axiom on v0",
+    "table.cfg": "the table seed is not a module: [L[2],T[1/2]] breaks the module axiom on v0",
+}
+
+
+@pytest.mark.parametrize("config", sorted(NOT_MODULES))
+@pytest.mark.parametrize("argv", [
+    ["act", "T[1/2]"], ["reduce", "{1:1}"], ["reduce", "{3:1}"], ["annihilator"],
+    ["closure", "--window", "2"],
+], ids=" ".join)
+def test_seed_that_is_not_a_module_exit_code(argv, config, capsys):
+    code = main(argv + ["--spec", os.path.join(GOLDEN, config)])
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == f"error: {NOT_MODULES[config]}\n"
+
+
+def test_step_that_fails_to_descend_exit_code(monkeypatch, tmp_path, capsys):
+    # table.cfg's table built without the loader: its overshoot step from
+    # {3:1} does not descend, which is a failed check, not a crash
+    from test_theorems import table_cfg_seed
+
+    monkeypatch.setattr(cli, "load_spec_config", lambda text: table_cfg_seed())
+    path = tmp_path / "any.cfg"
+    path.write_text("")
+    code = main(["reduce", "{3:1}", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == FAIL
+    assert captured.out == "start\tw{3:1}⊗v0\n"
+    assert captured.err == "check failed: overshoot step failed to descend: {3:1} -> {3:1}\n"
+
+
+# one seed config per family; the verma family is a standalone module
+FAMILY_CONFIGS = {
+    "whittaker": "family = whittaker\nlambda = 1\n",
+    "generalized": "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nmax_weight = 2\n",
+    "highorder": "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\n",
+    "b_t0": "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n",
+    "verma": "family = verma\n",
+    "table": "family = table\nlabels = v0,v1\nparity.v1 = 1\nact.G1/2.v0 = 1*v1\n",
+}
+LABEL_TEXTS = st.one_of(
+    st.lists(st.sampled_from(["v0", "v1", "v9", ".", "*", "^", "^2", "^x", "^-1", "G[1/2]",
+                              "G[0]", "T[1/2]", "L[1]", "G[3/2]", "T[3/2]", "w{}", "1", "",
+                              " ", "9" * 30]), max_size=6).map("".join),
+    st.text(alphabet="01239/-+*^.[]{}:,vwGLTC ", max_size=12),
+)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+@settings(max_examples=60, deadline=None)
+@given(text=LABEL_TEXTS)
+def test_label_text_is_a_label_or_an_input_error(family, text, tmp_path_factory):
+    # the central element acts by the charge, so no label leaves a truncation
+    path = tmp_path_factory.getbasetemp() / f"{family}.cfg"
+    path.write_text(FAMILY_CONFIGS[family])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["act", "C", "--spec", str(path), f"--label={text}"])
+    assert code in (PASS, USAGE), err.getvalue()
+    assert err.getvalue().count("\n") == (code == USAGE)
+    assert out.getvalue().count("\n") == (code == PASS)
 
 
 class TestAnnihilatorEnumerate:

@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 
-W, B, H, TB = (f"tests/golden/{n}.cfg" for n in ("whittaker", "b_t0", "highorder", "table"))
+W, B, H, TB = (f"tests/golden/{n}.cfg"
+               for n in ("whittaker", "b_t0", "highorder-module", "table-module"))
 GEN = "tests/golden/generalized.cfg"
 
 CASES: dict[str, tuple[str, ...]] = {
@@ -74,6 +75,10 @@ for _family, _cfg in (("whittaker", W), ("b_t0", B), ("highorder", H), ("table",
     CASES[f"reduce-{_family}"] = ("reduce", "{1:1,2:1}", "--spec", _cfg)
     CASES[f"annihilator-{_family}"] = ("annihilator", "--spec", _cfg,
                                        "--max-weight", "1", "--max-length", "2")
+# seeds that are not modules: loading them is an input error (exit 2)
+for _family in ("highorder", "table"):
+    CASES[f"act-{_family}-not-module"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec",
+                                          f"tests/golden/{_family}.cfg", "--vector", "{1:1}")
 
 
 def _file_name(name: str) -> str:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +8,18 @@ from n2sca.algebra import (
     C, G, KIND_RANK, L, T, TWISTED, Gm, Gp, J, Lu, format_terms, parse_combo,
 )
 from n2sca.errors import ParseError, TruncationError, ValidationError
+from n2sca.engine import FiniteSeed
 from n2sca.modules import (
     _positive,
     b_plus_t0_induce,
     derived_pair_seed,
     check_conditions,
+    check_seed,
     generalized_whittaker_spec,
     highorder_whittaker_spec,
     lemma31_check,
     load_spec_config,
     t_upper,
-    validate_character,
     verma_untwisted,
     whittaker_spec,
 )
@@ -57,9 +59,10 @@ def act_through(spec, gen, vec):
     return out
 
 
-def spec_axiom_holds(spec, window2):
-    """Seed-level module axiom over positive generator pairs."""
-    gens = [g for g in TWISTED.generators(window2) if g.degree2 > 0]
+def spec_axiom_holds(spec, window2, reaches=lambda g: True):
+    """Seed-level module axiom over the positive generator pairs in the
+    window that ``reaches`` admits."""
+    gens = [g for g in TWISTED.generators(window2) if g.degree2 > 0 and reaches(g)]
     for x in gens:
         for y in gens:
             sign = -1 if x.parity and y.parity else 1
@@ -113,12 +116,20 @@ class TestWhittakerSpec:
         assert check_conditions(spec, 1) == (False, True)
 
     def test_forced_l1_value_rejected(self):
-        with pytest.raises(ValidationError, match=r"G\[1/2\],G\[1/2\]"):
-            validate_character({T(1): ONE, L(1): ONE})
+        # L[1] is a multiple of [G[1/2], G[1/2]], and G[1/2] acts by zero
+        seed = FiniteSeed("character", ("v0",), {(T(1), "v0"): {"v0": ONE},
+                                                 (L(1), "v0"): {"v0": ONE}}, _positive)
+        with pytest.raises(ValidationError, match=r"\[G\[1/2\],G\[1/2\]\] .* on v0"):
+            check_seed(seed)
 
     def test_odd_values_rejected(self):
-        with pytest.raises(ValidationError, match="odd generator"):
-            validate_character({G(1): ONE})
+        # G[1/2] = 1 with L[1] = -1 satisfies the module axiom; the odd
+        # action on the ungraded (so even) label breaks the parity rule
+        seed = FiniteSeed("character", ("v0",), {(G(1), "v0"): {"v0": ONE},
+                                                 (L(1), "v0"): {"v0": -ONE}}, _positive)
+        assert spec_axiom_holds(seed, 14) == (True, None)
+        with pytest.raises(ValidationError, match=r"parity rule: G\[1/2\] maps v0 to v0"):
+            check_seed(seed)
 
     def test_seed_axiom_window(self):
         ok, witness = spec_axiom_holds(whittaker_spec(1, 0), 6)
@@ -180,20 +191,29 @@ class TestGeneralizedSpec:
 
 class TestHighorderSpec:
     def test_builds_and_checks_conditions(self):
-        spec = highorder_whittaker_spec(3, {T(7): ONE}, 0, (4, 2))
-        assert check_conditions(spec, 7) == (True, True)
+        spec = highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
+        assert check_conditions(spec, 5) == (True, True)
+        # T[7/2] lies in the commutator subalgebra, so it acts by zero on v0
+        assert check_conditions(spec, 7) == (False, True)
 
     def test_trivial_character_rejected(self):
         with pytest.raises(ValidationError, match="non-trivial"):
             highorder_whittaker_spec(3, {}, 0, (4, 2))
 
     def test_forced_vanishing_enforced(self):
-        with pytest.raises(ValidationError):
-            highorder_whittaker_spec(3, {L(4): ONE}, 0, (4, 2))  # m >= 2s+1
-        with pytest.raises(ValidationError):
-            highorder_whittaker_spec(3, {T(9): ONE}, 0, (4, 2))  # r >= 2s+3/2
-        with pytest.raises(ValidationError):
-            highorder_whittaker_spec(3, {T(1): ONE}, 0, (4, 2))  # outside T^(s)
+        # the seed check rejects phi on the commutator subalgebra of T^(3/2),
+        # L[3] = -(1/2)[G[3/2], G[3/2]] and T[7/2] = -2[G[3/2], G[2]]
+        # included, which the displayed list allowed, and on an odd
+        # generator, whose square is then not -(1/2)phi(L[3]) = 0
+        for g, witness in ((L(3), "[G[3/2],G[3/2]]"), (T(7), "[G[3/2],G[2]]"),
+                           (L(4), "[L[2],G[3/2]]"), (T(9), "[L[2],T[5/2]]"),
+                           (G(3), "[G[3/2],G[3/2]]")):
+            with pytest.raises(ValidationError, match=re.escape(witness)):
+                highorder_whittaker_spec(3, {g: ONE}, 0, (4, 2))
+
+    def test_character_outside_t_upper_rejected(self):
+        with pytest.raises(ValidationError, match="outside"):
+            highorder_whittaker_spec(3, {T(1): ONE}, 0, (4, 2))
 
     def test_s_half_matches_generalized_shape(self):
         ho = highorder_whittaker_spec(1, {T(3): ONE}, 0, (4, 3))
@@ -308,7 +328,7 @@ act.L2.v0 = 1*v0
 """
         with pytest.raises(ValidationError):
             load_spec_config(cfg)  # L2 = -(1/2)[G1/2, G3/2] must vanish
-        # bypass the character validation by using two labels
+        # two labels do not bypass the seed check: [L2, T1/2] acts by zero
         cfg2 = """
 family = table
 labels = v0,v1
@@ -317,7 +337,11 @@ u = 1/2
 act.T1/2.v0 = 1*v0
 act.L2.v0 = 1*v1
 """
-        spec = load_spec_config(cfg2)
+        with pytest.raises(ValidationError, match=re.escape("[L[2],T[1/2]]")):
+            load_spec_config(cfg2)
+        # so the failing module is built without the loader
+        spec = FiniteSeed("table", ("v0", "v1"), {(T(1), "v0"): {"v0": ONE},
+                                                  (L(2), "v0"): {"v1": ONE}}, _positive)
         report = lemma31_check(spec, 1)
         assert not report.ok
         detail = dict((r[0], r[3]) for r in report.rows)
@@ -393,12 +417,13 @@ class TestRepresentationProperty:
 
     def test_highorder_displayed_character_is_not_a_module(self):
         # T[7/2] = -2*[G[3/2], G[2]] lies in the commutator subalgebra, so
-        # assigning it a nonzero value breaks the module axiom; the seed
-        # still builds (the displayed vanishing list allows it) but the
-        # representation check pinpoints the inconsistency
-        ok, witness = spec_axiom_holds(
-            highorder_whittaker_spec(3, {T(7): ONE}, 1, (6, 2)), 6
-        )
+        # assigning it a nonzero value breaks the module axiom: the
+        # displayed vanishing list allows it, the seed check does not, and
+        # the reference finds the same kind of witness on the bare seed
+        with pytest.raises(ValidationError, match=re.escape("[G[3/2],G[2]]")):
+            highorder_whittaker_spec(3, {T(7): ONE}, 1, (6, 2))
+        seed = derived_pair_seed({T(7): ONE}, t_upper(3), "highorder", ONE)
+        ok, witness = spec_axiom_holds(seed, 8, t_upper(3))
         assert not ok
         x, y, _, _ = witness
         assert {x.kind, y.kind} <= {"T", "G"}
@@ -512,6 +537,84 @@ class TestDerivedPairSeed:
         assert (seed.parity("v0"), seed.parity("v1")) == (0, 1)
 
 
+def parity_rule_holds(seed):
+    """Every table entry x: l -> l' has parity(l') = parity(l) + |x| mod 2,
+    an undeclared parity counting as even."""
+    return all((seed.parity(t) or 0) == ((seed.parity(lbl) or 0) + x.parity) % 2
+               for (x, lbl), out in seed.table.items() for t in out)
+
+
+def check_seed_accepts(seed, letters=()):
+    try:
+        check_seed(seed, letters)
+    except ValidationError:
+        return False
+    return True
+
+
+def reference_accepts(seed, letters=()):
+    """The windowed brute force: module axiom over every positive pair up
+    to degree 7 that the seed admits, letters excluded, plus the parity rule."""
+    ok, _ = spec_axiom_holds(seed, 14, lambda g: seed.acts(g) and g not in letters)
+    return ok and parity_rule_holds(seed)
+
+
+class TestCheckSeed:
+    VALUES = [ONE, -ONE, Scalar(2), Scalar.rational(1, 2), I]
+    TABLE_GENS = [T(1), G(1), L(1), G(2), T(3), L(2)]
+
+    def random_character_seed(self, rng):
+        s2 = rng.choice([1, 3, 5])
+        upper = t_upper(s2)
+        keys = [g for g in TWISTED.generators(2 * s2 + 4) if upper(g) and not g.parity]
+        phi = {g: rng.choice(self.VALUES) for g in rng.sample(keys, rng.randint(1, 2))}
+        return derived_pair_seed(phi, upper, f"s2={s2}", rng.choice([ZERO, ONE])), (G(1),)
+
+    def random_table_seed(self, rng):
+        labels = ("v0", "v1")[:rng.randint(1, 2)]
+        parities = {lbl: rng.randint(0, 1) for lbl in labels if rng.random() < 0.6}
+        table = {}
+        for _ in range(rng.randint(1, 3)):
+            out = {lbl: rng.choice(self.VALUES) for lbl in labels if rng.random() < 0.6}
+            table[(rng.choice(self.TABLE_GENS), rng.choice(labels))] = out
+        return FiniteSeed("table", labels, table, _positive, ZERO, parities), ()
+
+    # seeds that a weakened check_seed gets wrong, with their verdicts: an
+    # odd action that satisfies the axiom (no parity rule); a violation
+    # only in the row of the top listed degree (a window cut short); the
+    # table.cfg table; G[1/2], a letter of the generalized seed, that would
+    # break the axiom there (no letter exclusion); a character that needs
+    # both terms of the left-hand side
+    HAND_SEEDS = [
+        (FiniteSeed("odd", ("v0",), {(G(1), "v0"): {"v0": ONE},
+                                     (L(1), "v0"): {"v0": -ONE}}, _positive), (), False),
+        (FiniteSeed("top", ("v0", "v1"), {(G(1), "v0"): {"v1": ONE},
+                                          (G(1), "v1"): {"v0": ONE}},
+                    _positive, ZERO, {"v0": 0, "v1": 1}), (), False),
+        (FiniteSeed("table.cfg", ("v0", "v1"), {(T(1), "v0"): {"v0": ONE},
+                                                (T(1), "v1"): {"v1": Scalar(2)},
+                                                (L(2), "v0"): {"v1": ONE}},
+                    _positive, ONE, {"v0": 0, "v1": 1}), (), False),
+        (derived_pair_seed({L(1): ONE, T(3): ONE}, t_upper(1), "generalized", ZERO),
+         (G(1),), True),
+        (whittaker_spec(1, 0), (), True),
+    ]
+
+    def test_matches_windowed_reference(self):
+        rng = random.Random(20261018)
+        for seed, letters, want in self.HAND_SEEDS:
+            assert check_seed_accepts(seed, letters) == want, seed.family
+            assert reference_accepts(seed, letters) == want, seed.family
+        cases = [self.random_character_seed(rng) for _ in range(60)]
+        cases += [self.random_table_seed(rng) for _ in range(90)]
+        verdicts = []
+        for seed, letters in cases:
+            got = check_seed_accepts(seed, letters)
+            assert got == reference_accepts(seed, letters), (seed.family, seed.table)
+            verdicts.append(got)
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
 class TestConfig:
     def test_whittaker_roundtrip(self):
         spec = load_spec_config("family = whittaker\nlambda = 2\nc = 1/2\n")
@@ -529,10 +632,12 @@ class TestConfig:
 
     def test_highorder_config(self):
         spec = load_spec_config(
-            "family = highorder\ns = 3/2\nphi.T7/2 = 1\nc = 0\n"
+            "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\nc = 0\n"
             "max_weight = 2\nmax_length = 2\n"
         )
         assert spec.family == "highorder"
+        with pytest.raises(ValidationError, match=re.escape("[G[3/2],G[2]]")):
+            load_spec_config("family = highorder\ns = 3/2\nphi.T7/2 = 1\n")
 
     def test_b_t0_config(self):
         spec = load_spec_config(

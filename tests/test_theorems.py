@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from n2sca.algebra import G, L, SuiteReport, T, TWISTED
-from n2sca.engine import supp_deg
+from n2sca.engine import FiniteLetters, FiniteSeed, InducedModule, supp_deg
 from n2sca.errors import TruncationError
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.modules import (
+    InducedSpec,
+    _positive,
+    derived_pair_seed,
     generalized_whittaker_spec,
-    highorder_whittaker_spec,
+    t_upper,
     whittaker_spec,
 )
 from n2sca.orders import (
@@ -138,6 +141,25 @@ class TestReduceToM:
             degs = [supp_deg(v)[1]] + [step[2] for step in trace.steps]
             for a, b in zip(degs, degs[1:]):
                 assert principal_compare(b, a) < 0
+
+    def test_step_that_fails_to_descend_is_a_failed_check(self):
+        # the table of tests/golden/table.cfg, built without the loader,
+        # which rejects it: on this non-module the overshoot step from
+        # {3:1} lands on {3:1} again, and the trace records the failure
+        seed = table_cfg_seed()
+        module = seed.induced()
+        trace = reduce_to_M(module, module.basis_vector(ev((3, 1))), 1)
+        assert trace.failure == "overshoot step failed to descend: {3:1} -> {3:1}"
+        assert trace.terminal is None and not trace.succeeded
+        assert trace.lines() == ["start\tw{3:1}⊗v0"]
+
+
+def table_cfg_seed():
+    """The table of tests/golden/table.cfg as a FiniteSeed; it is not a
+    module, [L[2], T[1/2]] breaks the axiom on v0."""
+    table = {(T(1), "v0"): {"v0": ONE}, (T(1), "v1"): {"v1": Scalar(2)},
+             (L(2), "v0"): {"v1": ONE}}
+    return FiniteSeed("table", ("v0", "v1"), table, _positive, ONE, {"v0": 0, "v1": 1})
 
 
 def _rank_mod_p(rows, p):
@@ -359,10 +381,16 @@ def test_module_axiom_image_cache_keeps_boundary_rows():
 
 
 def test_module_axiom_rows_match_all_pairs_on_a_failing_module():
-    # the order-3/2 seed truncated at (6, 2) fails the axiom on nine rows at
-    # window 4: the mirror of a failing row is evaluated, not replayed, and
-    # many passing rows, replayed ones among them, count boundary skips
-    spec = highorder_whittaker_spec(3, {T(7): ONE}, 1, (6, 2))
+    # the order-3/2 seed with phi(T[7/2]) = 1 truncated at (6, 2) fails the
+    # axiom on nine rows at window 4: the mirror of a failing row is
+    # evaluated, not replayed, and many passing rows, replayed ones among
+    # them, count boundary skips.  The seed check rejects that seed, so it
+    # is assembled here from its letters and table
+    letters = [G(1), L(1), T(3), T(1), G(2)]
+    system = FiniteLetters(TWISTED, letters, domain=set(letters).__contains__,
+                           bounds=(6, 2))
+    seed = derived_pair_seed({T(7): ONE}, t_upper(3), "highorder[s=3/2]", ONE)
+    spec = InducedSpec("highorder", InducedModule(system, seed))
     module = spec.induced()
     vectors = [module.basis_vector(w, lbl)
                for w in enumerate_vectors(0, 0) for lbl in spec.labels()]

@@ -20,27 +20,20 @@ from .algebra import (
     parse_generator,
     parse_half,
 )
-from .engine import InducedModule
 from .errors import ParseError, TruncationError, ValidationError
-from .modules import (
-    BModuleSpec,
-    InducedSpec,
-    b_plus_t0_induce,
-    check_conditions,
-    generalized_whittaker_spec,
-    highorder_whittaker_spec,
-    load_spec_config,
-    whittaker_spec,
-)
-from .orders import enumerate_vectors, parse_exponent_vector
 from .scalars import ONE
 from .suites import SUITES
-from .theorems import annihilator_Mt, closure_check, reduce_to_M
+
+# The engine, module, order and theorem layers are imported by the commands
+# that run them, so a command compiles and loads only what it reaches.
 
 PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
 
-def _load_module(path: str) -> tuple[InducedModule, BModuleSpec]:
+def _load_module(path: str):
+    from .engine import InducedModule
+    from .modules import load_spec_config
+
     with open(path, encoding="utf-8") as fh:
         obj = load_spec_config(fh.read())
     if isinstance(obj, InducedModule):
@@ -77,6 +70,8 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    from .orders import parse_exponent_vector
+
     module, spec = _load_module(args.spec)
     word = [parse_generator(tok) for tok in args.word.replace("*", " ").split()]
     ev = parse_exponent_vector(args.vector)
@@ -87,6 +82,9 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .orders import parse_exponent_vector
+    from .theorems import reduce_to_M
+
     module, spec = _load_module(args.spec)
     ev = parse_exponent_vector(args.vector)
     label = spec.parse_label(args.label) if args.label else spec.labels()[0]
@@ -105,6 +103,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
+    from .theorems import annihilator_Mt
+
     module, _ = _load_module(args.spec)
     basis, ops = annihilator_Mt(
         module, parse_half(args.t), parse_half(args.max_weight), args.max_length
@@ -119,12 +119,18 @@ def _cmd_annihilator(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .orders import enumerate_vectors
+
     evs = enumerate_vectors(parse_half(args.max_weight), args.max_length)
     _emit(args, "\n".join(str(ev) for ev in evs) + "\n")
     return PASS
 
 
 def _cmd_closure(args) -> int:
+    from .modules import InducedSpec
+    from .orders import enumerate_vectors
+    from .theorems import closure_check
+
     module, spec = _load_module(args.spec)
     max_w2 = parse_half(args.max_weight)
     evs = enumerate_vectors(max_w2, args.max_length)
@@ -158,9 +164,7 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = {}
-    import inspect  # imported here: only `verify` needs it, and it is slow to load
-
-    params = inspect.signature(fn).parameters
+    params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
     if "seed" in params:
         kwargs["seed"] = args.seed
     if args.window is not None and "window2" in params:
@@ -177,6 +181,16 @@ def _cmd_verify(args) -> int:
 
 
 def _demo_lines(which: str) -> list[str]:
+    from .modules import (
+        b_plus_t0_induce,
+        check_conditions,
+        generalized_whittaker_spec,
+        highorder_whittaker_spec,
+        whittaker_spec,
+    )
+    from .orders import enumerate_vectors, parse_exponent_vector
+    from .theorems import closure_check, reduce_to_M
+
     out = [f"demo: {which}"]
     if which == "whittaker":
         spec = whittaker_spec(1, 0)
@@ -219,8 +233,16 @@ def _cmd_demo(args) -> int:
     return PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, like every other error;
+    the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="n2sca",
         description="Exact computations in the twisted/untwisted N=2 "
         "superconformal algebras and their induced modules.",

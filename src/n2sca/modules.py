@@ -493,6 +493,11 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
                     raise ParseError(f"bad action key {key!r}")
                 _, gen_text, label = parts
                 gen_id = _parse_phi_key(gen_text)
+                if not _positive(gen_id):
+                    raise ValidationError(
+                        f"the table seed lists {gen_id} on {label}, but only "
+                        "generators of positive degree act on it"
+                    )
                 split = _label_splitter(gen_id, labels)
                 table[(gen_id, label)] = parse_terms(value, split)
         seed = FiniteSeed("table", labels, table, _positive, c, parities)

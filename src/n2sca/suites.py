@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from .algebra import (
+    PRESENTATIONS,
     GeneratorId,
     J,
     LinearCombo,
@@ -25,24 +26,10 @@ from .algebra import (
     substitute_basis,
     verify_automorphism,
 )
-from .engine import supp_deg
-from .modules import verma_untwisted, whittaker_spec
-from .orders import (
-    ExponentVector,
-    ZERO_VECTOR,
-    enumerate_vectors,
-    principal_compare,
-    revlex_compare,
-    slot_weight2,
-)
 from .scalars import ONE, Scalar, ZERO
-from .theorems import (
-    annihilator_Mt,
-    lemma_deg_suite,
-    module_axiom_check,
-    reduce_to_M,
-    whittaker_identity_check,
-)
+
+# Each suite imports the engine, module, order and theorem names it uses,
+# so `verify <suite>` loads only the layers that suite runs.
 
 
 def _random_scalar(rng: random.Random) -> Scalar:
@@ -80,8 +67,6 @@ def suite_scalars(seed: int = 0, cases: int = 10_000) -> SuiteReport:
 
 def suite_jacobi(window2: int = 12, algebra: str | None = None) -> SuiteReport:
     report = SuiteReport("jacobi")
-    from .algebra import PRESENTATIONS
-
     targets = (
         [PRESENTATIONS[algebra]] if algebra
         else [TWISTED, UNTWISTED_PM, UNTWISTED_12]
@@ -96,6 +81,14 @@ def suite_jacobi(window2: int = 12, algebra: str | None = None) -> SuiteReport:
 
 
 def suite_orders(seed: int = 0, cases: int = 10_000) -> SuiteReport:
+    from .orders import (
+        ExponentVector,
+        enumerate_vectors,
+        principal_compare,
+        revlex_compare,
+        slot_weight2,
+    )
+
     report = SuiteReport("orders")
     rng = random.Random(seed)
 
@@ -156,6 +149,10 @@ def suite_orders(seed: int = 0, cases: int = 10_000) -> SuiteReport:
 
 def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
                        max_length: int = 4) -> SuiteReport:
+    from .modules import whittaker_spec
+    from .orders import enumerate_vectors
+    from .theorems import module_axiom_check
+
     module = whittaker_spec(1, 0).induced()
     vectors = [module.basis_vector(ev)
                for ev in enumerate_vectors(max_weight2, max_length)]
@@ -164,12 +161,20 @@ def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
 
 def suite_deg_lemma(max_weight2: int = 4, max_length: int = 3,
                     u2: int = 1) -> SuiteReport:
+    from .modules import whittaker_spec
+    from .theorems import lemma_deg_suite
+
     module = whittaker_spec(1, 0).induced()
     return lemma_deg_suite(module, u2, max_weight2, max_length)
 
 
 def suite_reduction(seed: int = 0, vectors: int = 50,
                     max_weight2: int = 5, max_length: int = 3) -> SuiteReport:
+    from .engine import supp_deg
+    from .modules import whittaker_spec
+    from .orders import enumerate_vectors
+    from .theorems import reduce_to_M
+
     report = SuiteReport("reduction")
     module = whittaker_spec(1, 0).induced()
     rng = random.Random(seed)
@@ -200,6 +205,9 @@ def suite_annihilator() -> SuiteReport:
     """Exact annihilator spaces at t=1/2 for c in {0,1}; the criterion
     expects span{w{} (x) v0} but the true kernel also contains
     w{2:2} (x) v0 (see the deg-lemma obstruction)."""
+    from .modules import whittaker_spec
+    from .theorems import annihilator_Mt
+
     report = SuiteReport("annihilator")
     for c in (0, 1):
         module = whittaker_spec(1, c).induced()
@@ -218,6 +226,9 @@ def suite_annihilator() -> SuiteReport:
 
 def suite_whittaker_identity(seed: int = 0, samples: int = 200,
                              window2: int = 4) -> SuiteReport:
+    from .modules import whittaker_spec
+    from .theorems import whittaker_identity_check
+
     module = whittaker_spec(1, 0).induced()
     return whittaker_identity_check(module, samples, window2, seed)
 
@@ -275,6 +286,9 @@ def suite_psi(window2: int = 10) -> SuiteReport:
 def suite_verma_singular() -> SuiteReport:
     """Both weight-1/2 vectors are singular in the truncated Verma module
     for c in {0, 1, -2}."""
+    from .modules import verma_untwisted
+    from .orders import ZERO_VECTOR
+
     report = SuiteReport("verma-singular")
     killers = [Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3)]
     for c in (0, 1, -2):

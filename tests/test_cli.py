@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca import cli
+from n2sca import modules
 from n2sca.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -47,6 +47,10 @@ def run(argv, capsys):
     # Lu[1] belongs to the untwisted algebra, not the module's
     ["act", "Lu[1]", "--spec", "{cfg}"],
     ["act", "Lu[1]", "--spec", "{cfg}", "--vector", "{1:1}"],
+    # argparse's own usage errors are one line too
+    ["act", "C", "--spec", "{cfg}", "--label", "-x"],
+    ["verify", "nosuch"],
+    ["act", "C"],
 ])
 def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
@@ -276,12 +280,32 @@ def test_seed_that_is_not_a_module_exit_code(argv, config, capsys):
     assert captured.err == f"error: {NOT_MODULES[config]}\n"
 
 
+@pytest.mark.parametrize("entry", ["act.L0.v0 = 2*v0", "act.T-1/2.v0 = 5*v0"])
+def test_table_entry_that_never_reaches_the_seed_exit_code(entry, tmp_path, capsys):
+    # L[0] has degree 0 and T[-1/2] is a letter: the entry would be ignored
+    path = tmp_path / "table.cfg"
+    path.write_text(f"family = table\nlabels = v0\n{entry}\n")
+    code = main(["act", "T[-1/2]", "--spec", str(path)])
+    captured = capsys.readouterr()
+    gen = "L[0]" if "L0" in entry else "T[-1/2]"
+    assert code == USAGE and captured.out == ""
+    assert captured.err == (f"error: the table seed lists {gen} on v0, but only "
+                            "generators of positive degree act on it\n")
+
+
+def test_help_is_unchanged(capsys):
+    code = main(["act", "--help"])
+    captured = capsys.readouterr()
+    assert code == PASS and captured.err == ""
+    assert captured.out.startswith("usage: n2sca act [-h] --spec SPEC")
+
+
 def test_step_that_fails_to_descend_exit_code(monkeypatch, tmp_path, capsys):
     # table.cfg's table built without the loader: its overshoot step from
     # {3:1} does not descend, which is a failed check, not a crash
     from test_theorems import table_cfg_seed
 
-    monkeypatch.setattr(cli, "load_spec_config", lambda text: table_cfg_seed())
+    monkeypatch.setattr(modules, "load_spec_config", lambda text: table_cfg_seed())
     path = tmp_path / "any.cfg"
     path.write_text("")
     code = main(["reduce", "{3:1}", "--spec", str(path)])

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,12 +88,15 @@ def _file_name(name: str) -> str:
     return name.replace("/", "_") + ".out"
 
 
+def _resolved(argv: tuple[str, ...]) -> list[str]:
+    return [str(ROOT / a) if a.startswith("tests/golden/") else a for a in argv]
+
+
 def run_case(argv: tuple[str, ...]) -> tuple[bytes, int]:
     """Stdout bytes and exit code of one in-process `n2sca` run."""
-    resolved = [str(ROOT / a) if a.startswith("tests/golden/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(resolved)
+        code = main(_resolved(argv))
     return out.getvalue().encode("utf-8"), code
 
 
@@ -129,6 +135,38 @@ def test_cli_golden(name):
              f"\nafter an intended change, regenerate with: {REGENERATE}")
     assert got == want, f"{name}: {_first_difference(want, got)}\n{rerun}"
     assert code == _exit_codes()[name], f"{name}: exit code {code}\n{rerun}"
+
+
+# One case per subcommand, each run in a fresh interpreter, with the modules
+# that command must not load.  In-process runs cannot catch a missed local
+# import, because earlier tests have already loaded every layer.
+LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg")}
+FRESH_CASES = {
+    "verify-jacobi-w4": LAYERS | {"inspect"},
+    "verify-module-axiom-w4": {"inspect"},
+    "jacobi-twisted": LAYERS | {"inspect"},
+    "act-whittaker": {"n2sca.theorems"},
+    "reduce-whittaker": set(),
+    "annihilator-whittaker": set(),
+    "closure-full": set(),
+    "demo-b-t0": set(),
+}
+CHILD = ("import sys; from n2sca.cli import main; code = main(sys.argv[1:]); "
+         "sys.stdout.flush(); sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
+         "sys.exit(code)")
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_CASES))
+def test_cli_golden_in_a_fresh_interpreter(name):
+    proc = subprocess.run([sys.executable, "-c", CHILD, *_resolved(CASES[name])],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                                   PYTHONIOENCODING="utf-8"),
+                          capture_output=True, timeout=120)
+    assert proc.stdout == (GOLDEN / _file_name(name)).read_bytes()
+    assert proc.returncode == _exit_codes()[name]
+    loaded = set(proc.stderr.decode("utf-8").splitlines()[-1].split())
+    assert "n2sca.cli" in loaded
+    assert not loaded & FRESH_CASES[name], f"{name} loads {sorted(loaded & FRESH_CASES[name])}"
 
 
 def test_bracket_golden():

@@ -574,21 +574,6 @@ PRESENTATIONS = {
 }
 
 
-def bracket(x: GeneratorId, y: GeneratorId) -> LinearCombo:
-    """Bracket in the defining basis of whichever algebra x, y live in."""
-    if x.twisted != y.twisted:
-        raise ValueError(f"mixed algebras: {x} and {y}")
-    if x.twisted:
-        return TWISTED.bracket(x, y)
-    pm = {"G+", "G-"}
-    tw12 = {"G1", "G2"}
-    used = {x.kind, y.kind}
-    if used & tw12 and used & pm:
-        raise ValueError(f"mixed untwisted bases: {x} and {y}")
-    pres = UNTWISTED_12 if used & tw12 else UNTWISTED_PM
-    return pres.bracket(x, y)
-
-
 _PSI_FLIP = {"G+": "G-", "G-": "G+"}
 
 

@@ -31,16 +31,11 @@ PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
 
 def _load_module(path: str):
-    from .engine import InducedModule
     from .modules import load_spec_config
 
     with open(path, encoding="utf-8") as fh:
-        obj = load_spec_config(fh.read())
-    if isinstance(obj, InducedModule):
-        raise ParseError(
-            f"{path} describes a standalone module, not an inducible seed"
-        )
-    return obj.induced(), obj
+        spec = load_spec_config(fh.read())
+    return spec.induced(), spec
 
 
 def _emit(args, text: str) -> None:

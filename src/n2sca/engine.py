@@ -360,7 +360,6 @@ class BModuleSpec:
 
     A seed has a charge ``c`` and a finite basis of opaque labels, and it
     provides ``labels()`` (the basis, in its output order),
-    ``parity(label)`` (0, 1, or None for an ungraded label),
     ``act(gen, label)`` (a {label: Scalar} map; ValueError for a generator
     that does not act on the seed, TruncationError past a truncation),
     ``label_text(label)`` and its inverse ``parse_label(text)`` (which
@@ -382,8 +381,9 @@ class FiniteSeed(BModuleSpec):
 
     ``table`` maps (generator, label) to {label: Scalar}.  A generator
     that ``acts`` admits but the table omits acts by zero; any other
-    generator raises ValueError naming the ``family``.  A label missing
-    from ``parities`` is ungraded (parity None).
+    generator raises ValueError naming the ``family``.  ``parity(label)``,
+    for `check_seed`'s parity rule, is 0 or 1, or None for a label
+    missing from ``parities`` (ungraded).
     """
 
     def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,

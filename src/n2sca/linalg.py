@@ -51,10 +51,6 @@ class SpanChecker:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     """Kernel of the linear map sending domain basis vector j to images[j].

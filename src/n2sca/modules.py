@@ -31,7 +31,6 @@ from .engine import (
     TwistedTemplate,
 )
 from .errors import ParseError, TruncationError, ValidationError
-from .linalg import kernel_basis
 from .orders import ZERO_VECTOR
 from .scalars import ONE, Scalar, ZERO, add_scaled, as_scalar, parse_scalar
 
@@ -198,16 +197,6 @@ class InducedSpec(BModuleSpec):
     def labels(self):
         return self._labels
 
-    def parity(self, label):
-        ev, slabel = label
-        seed_par = self.inner.seed.parity(slabel)
-        if seed_par is None:
-            return None
-        word_par = sum(
-            self.inner.letters.letter(s).parity * e for s, e in ev.entries
-        )
-        return (word_par + seed_par) % 2
-
     def act(self, gen, label):
         if gen.degree2 < self.min_degree2 and gen.kind != "C":
             raise ValueError(f"{gen} does not act on the {self.family} spec")
@@ -320,6 +309,8 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
 
 def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:
     """(T_u injective on the truncated basis, G_u kills every basis vector)."""
+    from .linalg import kernel_basis
+
     if u2 < 1 or u2 % 2 == 0:
         raise ValueError("u must be a positive half-odd integer")
     labels = list(spec.labels())
@@ -428,7 +419,7 @@ def _label_splitter(gen: GeneratorId, labels):
     return split
 
 
-def load_spec_config(text: str) -> BModuleSpec | InducedModule:
+def load_spec_config(text: str) -> BModuleSpec:
     """Parse the line-oriented `key = value` module description."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
@@ -474,12 +465,7 @@ def load_spec_config(text: str) -> BModuleSpec | InducedModule:
             k[len("inner.") :]: v for k, v in entries.items() if k.startswith("inner.")
         }
         inner_text = "\n".join(f"{k} = {v}" for k, v in inner_entries.items())
-        inner = load_spec_config(inner_text)
-        if not isinstance(inner, BModuleSpec):
-            raise ParseError("inner family must be a seed spec")
-        return b_plus_t0_induce(inner, read("max_g0", _int, 3))
-    if family == "verma":
-        return verma_untwisted(c, read("depth", parse_half, 3))
+        return b_plus_t0_induce(load_spec_config(inner_text), read("max_g0", _int, 3))
     if family == "table":
         labels = [l.strip() for l in entries.get("labels", "v0").split(",")]
         parities = {}

@@ -61,12 +61,6 @@ class ExponentVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def exponent(self, slot: int) -> int:
-        for s, e in self.entries:
-            if s == slot:
-                return e
-        return 0
-
     def min_nonzero_slot(self) -> int | None:
         return self.entries[0][0] if self.entries else None
 
@@ -86,12 +80,6 @@ class ExponentVector:
         items = dict(self.entries)
         for s, e in other.entries:
             items[s] = items.get(s, 0) + e
-        return ExponentVector(items.items())
-
-    def __sub__(self, other: "ExponentVector") -> "ExponentVector":
-        items = dict(self.entries)
-        for s, e in other.entries:
-            items[s] = items.get(s, 0) - e
         return ExponentVector(items.items())
 
     def dense_key(self) -> tuple[int, ...]:

@@ -169,9 +169,6 @@ class Scalar:
             return _reduced(a, b, c, d, q1)
         return _add_scaled(self, other, -1)
 
-    def __rsub__(self, other) -> "Scalar":
-        return (-self) + other
-
     def __mul__(self, other) -> "Scalar":
         if not isinstance(other, Scalar):
             other = _lift(other)
@@ -212,27 +209,6 @@ class Scalar:
             q * (c * v - d * u),
             u * u + v * v,
         )
-
-    def __truediv__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            other = _lift(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "Scalar":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     @property
     def is_simple(self) -> bool:

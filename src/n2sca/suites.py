@@ -41,9 +41,10 @@ def _random_scalar(rng: random.Random) -> Scalar:
     return Scalar(coord(), coord(), coord(), coord())
 
 
-def suite_scalars(seed: int = 0, cases: int = 10_000) -> SuiteReport:
+def suite_scalars(seed: int = 0) -> SuiteReport:
     """Field axioms on seeded random triples, exact equality."""
     report = SuiteReport("scalars")
+    cases = 10_000
     rng = random.Random(seed)
     bad = {"assoc": 0, "comm": 0, "dist": 0, "inv": 0, "zero": 0}
     for _ in range(cases):
@@ -80,7 +81,7 @@ def suite_jacobi(window2: int = 12, algebra: str | None = None) -> SuiteReport:
     return report
 
 
-def suite_orders(seed: int = 0, cases: int = 10_000) -> SuiteReport:
+def suite_orders(seed: int = 0) -> SuiteReport:
     from .orders import (
         ExponentVector,
         enumerate_vectors,
@@ -90,6 +91,7 @@ def suite_orders(seed: int = 0, cases: int = 10_000) -> SuiteReport:
     )
 
     report = SuiteReport("orders")
+    cases = 10_000
     rng = random.Random(seed)
 
     def random_ev():
@@ -159,17 +161,16 @@ def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
     return module_axiom_check(module, window2, vectors)
 
 
-def suite_deg_lemma(max_weight2: int = 4, max_length: int = 3,
-                    u2: int = 1) -> SuiteReport:
+def suite_deg_lemma(max_weight2: int = 4, max_length: int = 3) -> SuiteReport:
     from .modules import whittaker_spec
     from .theorems import lemma_deg_suite
 
     module = whittaker_spec(1, 0).induced()
-    return lemma_deg_suite(module, u2, max_weight2, max_length)
+    return lemma_deg_suite(module, 1, max_weight2, max_length)
 
 
-def suite_reduction(seed: int = 0, vectors: int = 50,
-                    max_weight2: int = 5, max_length: int = 3) -> SuiteReport:
+def suite_reduction(seed: int = 0, max_weight2: int = 5,
+                    max_length: int = 3) -> SuiteReport:
     from .engine import supp_deg
     from .modules import whittaker_spec
     from .orders import enumerate_vectors
@@ -179,7 +180,7 @@ def suite_reduction(seed: int = 0, vectors: int = 50,
     module = whittaker_spec(1, 0).induced()
     rng = random.Random(seed)
     box = enumerate_vectors(max_weight2, max_length)
-    for case in range(vectors):
+    for case in range(50):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             ev = rng.choice(box)
@@ -224,13 +225,12 @@ def suite_annihilator() -> SuiteReport:
     return report
 
 
-def suite_whittaker_identity(seed: int = 0, samples: int = 200,
-                             window2: int = 4) -> SuiteReport:
+def suite_whittaker_identity(seed: int = 0, window2: int = 4) -> SuiteReport:
     from .modules import whittaker_spec
     from .theorems import whittaker_identity_check
 
     module = whittaker_spec(1, 0).induced()
-    return whittaker_identity_check(module, samples, window2, seed)
+    return whittaker_identity_check(module, 200, window2, seed)
 
 
 def suite_substitution(window2: int = 8, seed: int = 0) -> SuiteReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
-from .engine import BModuleSpec, InducedModule, ModuleVector, supp_deg
+from .engine import InducedModule, ModuleVector, supp_deg
 from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
 from .modules import check_conditions, module_axiom_rows, t_upper
@@ -26,8 +26,6 @@ from .scalars import ONE, Scalar, ZERO, add_scaled
 
 
 def _require_conditions(module: InducedModule, u2: int) -> None:
-    if not isinstance(module.seed, BModuleSpec):
-        raise ValueError("reduction needs a seed-module spec attached")
     injective, killed = check_conditions(module.seed, u2)
     if not (injective and killed):
         raise ValueError(
@@ -46,54 +44,6 @@ def prescribed_generator(deg: ExponentVector, u2: int) -> GeneratorId:
         return L((u2 + 2 * n - 1) // 2)
     n = nhat // 2  # slot 2n: G_{u + (n-1)/2}
     return G(u2 + n - 1)
-
-
-class DescentObstruction(Exception):
-    """The prescribed single-generator step does not behave as claimed.
-
-    Happens exactly when the minimal nonzero slot is even with an even
-    exponent: commuting the raising fermion through an even power of an
-    odd letter cancels the T_u-transfer terms in pairs.
-    """
-
-    def __init__(self, message: str, generator: GeneratorId, image: ModuleVector):
-        super().__init__(message)
-        self.generator = generator
-        self.image = image
-
-
-def reduce_step(module: InducedModule, v: ModuleVector, u2: int):
-    """One strict descent step by the prescribed raising generator.
-
-    Returns (generator, image) with image nonzero of degree exactly
-    deg(v) - eps(min nonzero slot).  Raises DescentObstruction when the
-    prescription fails (even fermion exponent at the minimal slot); see
-    reduce_to_M for the repaired loop.
-    """
-    if v.is_zero:
-        raise ValueError("cannot reduce the zero vector")
-    _require_conditions(module, u2)
-    return _descend(module, v, u2)
-
-
-def _descend(module: InducedModule, v: ModuleVector, u2: int):
-    """reduce_step on a nonzero vector, the seed conditions already checked."""
-    _, deg, _ = supp_deg(v)
-    if deg.is_zero:
-        raise ValueError("vector already lies in the seed module")
-    x = prescribed_generator(deg, u2)
-    image = module.act(x, v)
-    if image.is_zero:
-        raise DescentObstruction(
-            f"{x} kills the vector with deg {deg}", x, image
-        )
-    _, new_deg, _ = supp_deg(image)
-    expected = deg.bump(deg.min_nonzero_slot(), -1)
-    if new_deg != expected:
-        raise DescentObstruction(
-            f"deg went {deg} -> {new_deg}, claimed drop was to {expected}", x, image
-        )
-    return x, image
 
 
 def _affine_theta(module: InducedModule, v: ModuleVector, u2: int) -> Scalar:
@@ -136,10 +86,6 @@ class ReductionTrace:
     def succeeded(self) -> bool:
         return self.terminal is not None and not self.terminal.is_zero
 
-    @property
-    def repaired(self) -> bool:
-        return any(kind != "corollary" for kind, *_ in self.steps)
-
     def lines(self) -> list[str]:
         out = [f"start\t{self.start}"]
         for kind, op, deg, w2, d in self.steps:
@@ -157,11 +103,15 @@ def reduce_to_M(
 ) -> ReductionTrace:
     """Descend to the seed module by strict principal-order steps.
 
-    Uses the prescribed generator wherever its claimed degree drop holds
-    ("corollary" steps).  At an even minimal fermion exponent the
-    prescription stalls; the loop then accepts the overshooting image
-    when it is nonzero ("overshoot", the weight strictly drops) or
-    applies the affine step v -> (T_u - theta)v ("affine").  A step that
+    Each step acts by the generator x that `prescribed_generator` attaches
+    to the minimal nonzero slot nhat of deg(v).  A nonzero image whose
+    leading word is deg - eps(nhat) is a "corollary" step: the claimed
+    degree drop holds.  At an even exponent in an even minimal slot the
+    claim fails: commuting the raising fermion through an even power of
+    an odd letter cancels the T_u-transfer terms in pairs (`verify
+    deg-lemma` lists these words).  Any other nonzero image is then
+    accepted as an "overshoot" step, and where x kills the vector the
+    loop takes the affine step v -> (T_u - theta)v ("affine").  A step that
     does not descend, or an affine step that annihilates, ends the trace
     with ``failure`` naming the step kind and the degrees.  The default
     budget is the number of vectors in the box of the starting degree
@@ -188,20 +138,19 @@ def reduce_to_M(
         if deg.is_zero:
             trace.terminal = current
             return trace
-        try:
-            x, image = _descend(module, current, u2)
-            kind, op = "corollary", str(x)
-        except DescentObstruction as obstruction:
-            if not obstruction.image.is_zero:
-                image = obstruction.image
-                kind, op = "overshoot", str(obstruction.generator)
-            else:
-                theta = _affine_theta(module, current, u2)
-                image = module.act(T(u2), current) + current.scaled(-theta)
-                kind, op = "affine", f"T[{format_half(u2)}] - ({theta})"
-                if image.is_zero:
-                    trace.failure = f"affine step annihilated the vector at deg {deg}"
-                    return trace
+        x = prescribed_generator(deg, u2)
+        image = module.act(x, current)
+        if image.is_zero:
+            theta = _affine_theta(module, current, u2)
+            image = module.act(T(u2), current) + current.scaled(-theta)
+            kind, op = "affine", f"T[{format_half(u2)}] - ({theta})"
+            if image.is_zero:
+                trace.failure = f"affine step annihilated the vector at deg {deg}"
+                return trace
+        else:
+            drop = deg.bump(deg.min_nonzero_slot(), -1)
+            kind = "corollary" if supp_deg(image)[1] == drop else "overshoot"
+            op = str(x)
         _, new_deg, _ = supp_deg(image)
         if principal_compare(new_deg, deg) >= 0:
             trace.failure = f"{kind} step failed to descend: {deg} -> {new_deg}"
@@ -263,8 +212,7 @@ def annihilator_Mt(
 
 
 class ClosureReport:
-    def __init__(self, window2: int):
-        self.window2 = window2
+    def __init__(self):
         self.closed = True
         self.witness: tuple | None = None
         self.checked = 0
@@ -293,7 +241,7 @@ def closure_check(
     truncated window only.  Actions that raise TruncationError inside a
     truncated seed are recorded as boundary skips.
     """
-    report = ClosureReport(window2)
+    report = ClosureReport()
     if universe is None:
         universe = set()
         for v in subspace:

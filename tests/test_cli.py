@@ -210,6 +210,15 @@ class TestActReduce:
         assert code == USAGE
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    def test_verma_is_not_a_config_family(self, tmp_path, capsys):
+        # `verify verma-singular` builds the Verma module; no config loads it
+        path = tmp_path / "verma.cfg"
+        path.write_text("family = verma\n")
+        code = main(["act", "T[1/2]", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == USAGE and captured.out == ""
+        assert captured.err == "error: unknown family 'verma'\n"
+
     @pytest.mark.parametrize("label, value, expected", [
         ("v0", "(1 + i)*v0", "(1 + i)*w{}⊗v0"),
         ("v1", "v1 - v0", "w{}⊗v1 - w{}⊗v0"),
@@ -315,13 +324,12 @@ def test_step_that_fails_to_descend_exit_code(monkeypatch, tmp_path, capsys):
     assert captured.err == "check failed: overshoot step failed to descend: {3:1} -> {3:1}\n"
 
 
-# one seed config per family; the verma family is a standalone module
+# one seed config per family
 FAMILY_CONFIGS = {
     "whittaker": "family = whittaker\nlambda = 1\n",
     "generalized": "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nmax_weight = 2\n",
     "highorder": "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\n",
     "b_t0": "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n",
-    "verma": "family = verma\n",
     "table": "family = table\nlabels = v0,v1\nparity.v1 = 1\nact.G1/2.v0 = 1*v1\n",
 }
 LABEL_TEXTS = st.one_of(

@@ -57,6 +57,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "jacobi-twisted-pm": ("jacobi", "--algebra", "twisted-pm", "--window", "4"),
     "jacobi-untwisted-pm": ("jacobi", "--algebra", "untwisted-pm", "--window", "4"),
     "jacobi-untwisted-12": ("jacobi", "--algebra", "untwisted-12", "--window", "4"),
+    "bracket-twisted": ("bracket", "G[1]", "G[-1/2]"),
+    "bracket-untwisted-12": ("bracket", "G1[1/2]", "G2[-1/2]", "--algebra", "untwisted-12"),
+    "enumerate-w1/2-l2": ("enumerate", "--max-weight", "1/2", "--max-length", "2"),
     "closure-seed-v1": ("closure", "--spec", GEN, "--subspace", "seed:v1",
                         "--window", "4", "--max-weight", "2", "--max-length", "3"),
     "closure-full": ("closure", "--spec", GEN, "--subspace", "full",
@@ -145,7 +148,7 @@ FRESH_CASES = {
     "verify-jacobi-w4": LAYERS | {"inspect"},
     "verify-module-axiom-w4": {"inspect"},
     "jacobi-twisted": LAYERS | {"inspect"},
-    "act-whittaker": {"n2sca.theorems"},
+    "act-whittaker": {"n2sca.theorems", "n2sca.linalg"},
     "reduce-whittaker": set(),
     "annihilator-whittaker": set(),
     "closure-full": set(),

@@ -137,17 +137,12 @@ class TestWhittakerSpec:
 
 
 class TestGeneralizedSpec:
-    def test_label_count_and_parity(self):
+    def test_label_count(self):
         spec = generalized_whittaker_spec(0, 1, 0, (4, 3))
         labels = spec.labels()
         # words G^eps T^a with eps + a <= 3, eps <= 1, weight eps + a <= 4
         assert len(labels) == 14
-        v0 = labels[0]
-        assert spec.label_text(v0) == "v0"
-        assert spec.parity(v0) == 0
-        assert spec.parity(spec.parse_label("v1")) == 1
-        assert spec.parity(spec.parse_label("G[1/2].v0")) == 1
-        assert spec.parity(spec.parse_label("G[1/2].v1")) == 0
+        assert spec.label_text(labels[0]) == "v0"
 
     def test_bracket_consistency_example(self):
         # act(L1, act(T1/2, v0)) - act(T1/2, act(L1, v0)) = -(phi(T3/2)/2) v0
@@ -656,14 +651,13 @@ class TestConfig:
             load_spec_config("family = whittaker\nbad line\n")
 
 
-SIZE_KEYS = ("max_weight", "max_length", "max_g0", "depth", "s")
+SIZE_KEYS = ("max_weight", "max_length", "max_g0", "s")
 FAMILY_KEYS = {
     "whittaker": ("lambda", "c"),
     "generalized": ("phi.L1", "phi.T3/2", "c", "max_weight", "max_length"),
     "highorder": ("s", "phi.T5/2", "phi.T7/2", "phi.L2", "phi.G1", "phi.T1",
                   "phi.", "phi.X1", "c", "max_weight", "max_length"),
     "b_t0": ("inner.family", "inner.lambda", "inner.c", "max_g0", "c"),
-    "verma": ("c", "depth"),
     "table": ("labels", "parity.v0", "parity.v1", "act.T1/2.v0", "act.T1/2.v1",
               "act.L2.v0", "act.G1/2.v1", "act.T-1/2.v0", "act..v0",
               "act.T1/2", "c", "u"),

@@ -171,14 +171,6 @@ def test_parse_examples():
     assert str(Scalar(0, -1, 0, Fraction(3, 2))) == "-i + 3/2*i*r2"
 
 
-def test_division_and_powers():
-    x = Scalar(2, 3, Fraction(-1, 2), 1)
-    assert x / x == ONE
-    assert x**3 == x * x * x
-    assert x**0 == ONE
-    assert x**-2 == (x * x).inverse()
-
-
 @pytest.mark.parametrize(
     "q", [0, 1, -1, 7, -(2**70), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 2**65)]
 )

@@ -24,12 +24,11 @@ from n2sca.orders import (
 )
 from n2sca.scalars import I, ONE, Scalar, ZERO, add_scaled
 from n2sca.theorems import (
-    DescentObstruction,
     annihilator_Mt,
     closure_check,
     lemma_deg_suite,
     module_axiom_check,
-    reduce_step,
+    prescribed_generator,
     reduce_to_M,
     whittaker_identity_check,
 )
@@ -44,54 +43,70 @@ def module():
     return whittaker_spec(1, 0).induced()
 
 
+def kinds(trace):
+    return [kind for kind, *_ in trace.steps]
+
+
 class TestReduceStep:
+    """The first step of `reduce_to_M`: the prescribed generator and the
+    kind of step its image makes."""
+
+    def first_step(self, module, v):
+        trace = reduce_to_M(module, v, 1)
+        assert trace.succeeded
+        return trace.steps[0]
+
     def test_t_letter_uses_l(self, module):
-        x, image = reduce_step(module, module.basis_vector(eps(1)), 1)
-        assert x == L(1)
-        assert image == module.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(1, 2))
+        assert prescribed_generator(eps(1), 1) == L(1)
+        trace = reduce_to_M(module, module.basis_vector(eps(1)), 1)
+        assert trace.steps == [("corollary", "L[1]", ZERO_VECTOR, 0, 0)]
+        assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
+            Scalar.rational(1, 2))
 
     def test_g_letter_uses_g(self, module):
-        x, image = reduce_step(module, module.basis_vector(eps(2)), 1)
-        assert x == G(1)
-        assert image == module.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(1, 2))
+        assert prescribed_generator(eps(2), 1) == G(1)
+        trace = reduce_to_M(module, module.basis_vector(eps(2)), 1)
+        assert trace.steps == [("corollary", "G[1/2]", ZERO_VECTOR, 0, 0)]
+        assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
+            Scalar.rational(1, 2))
 
     def test_deep_t_letter(self, module):
-        x, image = reduce_step(module, module.basis_vector(eps(3)), 1)
-        assert x == L(2)
-        assert image == module.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(3, 2))
+        assert prescribed_generator(eps(3), 1) == L(2)
+        trace = reduce_to_M(module, module.basis_vector(eps(3)), 1)
+        assert trace.steps == [("corollary", "L[2]", ZERO_VECTOR, 0, 0)]
+        assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
+            Scalar.rational(3, 2))
 
     def test_mixed_support_drops_exactly_one(self, module):
         v = module.basis_vector(ev((1, 1), (2, 1))) + module.basis_vector(eps(3))
-        # deg is {3:1} (weight 3/2); L2 is prescribed
-        x, image = reduce_step(module, v, 1)
-        assert x == L(2)
-        _, deg, _ = supp_deg(image)
-        assert deg == ZERO_VECTOR
+        # deg is {3:1} (weight 3/2); L2 is prescribed and lands in the seed
+        assert prescribed_generator(supp_deg(v)[1], 1) == L(2)
+        assert self.first_step(module, v) == ("corollary", "L[2]", ZERO_VECTOR, 0, 0)
 
     def test_zero_vector_rejected(self, module):
         with pytest.raises(ValueError, match="zero vector"):
-            reduce_step(module, module.zero(), 1)
+            reduce_to_M(module, module.zero(), 1)
 
     def test_seed_vector_rejected(self, module):
-        with pytest.raises(ValueError, match="seed module"):
-            reduce_step(module, module.basis_vector(ZERO_VECTOR), 1)
+        with pytest.raises(ValueError, match="zero word"):
+            prescribed_generator(ZERO_VECTOR, 1)
 
     def test_failing_conditions_rejected(self):
         degenerate = whittaker_spec(0, 0).induced()
         with pytest.raises(ValueError, match="conditions"):
-            reduce_step(degenerate, degenerate.basis_vector(eps(1)), 1)
+            reduce_to_M(degenerate, degenerate.basis_vector(eps(1)), 1)
 
     def test_even_fermion_power_obstructs(self, module):
-        # G[1/2] annihilates w{2:2} (x) v0: the claimed descent stalls
-        with pytest.raises(DescentObstruction):
-            reduce_step(module, module.basis_vector(ev((2, 2))), 1)
-        with pytest.raises(DescentObstruction):
-            reduce_step(module, module.basis_vector(ev((4, 2))), 1)
+        # G[1/2] annihilates w{2:2} (x) v0, so the affine step follows; the
+        # G[1] image of w{4:2} (x) v0 misses the claimed drop to {4:1}
+        assert module.act(G(1), module.basis_vector(ev((2, 2)))).is_zero
+        assert self.first_step(module, module.basis_vector(ev((2, 2))))[0] == "affine"
+        assert self.first_step(module, module.basis_vector(ev((4, 2))))[0] == "overshoot"
 
     def test_odd_fermion_powers_descend(self, module):
         for word in (ev((2, 3)), ev((4, 1)), ev((2, 1), (4, 2))):
-            x, image = reduce_step(module, module.basis_vector(word), 1)
-            _, deg, _ = supp_deg(image)
+            kind, _, deg, _, _ = self.first_step(module, module.basis_vector(word))
+            assert kind == "corollary"
             assert deg == word.bump(word.min_nonzero_slot(), -1)
 
 
@@ -102,7 +117,7 @@ class TestReduceToM:
         assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
             Scalar.rational(1, 4)
         )
-        assert not trace.repaired
+        assert kinds(trace) == ["corollary", "corollary"]
 
     def test_seed_vector_needs_no_steps(self, module):
         trace = reduce_to_M(module, module.basis_vector(ZERO_VECTOR), 1)
@@ -110,8 +125,8 @@ class TestReduceToM:
 
     def test_affine_repair_on_even_zero_mode(self, module):
         trace = reduce_to_M(module, module.basis_vector(ev((2, 2))), 1)
-        assert trace.succeeded and trace.repaired
-        assert [k for k, *_ in trace.steps] == ["affine"]
+        assert trace.succeeded
+        assert kinds(trace) == ["affine"]
         assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
             Scalar.rational(1, 2)
         )
@@ -119,7 +134,7 @@ class TestReduceToM:
     def test_overshoot_repair(self, module):
         trace = reduce_to_M(module, module.basis_vector(ev((4, 2))), 1)
         assert trace.succeeded
-        assert [k for k, *_ in trace.steps][0] == "overshoot"
+        assert kinds(trace)[0] == "overshoot"
 
     def test_fifty_seeded_vectors(self, module):
         rng = random.Random(0)
@@ -427,7 +442,7 @@ class TestDegLemmaSuite:
 
             i = parse_exponent_vector(word)
             nhat = i.min_nonzero_slot()
-            assert nhat % 2 == 0 and i.exponent(nhat) % 2 == 0, case
+            assert nhat % 2 == 0 and i.entries[0][1] % 2 == 0, case
         assert failed  # the obstruction is real at these bounds
         # and every odd-exponent / T-led case passes clause (a)
         for r in report.rows:
@@ -437,7 +452,7 @@ class TestDegLemmaSuite:
 
                 i = parse_exponent_vector(word)
                 nhat = i.min_nonzero_slot()
-                if nhat % 2 == 1 or i.exponent(nhat) % 2 == 1:
+                if nhat % 2 == 1 or i.entries[0][1] % 2 == 1:
                     assert r[4] == "pass", r
 
 
@@ -548,4 +563,4 @@ class TestLinalg:
         span.add({"b": ONE})
         assert span.contains({"a": Scalar(2), "b": Scalar(0, 5)})
         assert not span.contains({"c": ONE})
-        assert span.rank == 2
+        assert len(span.rows) == 2

@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .scalars import (
-    I, INV_SQRT2, ONE, Scalar, ZERO, add_scaled, as_scalar, join_signed, parse_scalar,
-    signed_term,
+    I, INV_SQRT2, ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
 )
 
 TWISTED_KINDS = ("L", "T", "G", "C")
@@ -217,9 +216,6 @@ class TermMap:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "TermMap") -> "TermMap":
         if other.space is not self.space:
             raise ValueError("vectors belong to different modules")
@@ -235,9 +231,6 @@ class TermMap:
         if not s:
             return self._like({})
         return self._like({k: s * t for k, t in self.terms.items()})
-
-    def __rmul__(self, s) -> "TermMap":
-        return self.scaled(as_scalar(s))
 
     def __str__(self) -> str:
         return format_terms(self._pairs())
@@ -335,12 +328,6 @@ class LinearCombo(TermMap):
 
     def __iter__(self):
         return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __getitem__(self, g: GeneratorId) -> Scalar:
-        return self.terms.get(g, ZERO)
 
     def map_generators(self, fn) -> "LinearCombo":
         """Linear extension of a generator map fn: GeneratorId -> LinearCombo."""
@@ -702,9 +689,10 @@ def jacobi_check(
     three rotations of a triple sum the same exact terms (notes/decisions.md).
     Each rotation orbit is evaluated once, at the rotation that comes first
     in ``gens`` order.  ``checked`` counts all N^3 ordered triples, central
-    ones included; when some orbit fails, the ordered triples are replayed
-    so that the violations, their order and the ``max_violations`` cut-off
-    are those of the plain triple loop.
+    ones included.  The violations are the rotations of the failing orbits
+    in sorted order, cut at ``max_violations`` with ``checked`` counting up
+    to the last one kept: the violations, their order and the cut-off of
+    the plain triple loop.
     """
     report = CheckReport(f"jacobi[{presentation.name}]", window2)
     gens = presentation.generators(window2)
@@ -720,7 +708,7 @@ def jacobi_check(
         return hit
 
     live = [i for i, g in enumerate(gens) if not g.is_central]
-    bad: set[tuple[int, int, int]] = set()
+    bad: list[tuple[int, int, int]] = []
     # (i, j, k) leads its orbit when i <= j and i <= k, except (i, j, i) with
     # i < j, whose rotation (i, i, j) comes first.
     for p, i in enumerate(live):
@@ -746,21 +734,17 @@ def jacobi_check(
                             t = acc.get(g2)
                             acc[g2] = prod if t is None else t + prod
                 if any(acc.values()):
-                    bad.add((i, j, k))
-    if not bad:
+                    bad.append((i, j, k))
+    # every ordered triple of a failing orbit fails, and the plain triple
+    # loop meets them in sorted order
+    failing = sorted({r for i, j, k in bad for r in ((i, j, k), (j, k, i), (k, i, j))})
+    if len(failing) < max_violations:
         report.checked = n * n * n
-        return report
-    central = [g.is_central for g in gens]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                report.checked += 1
-                if central[i] or central[j] or central[k]:
-                    continue
-                if min((i, j, k), (j, k, i), (k, i, j)) in bad:
-                    report.violations.append((gens[i], gens[j], gens[k]))
-                    if len(report.violations) >= max_violations:
-                        return report
+    else:
+        failing = failing[:max_violations]
+        i, j, k = failing[-1]
+        report.checked = (i * n + j) * n + k + 1
+    report.violations = [(gens[i], gens[j], gens[k]) for i, j, k in failing]
     return report
 
 

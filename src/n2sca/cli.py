@@ -158,18 +158,20 @@ def _cmd_closure(args) -> int:
 
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
-    kwargs = {}
     params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-    if "seed" in params:
-        kwargs["seed"] = args.seed
-    if args.window is not None and "window2" in params:
-        kwargs["window2"] = args.window
-    if args.max_weight is not None and "max_weight2" in params:
-        kwargs["max_weight2"] = parse_half(args.max_weight)
-    if args.max_length is not None and "max_length" in params:
-        kwargs["max_length"] = args.max_length
-    if args.algebra is not None and "algebra" in params:
-        kwargs["algebra"] = args.algebra
+    kwargs = {}
+    for flag, param, value in (
+        ("--seed", "seed", args.seed),
+        ("--window", "window2", args.window),
+        ("--max-weight", "max_weight2", args.max_weight),
+        ("--max-length", "max_length", args.max_length),
+        ("--algebra", "algebra", args.algebra),
+    ):
+        if value is None:
+            continue
+        if param not in params:
+            raise ParseError(f"verify {args.suite} takes no {flag}")
+        kwargs[param] = parse_half(value) if param == "max_weight2" else value
     report = fn(**kwargs)
     _emit(args, report.tsv())
     return PASS if report.ok else FAIL
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--max-weight", default=None)
     p.add_argument("--max-length", type=int, default=None)
@@ -333,9 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationError as exc:
         sys.stderr.write(f"inconclusive at truncation: {exc}\n")
         return INCONCLUSIVE
+    # report after the handler, which frees the frames that filled the heap or stack
     except MemoryError:
-        pass  # report after the handler, which frees the frames that filled the heap
-    sys.stderr.write("inconclusive: out of memory at this window or truncation\n")
+        reason = "out of memory"
+    except RecursionError:
+        reason = "recursion limit reached"
+    sys.stderr.write(f"inconclusive: {reason} at this window or truncation\n")
     return INCONCLUSIVE
 
 

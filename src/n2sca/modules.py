@@ -183,11 +183,10 @@ class InducedSpec(BModuleSpec):
     """A seed realised as a truncated induced module over a small letter
     system; the outer engine sees its normal words as opaque labels."""
 
-    def __init__(self, family: str, inner: InducedModule, min_degree2: int = 1):
+    def __init__(self, family: str, inner: InducedModule):
         super().__init__(inner.seed.c)
         self.family = family
         self.inner = inner
-        self.min_degree2 = min_degree2
         words = inner.letters.enumerate_words()
         self._labels = tuple(
             (ev, slabel) for slabel in inner.seed.labels() for ev in words
@@ -198,8 +197,6 @@ class InducedSpec(BModuleSpec):
         return self._labels
 
     def act(self, gen, label):
-        if gen.degree2 < self.min_degree2 and gen.kind != "C":
-            raise ValueError(f"{gen} does not act on the {self.family} spec")
         ev, slabel = label
         return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
 
@@ -286,7 +283,7 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
         keep_squares=True,
         rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))},
     )
-    return InducedSpec("b_t0", InducedModule(letters, spec), min_degree2=0)
+    return InducedSpec("b_t0", InducedModule(letters, spec))
 
 
 def verma_untwisted(c, depth2: int) -> InducedModule:

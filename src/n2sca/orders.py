@@ -32,7 +32,7 @@ class ExponentVector:
     _cache: dict[tuple[tuple[int, int], ...], "ExponentVector"] = {}
 
     def __new__(cls, entries):
-        items = tuple(sorted((int(s), int(e)) for s, e in entries if e))
+        items = tuple(sorted((s, e) for s, e in entries if e))
         hit = cls._cache.get(items)
         if hit is not None:
             return hit
@@ -150,23 +150,22 @@ def _exponent_top(w2: int, cap: int, left_w2: int, left_len: int) -> int:
 def walk_vectors(slots, max_weight2: int, max_length: int) -> list[ExponentVector]:
     """Every vector over ``slots``, a list of (slot, doubled weight,
     exponent cap) triples, with doubled weight <= max_weight2 and length
-    <= max_length, in walk order."""
-    out: list[ExponentVector] = []
+    <= max_length, in walk order: lexicographic in the exponents, the
+    first slot's outermost.
 
-    def walk(idx: int, left_w2: int, left_len: int, acc: list[tuple[int, int]]):
-        if idx == len(slots):
-            out.append(ExponentVector(tuple(acc)))
-            return
-        slot, w2, cap = slots[idx]
-        for e in range(_exponent_top(w2, cap, left_w2, left_len) + 1):
-            if e:
-                acc.append((slot, e))
-            walk(idx + 1, left_w2 - w2 * e, left_len - e, acc)
-            if e:
-                acc.pop()
-
-    walk(0, max_weight2, max_length, [])
-    return out
+    The walk extends every partial vector by one slot at a time, so its
+    depth does not grow with the number of slots."""
+    partial = [((), max_weight2, max_length)]  # (entries, weight left, length left)
+    for slot, w2, cap in slots:
+        extended = []
+        for item in partial:
+            extended.append(item)  # exponent 0 in this slot
+            acc, left_w2, left_len = item
+            if left_len and w2 <= left_w2:
+                for e in range(1, _exponent_top(w2, cap, left_w2, left_len) + 1):
+                    extended.append((acc + ((slot, e),), left_w2 - w2 * e, left_len - e))
+        partial = extended
+    return [ExponentVector(acc) for acc, _, _ in partial]
 
 
 def _template_slots(max_weight2: int, max_length: int) -> list[tuple[int, int, int]]:

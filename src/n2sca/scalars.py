@@ -24,8 +24,6 @@ def _coerce(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build a rational coordinate from {x!r}")
 
 
@@ -46,15 +44,6 @@ def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
     if g != 1:
         return _new(a // g, b // g, c // g, d // g, q // g)
     return _new(a, b, c, d, q)
-
-
-def _lift(x):
-    """An int or Fraction operand as a Scalar; NotImplemented for anything else."""
-    if isinstance(x, int):
-        return _new(x, 0, 0, 0, 1)
-    if isinstance(x, Fraction):
-        return _new(x.numerator, 0, 0, 0, x.denominator)
-    return NotImplemented
 
 
 class Scalar:
@@ -112,10 +101,6 @@ class Scalar:
         return bool(self._a or self._b or self._c or self._d)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            other = _lift(other)
-            if other is NotImplemented:
-                return NotImplemented
         return (
             self._a == other._a
             and self._b == other._b
@@ -125,19 +110,12 @@ class Scalar:
         )
 
     def __hash__(self):
-        if self._b or self._c or self._d:
-            return hash((self._a, self._b, self._c, self._d, self._q))
-        # equal to the hash of the equal int or Fraction
-        return hash(self._a) if self._q == 1 else hash(Fraction(self._a, self._q))
+        return hash((self._a, self._b, self._c, self._d, self._q))
 
     def __neg__(self) -> "Scalar":
         return _new(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            other = _lift(other)
-            if other is NotImplemented:
-                return NotImplemented
         q1 = self._q
         q2 = other._q
         if q1 == q2:
@@ -150,13 +128,7 @@ class Scalar:
             return _reduced(a, b, c, d, q1)
         return _add_scaled(self, other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            other = _lift(other)
-            if other is NotImplemented:
-                return NotImplemented
         q1 = self._q
         q2 = other._q
         if q1 == q2:
@@ -170,10 +142,6 @@ class Scalar:
         return _add_scaled(self, other, -1)
 
     def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            other = _lift(other)
-            if other is NotImplemented:
-                return NotImplemented
         a1, b1, c1, d1 = self._a, self._b, self._c, self._d
         a2, b2, c2, d2 = other._a, other._b, other._c, other._d
         q = self._q * other._q
@@ -190,8 +158,6 @@ class Scalar:
         if q == 1:
             return _new(a, b, c, d, 1)
         return _reduced(a, b, c, d, q)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero:

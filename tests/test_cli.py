@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import resource
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from n2sca import modules
 from n2sca.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
+from n2sca.suites import SUITES
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -448,6 +450,34 @@ class TestRoundTrips:
         terminal = out.strip().splitlines()[-1].split("\t")[1]
         v = module.parse_vector(terminal)
         assert str(v) == terminal
+
+
+def test_recursion_past_the_limit_is_inconclusive(capsys):
+    # G[-(n-1)/2] for n = 1..699, one letter each: the act passes T[1/2]
+    # across every distinct letter slot in turn
+    vector = "{" + ",".join(f"{slot}:1" for slot in range(2, 1400, 2)) + "}"
+    code = main(["act", "T[1/2]", "--spec", os.path.join(GOLDEN, "whittaker.cfg"),
+                 "--vector", vector])
+    captured = capsys.readouterr()
+    assert code == INCONCLUSIVE and captured.out == ""
+    assert captured.err == "inconclusive: recursion limit reached at this window or truncation\n"
+
+
+# one value per verify flag, each naming the suite parameter it sets
+VERIFY_FLAGS = {"--seed": ("seed", "3"), "--window": ("window2", "2"),
+                "--max-weight": ("max_weight2", "1"), "--max-length": ("max_length", "1"),
+                "--algebra": ("algebra", "twisted")}
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite, fn in sorted(SUITES.items()) for flag, (param, _) in
+    VERIFY_FLAGS.items() if param not in inspect.signature(fn).parameters
+])
+def test_verify_rejects_a_flag_its_suite_does_not_take(suite, flag, capsys):
+    code = main(["verify", suite, flag, VERIFY_FLAGS[flag][1]])
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == f"error: verify {suite} takes no {flag}\n"
 
 
 def test_out_of_memory_is_inconclusive():

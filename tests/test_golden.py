@@ -60,6 +60,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "bracket-twisted": ("bracket", "G[1]", "G[-1/2]"),
     "bracket-untwisted-12": ("bracket", "G1[1/2]", "G2[-1/2]", "--algebra", "untwisted-12"),
     "enumerate-w1/2-l2": ("enumerate", "--max-weight", "1/2", "--max-length", "2"),
+    # 1,801 slots walked one after another: the depth does not grow with them
+    "enumerate-w600-l0": ("enumerate", "--max-weight", "600", "--max-length", "0"),
     "closure-seed-v1": ("closure", "--spec", GEN, "--subspace", "seed:v1",
                         "--window", "4", "--max-weight", "2", "--max-length", "3"),
     "closure-full": ("closure", "--spec", GEN, "--subspace", "full",

@@ -237,6 +237,30 @@ class TestHighorderSpec:
                     assert _outcome(seed, gen, label) == _outcome(want, gen, label)
 
 
+# Each induced spec with the least degree a generator acting on it can
+# have: the inner seed's own acting subalgebra rejects every generator
+# below it, on every label.
+INDUCED_SPECS = {
+    "generalized": (lambda: generalized_whittaker_spec(1, 1, 0, (2, 3)), 1),
+    "highorder": (lambda: highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (2, 2)), 1),
+    "b_t0-over-whittaker": (lambda: b_plus_t0_induce(whittaker_spec(1, 0), 3), 0),
+    "b_t0-over-generalized": (
+        lambda: b_plus_t0_induce(generalized_whittaker_spec(1, 1, 0, (2, 3)), 2), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDUCED_SPECS))
+def test_generators_below_an_induced_spec_do_not_act(name):
+    build, min_degree2 = INDUCED_SPECS[name]
+    spec = build()
+    below = [g for g in TWISTED.generators(8) if g.degree2 < min_degree2 and not g.is_central]
+    assert below
+    for gen in below:
+        for label in spec.labels():
+            with pytest.raises(ValueError, match="does not act on the"):
+                spec.act(gen, label)
+
+
 class TestBT0Spec:
     def test_label_count(self):
         spec = b_plus_t0_induce(whittaker_spec(1, 0), 3)
@@ -512,7 +536,8 @@ class TestDerivedPairSeed:
         cases = 0
         for _ in range(300):
             keys = rng.sample(self.EVEN_POSITIVE, rng.randint(1, 4))
-            phi = {g: rng.choice(values) * rng.randint(1, 5) for g in keys}
+            phi = {g: rng.choice(values) * Scalar.rational(rng.randint(1, 5))
+                   for g in keys}
             name, member = rng.choice(self.MEMBERS)
             want = ReferencePairSeed(phi, member, name)
             got = derived_pair_seed(phi, member, name, ZERO)

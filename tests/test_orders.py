@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from n2sca.orders import (
     principal_compare,
     revlex_compare,
     slot_weight2,
+    walk_vectors,
 )
 
 small_evs = st.builds(
@@ -185,6 +187,31 @@ class TestEnumeration:
     def test_rejects_negative_bounds(self):
         with pytest.raises(ValueError):
             enumerate_vectors(-1, 2)
+
+    def test_slot_count_past_the_recursion_limit(self):
+        assert enumerate_vectors(2 * sys.getrecursionlimit(), 0) == [ZERO_VECTOR]
+
+    @pytest.mark.parametrize("slots, max_w2, max_len", [
+        ([(1, 1, 3), (2, 0, 3), (3, 3, 3), (4, 1, 3)], 4, 3),
+        ([(2, 0, 2), (5, 5, 1), (6, 2, 4)], 7, 4),
+        ([(1, 1, 0), (3, 3, 2)], 6, 5),
+    ])
+    def test_walk_order_is_depth_first(self, slots, max_w2, max_len):
+        def depth_first(rest, left_w2, left_len):
+            if not rest:
+                return [()]
+            (slot, w2, cap), rest = rest[0], rest[1:]
+            out = []
+            e = 0
+            while e <= min(cap, left_len) and w2 * e <= left_w2:
+                head = ((slot, e),) if e else ()
+                out += [head + tail for tail in depth_first(rest, left_w2 - w2 * e,
+                                                           left_len - e)]
+                e += 1
+            return out
+
+        want = [ExponentVector(items) for items in depth_first(slots, max_w2, max_len)]
+        assert walk_vectors(slots, max_w2, max_len) == want
 
     @pytest.mark.parametrize("bounds", [(0, 0), (2, 3), (5, 3), (10, 20), (12, 24)])
     def test_count_matches_enumeration(self, bounds):

@@ -174,11 +174,15 @@ def test_parse_examples():
 @pytest.mark.parametrize(
     "q", [0, 1, -1, 7, -(2**70), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 2**65)]
 )
-def test_rational_hash_matches_int_and_fraction(q):
+def test_rational_scalar_takes_no_int_or_fraction_operand(q):
     s = Scalar(q)
-    assert s == q and hash(s) == hash(q)
-    assert {s: "x"}.get(q) == "x" and {q: "x"}.get(s) == "x"
-    assert Scalar.rational(Fraction(q).numerator, Fraction(q).denominator) == s
+    same = Scalar.rational(Fraction(q).numerator, Fraction(q).denominator)
+    assert same == s and hash(same) == hash(s)
+    # a mixed-type operation fails instead of converting its operand
+    for op in (lambda: s + q, lambda: q + s, lambda: s * q, lambda: q * s,
+               lambda: s - q, lambda: s == q):
+        with pytest.raises((TypeError, AttributeError)):
+            op()
 
 
 # Primes p = 1 (mod 8), so F_p holds a primitive 8th root of unity z, and

@@ -11,6 +11,15 @@ until it either merges into the word (letters), is rewritten into
 letters (e.g. ``L[-m] -> (-1)^m G[-m/2]^2``), or reaches the seed,
 whose oracle supplies the module action of the remaining generator.
 
+A generator that meets a power ``a^e`` (e >= 3) of the top letter passes
+it in one step, by the power rule of `InducedModule._act_past_power`: with
+``b = a`` (``a.a = (1/2)[a, a]`` for an odd letter) and ``c_n = ad_b^n(x)``,
+``x b^m = sum_n C(m, n) b^(m-n) c_n``.  That costs O(e) work and memo
+entries instead of O(e^2).  The rule skips the words between ``a^e`` and
+``a``, so it runs only where no act can truncate: twisted-template letters
+over a `FiniteSeed`.  Elsewhere the generator passes one letter at a time,
+after the memo has been filled for the lower powers.
+
 The twisted negative template is the main instance: letters are
 ``T[-r]`` and ``G[-p]`` with slot 2n-1 for ``T[-(2n-1)/2]`` and slot 2n
 for ``G[-(n-1)/2]``, `L`-generators of nonpositive degree are eliminated
@@ -20,6 +29,8 @@ recursion for the small subalgebra inductions of the module zoo.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .algebra import (
     AlgebraPresentation,
@@ -224,6 +235,9 @@ class InducedModule:
         self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
+        # the power rule skips the words between a^e and a, where a module
+        # that truncates may stop; it runs only where no act can truncate
+        self._powers = isinstance(letters, TwistedTemplate) and isinstance(seed, FiniteSeed)
         self._label_rank: dict = {
             lbl: i for i, lbl in enumerate(seed.labels())
         }
@@ -322,12 +336,15 @@ class InducedModule:
             acted = self.seed.act(gen, label)
             return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
         # move gen one letter to the right; the first time gen meets this
-        # stack of top letters, fill the memo for the lower powers bottom-up,
-        # in the order the recursion would, so that its depth stays bounded
+        # stack of top letters, pass the whole power at once, or in a module
+        # that truncates fill the memo for the lower powers bottom-up, in the
+        # order the recursion would, so that its depth stays bounded
         g1 = letters.letter(top)
         rest = ev.bump(top, -1)
         if (gen, rest, label) not in self._memo:
             e = ev.entries[-1][1]
+            if e >= 3 and self._powers:
+                return self._act_past_power(gen, ev, label, g1, top, e)
             for k in range(1, e - 1):
                 self._act_basis(gen, ev.bump(top, k - e), label)
         odd = gen.parity and g1.parity
@@ -335,6 +352,70 @@ class InducedModule:
             add_scaled(acc, self._act_basis(g1, ev1, lbl1), -s if odd else s)
         for z, coef in self.presentation.bracket(gen, g1).items():
             add_scaled(acc, self._act_basis(z, rest, label), coef)
+        return acc
+
+    def _act_past_power(self, gen, ev, label, a, top, e) -> dict:
+        """gen . (a^e w') in one pass, where ``a`` is the top letter of ``ev``
+        (slot ``top``, exponent e) and ``gen`` does not go on top of it.
+
+        Let b = a and step = 1 for an even a, or b = a.a = (1/2)[a, a] and
+        step = 2 for an odd one, so that a^e w' = b^m w with m = e // step.
+        Right multiplication by b is L_b + ad_b, with ad_b(y) = [y, b], and
+        the two commute; so with c_n = ad_b^n(gen),
+
+            gen b^m w = sum_{j<J} C(m,j) b^(m-j) (c_j w)
+                      + sum_{n>=J} (-1)^(n-J) C(m,n) C(n-1,J-1) c_n (b^(m-n) w).
+
+        J is one past the last n at which c_n has a term other than a letter
+        above ``top``, so each term of the second sum puts one letter on top
+        of the word b^(m-n) w.  In the first sum, b^k puts a^(step k) on top
+        of every term of c_j w without a letter above ``top``; the other
+        terms go through a Horner loop of m applications of b.
+        """
+        bracket = self.presentation.bracket
+        step = 1 + a.parity
+        m = e // step
+        chain = [{gen: ONE}]
+        while len(chain) <= m:
+            c = chain[-1]
+            for _ in range(step):  # ad_b = ad_a^step
+                c, prev = {}, c
+                for g, s in prev.items():
+                    add_scaled(c, bracket(g, a).terms, s)
+            if not c:
+                break
+            chain.append(c)
+        slot_of = self.letters.slot_of
+        J = len(chain)
+        while all((slot_of(g) or 0) > top for g in chain[J - 1]):
+            J -= 1
+
+        def times_b(terms: dict, k: int) -> dict:
+            for _ in range(step * k if terms else 0):
+                terms, prev = {}, terms
+                for (ev1, lbl1), s in prev.items():
+                    add_scaled(terms, self._act_basis(a, ev1, lbl1), s)
+            return terms
+
+        w = ev.bump(top, -step * m)
+        acc: dict = {}
+        high: dict = {}
+        for j in range(J):
+            high = times_b(high, 1)
+            k = comb(m, j)
+            for g, s in chain[j].items():
+                coef = _int_times(k, s)
+                for (ev1, lbl1), t in self._act_basis(g, w, label).items():
+                    if (ev1.max_slot() or 0) > top:
+                        add_scaled(high, {(ev1, lbl1): t}, coef)
+                    else:
+                        add_scaled(acc, {(ev1.bump(top, step * (m - j)), lbl1): t}, coef)
+        add_scaled(acc, times_b(high, m + 1 - J))
+        for n in range(J, len(chain)):
+            k = (-1) ** (n - J) * comb(m, n) * comb(n - 1, J - 1)
+            word = ev.bump(top, -step * n)
+            add_scaled(acc, {(word.bump(slot_of(g), 1), label): _int_times(k, s)
+                             for g, s in chain[n].items()})
         return acc
 
     # -- text ----------------------------------------------------------
@@ -353,6 +434,14 @@ class InducedModule:
             return left[:wpos], (word, self.seed.parse_label(lbl_text.strip()))
 
         return ModuleVector(self, parse_terms(text, split_body))
+
+
+def _int_times(k: int, s: Scalar) -> Scalar:
+    """k * s, with no Scalar product when k or s is 1 or -1."""
+    unit = s.unit_sign
+    if unit:
+        return Scalar.rational(unit * k)
+    return s if k == 1 else -s if k == -1 else Scalar.rational(k) * s
 
 
 class BModuleSpec:

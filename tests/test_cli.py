@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import os
@@ -246,19 +247,33 @@ class TestActReduce:
         assert captured.err == (f"error: label {label!r}: exponent {exponent!r} "
                                 "of G[0] is not a natural number\n")
 
-    def test_deep_act_keeps_the_stack_shallow(self, whittaker_cfg):
-        # G[0] passes 500 letters G[-1/2]; the memo is filled bottom-up, so
-        # the recursion depth does not grow with the exponent.  A fresh
-        # interpreter runs it at the default recursion limit.
+    @staticmethod
+    def fresh_act_digest(cfg, vector):
+        """SHA-256 of the stdout of `act G[0]` on one vector, run in a fresh
+        interpreter at the default recursion limit, which must exit 0.  The
+        tests compare it with the digest of the output of the one-step
+        recursion, which filled the memo for every lower power first."""
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "n2sca.cli", "act", "G[0]", "--spec", whittaker_cfg,
-             "--vector", "{4:500}"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=120,
+            [sys.executable, "-m", "n2sca.cli", "act", "G[0]",
+             "--spec", os.path.join(GOLDEN, cfg), "--vector", vector],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
         )
-        assert proc.returncode == PASS and proc.stderr == ""
-        assert proc.stdout.count("\n") == 1
+        assert proc.returncode == PASS and proc.stderr == b""
+        return hashlib.sha256(proc.stdout).hexdigest()
+
+    def test_deep_act_keeps_the_stack_shallow(self):
+        # G[0] passes 500 letters G[-1/2] at once, by the power rule of one
+        # letter: no word for a lower power is built, and the recursion depth
+        # does not grow with the exponent
+        assert self.fresh_act_digest("whittaker.cfg", "{4:500}") == (
+            "9703494168e438832eea83e2589b6d5ae14f604595c2782e70c138bc9c0cb146")
+
+    def test_deep_act_in_a_truncated_module_fills_the_memo(self):
+        # b_t0 truncates, so G[0] passes 200 letters one at a time, after
+        # the memo is filled bottom-up
+        assert self.fresh_act_digest("b_t0.cfg", "{4:200}") == (
+            "cf81486ed0bf3adf83bcc42f3eb64c77727f28574dac7520f47cc53b446fde1d")
 
     def test_truncation_exit_code(self, generalized_cfg, capsys):
         # pushing the seed's polynomial layer past its bound is inconclusive

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
-from n2sca.engine import straighten_negative, supp_deg
+from n2sca.engine import (BModuleSpec, FiniteSeed, InducedModule, TwistedTemplate,
+                          straighten_negative, supp_deg)
 from n2sca.errors import TruncationError
 from n2sca.modules import b_plus_t0_induce, whittaker_spec
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
@@ -238,3 +239,51 @@ def test_memo_values_never_leak(whittaker_module):
         assert len(expected) > 1
         first.clear()
         assert call() == expected
+
+
+class OneStepSeed(BModuleSpec):
+    """A FiniteSeed behind another class: its induced module passes a power
+    of one letter one letter at a time, the reference for the power rule."""
+
+    def __init__(self, seed: FiniteSeed):
+        super().__init__(seed.c)
+        self._seed = seed
+
+    def labels(self):
+        return self._seed.labels()
+
+    def act(self, gen, label):
+        return self._seed.act(gen, label)
+
+
+# lambda = 1 + i and c = sqrt2.  The slots hold T[-1/2] (even), G[0] (its
+# b = L[0] - C/24 gives a chain that never ends), G[-1/2] (odd) and G[-1]
+POWER_SEED = whittaker_spec(Scalar(1, 1), Scalar(0, 0, 1))
+POWER_SLOTS = (1, 2, 4, 6)
+
+
+def test_one_step_reference_differs_from_the_power_path():
+    assert POWER_SEED.induced()._powers
+    assert not InducedModule(TwistedTemplate(POWER_SEED.c), OneStepSeed(POWER_SEED))._powers
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen=st.sampled_from(TWISTED.generators(6)),
+       slot=st.sampled_from(POWER_SLOTS),
+       e=st.integers(3, 12),
+       lower=st.integers(0, 5))
+def test_power_rule_matches_the_one_step_recursion(gen, slot, e, lower):
+    entries = [(slot, e)] + ([(lower, 1)] if 0 < lower < slot else [])
+    fast = POWER_SEED.induced()
+    slow = InducedModule(TwistedTemplate(POWER_SEED.c), OneStepSeed(POWER_SEED))
+    word = ExponentVector(entries)
+    got = fast.act(gen, fast.basis_vector(word)).terms
+    assert got == slow.act(gen, slow.basis_vector(word)).terms
+
+
+@pytest.mark.parametrize("e", [80, 400])
+def test_deep_act_memo_is_linear_in_the_exponent(e):
+    module = whittaker_spec(1, 0).induced()
+    image = module.act(G(0), module.basis_vector(ev((4, e))))
+    assert len(image.terms) == e // 2 + 1
+    assert len(module._memo) <= 2 * e

@@ -71,6 +71,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
     # a long descent whose default step budget counts a large box
     "reduce-whittaker-1_12": ("reduce", "{1:12}", "--spec", W),
+    # G[0] past 400 letters G[-1/2]: the power rule of one letter
+    "act-whittaker-deep400": ("act", "G[0]", "--spec", W, "--vector", "{4:400}"),
     # kernel vectors with irrational coefficients, not single words
     "annihilator-whittaker-irrational": ("annihilator", "--spec",
                                          "tests/golden/whittaker-irrational.cfg",

@@ -15,11 +15,10 @@ degree, which keeps the grading arithmetic integral.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import ParseError
 from .scalars import (
-    I, INV_SQRT2, ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
+    I, ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
 )
 
 TWISTED_KINDS = ("L", "T", "G", "C")
@@ -116,10 +115,9 @@ def parse_half(text: str) -> int:
         raise ParseError(f"{text.strip()[:20]}... has too many digits") from None
     if not den:
         raise ParseError(f"zero denominator in {text!r}")
-    f2 = Fraction(2 * num, den)
-    if f2.denominator != 1:
+    if 2 * num % den:
         raise ParseError(f"{text!r} is not a half-integer")
-    return int(f2)
+    return 2 * num // den
 
 
 def L(m: int) -> GeneratorId:
@@ -561,81 +559,6 @@ PRESENTATIONS = {
 }
 
 
-_PSI_FLIP = {"G+": "G-", "G-": "G+"}
-
-
-def psi(combo: LinearCombo) -> LinearCombo:
-    """The order-2 automorphism Lu -> Lu, J -> -J, G+ <-> G-, Cu -> Cu."""
-
-    def image(g: GeneratorId) -> LinearCombo:
-        if g.kind in ("Lu", "Cu"):
-            return LinearCombo.single(g)
-        if g.kind == "J":
-            return LinearCombo.single(g, -ONE)
-        if g.kind in _PSI_FLIP:
-            return LinearCombo.single(GeneratorId(_PSI_FLIP[g.kind], g.index2))
-        raise ValueError(f"psi is defined on the untwisted +/- basis, not on {g}")
-
-    return combo.map_generators(image)
-
-
-_MINUS_I_INV_SQRT2 = -I * INV_SQRT2
-_I_INV_SQRT2 = I * INV_SQRT2
-
-
-def substitute_basis(combo: LinearCombo, direction: str) -> LinearCombo:
-    """Exact change of basis.
-
-    ``pm_to_12``   G+- of the untwisted algebra -> G1/G2 coordinates.
-    ``12_to_pm``   the inverse substitution.
-    ``twisted_pm`` reinterpret a twisted combo written in the rescaled
-                   +/- convention in the defining basis (half-odd
-                   fermions pick up a factor of i).
-    """
-
-    def pm_to_12(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G+":
-            return LinearCombo.of(
-                (G1(g.index2), INV_SQRT2), (G2(g.index2), _MINUS_I_INV_SQRT2)
-            )
-        if g.kind == "G-":
-            return LinearCombo.of(
-                (G1(g.index2), INV_SQRT2), (G2(g.index2), _I_INV_SQRT2)
-            )
-        if g.kind in ("G1", "G2"):
-            raise ValueError(f"{g} is already in the (1,2) basis")
-        if g.kind in ("Lu", "J", "Cu"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not an untwisted generator")
-
-    def to_pm(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G1":
-            return LinearCombo.of(
-                (Gp(g.index2), INV_SQRT2), (Gm(g.index2), INV_SQRT2)
-            )
-        if g.kind == "G2":
-            return LinearCombo.of(
-                (Gp(g.index2), _I_INV_SQRT2), (Gm(g.index2), -_I_INV_SQRT2)
-            )
-        if g.kind in ("G+", "G-"):
-            raise ValueError(f"{g} is already in the +/- basis")
-        if g.kind in ("Lu", "J", "Cu"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not an untwisted generator")
-
-    def twisted_pm(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G":
-            return LinearCombo.single(g, ONE if g.index2 % 2 == 0 else I)
-        if g.kind in ("L", "T", "C"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not a twisted generator")
-
-    table = {"pm_to_12": pm_to_12, "12_to_pm": to_pm, "twisted_pm": twisted_pm}
-    if direction not in table:
-        raise ValueError(f"unknown substitution direction {direction!r}")
-    return combo.map_generators(table[direction])
-
-
 class SuiteReport:
     """A deterministic table of (case, inputs, expected, got, status) rows."""
 
@@ -745,24 +668,4 @@ def jacobi_check(
         i, j, k = failing[-1]
         report.checked = (i * n + j) * n + k + 1
     report.violations = [(gens[i], gens[j], gens[k]) for i, j, k in failing]
-    return report
-
-
-def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int,
-                        target: AlgebraPresentation | None = None) -> CheckReport:
-    """Check map([x,y]) == [map(x), map(y)] for all pairs in the window;
-    the right-hand bracket is taken in ``target`` (default: the source)."""
-    target = target or presentation
-    report = CheckReport(f"automorphism[{presentation.name}]", window2)
-    gens = presentation.generators(window2)
-    for x in gens:
-        mx = map_fn(LinearCombo.single(x))
-        for y in gens:
-            report.checked += 1
-            lhs = map_fn(presentation.bracket(x, y))
-            rhs = target.bracket_combo(mx, map_fn(LinearCombo.single(y)))
-            if lhs != rhs:
-                report.violations.append((x, y))
-                if len(report.violations) >= 16:
-                    return report
     return report

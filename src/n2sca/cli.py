@@ -15,19 +15,25 @@ from .algebra import (
     PRESENTATIONS,
     T,
     format_half,
-    jacobi_check,
     parse_combo,
     parse_generator,
     parse_half,
 )
 from .errors import ParseError, TruncationError, ValidationError
 from .scalars import ONE
-from .suites import SUITES
 
-# The engine, module, order and theorem layers are imported by the commands
-# that run them, so a command compiles and loads only what it reaches.
+# The engine, module, order, linalg, theorem and suite layers are imported
+# by the commands that run them, so a command compiles and loads only what
+# it reaches: `act` loads no theorems, linalg or suites, and `verify` loads
+# the suites and the layers of the one suite it runs.
 
 PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
+
+# the names `verify` accepts; `verify x-y` runs `suites.suite_x_y`
+SUITE_NAMES = (
+    "annihilator", "deg-lemma", "jacobi", "module-axiom", "orders", "psi", "reduction",
+    "scalars", "substitution", "verma-singular", "whittaker-identity",
+)
 
 
 def _load_module(path: str):
@@ -58,6 +64,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
+    from .algebra import jacobi_check
+
     pres = PRESENTATIONS[args.algebra]
     report = jacobi_check(pres, args.window)
     _emit(args, str(report) + "\n")
@@ -157,7 +165,9 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fn = SUITES[args.suite]
+    from . import suites
+
+    fn = getattr(suites, "suite_" + args.suite.replace("-", "_"))
     params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
     kwargs = {}
     for flag, param, value in (
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_closure)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--max-weight", default=None)

@@ -51,7 +51,7 @@ from .orders import (
     principal_sort_key,
     walk_vectors,
 )
-from .scalars import HALF, ONE, Scalar, ZERO, add_scaled, as_scalar
+from .scalars import HALF, ONE, Scalar, ZERO, add_scaled
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
 
@@ -507,25 +507,6 @@ class FiniteSeed(BModuleSpec):
         if text not in self._labels:
             raise ParseError(f"unknown label {text!r}")
         return text
-
-
-def straighten_negative(
-    word, c: Scalar | int = 0
-) -> dict[ExponentVector, Scalar]:
-    """Expand a product of nonpositive-degree twisted generators in the
-    normal monomial basis; the central element is replaced by ``c`` and
-    ``L[0]`` by ``G[0]^2 + c/24``."""
-    c = as_scalar(c)
-    gens = list(word)
-    for g in gens:
-        if not g.twisted:
-            raise ValueError(f"{g} is not a twisted generator")
-        if g.degree2 > 0:
-            raise ValueError(f"{g} has positive degree; straightening needs degree <= 0")
-    seed = FiniteSeed("straightening", ("1",), {}, lambda g: False, c, {"1": 0})
-    module = InducedModule(TwistedTemplate(c), seed)
-    v = module.act_word(gens, module.basis_vector(ZERO_VECTOR, "1"))
-    return {ev: s for (ev, _), s in v.terms.items()}
 
 
 def supp_deg(v: ModuleVector):

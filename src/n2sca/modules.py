@@ -107,6 +107,24 @@ def module_axiom_rows(module: InducedModule, gens: list[GeneratorId],
             yield (x, y, *got)
 
 
+def module_axiom_check(
+    module: InducedModule,
+    window2: int,
+    vectors: list[ModuleVector],
+) -> SuiteReport:
+    """act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
+    for all ordered generator pairs in the window and all sample vectors,
+    one `module_axiom_rows` row per pair."""
+    report = SuiteReport(f"module-axiom[w{window2}]")
+    inputs = f"pairs over {len(vectors)} vectors"
+    for x, y, bad, skipped in module_axiom_rows(module, TWISTED.generators(window2),
+                                                vectors):
+        got = (f"mismatch at {vectors[bad]}" if bad is not None
+               else f"ok ({skipped} boundary skips)" if skipped else "ok")
+        report.add(f"axiom[{x},{y}]", inputs, "exact equality", got, bad is None)
+    return report
+
+
 def check_seed(seed: FiniteSeed, letters=()) -> None:
     """Raise ValidationError, naming the first failure, unless the table
     seed is a module over the generators that reach it: those that

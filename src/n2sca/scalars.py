@@ -7,24 +7,38 @@ That form is canonical, so equality is equality of the five integers, and
 one product costs one integer product and one gcd instead of a gcd per
 rational coordinate (Cohen, "A Course in Computational Algebraic Number
 Theory", section 4.2).  The coordinates `a`-`d` are read back as
-`fractions.Fraction`s.  Inversion multiplies by the sqrt2-conjugate
+`fractions.Fraction`s; only they, and `Fraction` operands, import
+`fractions`.  Inversion multiplies by the sqrt2-conjugate
 (landing in Q(i)) and then by the complex conjugate (landing in Q).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
 
 
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot build a rational coordinate from {x!r}")
+def _coerce(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a `Fraction` coordinate."""
+    if not isinstance(x, int):
+        from fractions import Fraction
+
+        if not isinstance(x, Fraction):
+            raise TypeError(f"cannot build a rational coordinate from {x!r}")
+    return x.numerator, x.denominator
+
+
+def _fraction(n: int, q: int) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(n, q)
+
+
+def _ratio_text(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0, from the integers."""
+    g = gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
 
 
 def _new(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
@@ -52,35 +66,37 @@ class Scalar:
     __slots__ = ("_a", "_b", "_c", "_d", "_q")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        fa, fb, fc, fd = _coerce(a), _coerce(b), _coerce(c), _coerce(d)
+        coords = [_coerce(x) for x in (a, b, c, d)]
         # the least common denominator leaves the result in lowest terms
-        q = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
-        self._a = fa.numerator * (q // fa.denominator)
-        self._b = fb.numerator * (q // fb.denominator)
-        self._c = fc.numerator * (q // fc.denominator)
-        self._d = fd.numerator * (q // fd.denominator)
+        q = lcm(*(den for _, den in coords))
+        self._a, self._b, self._c, self._d = (num * (q // den) for num, den in coords)
         self._q = q
 
     @classmethod
-    def rational(cls, num, den=1) -> "Scalar":
-        f = Fraction(num, den)
-        return _new(f.numerator, 0, 0, 0, f.denominator)
+    def rational(cls, num: int, den: int = 1) -> "Scalar":
+        """num/den in lowest terms, the sign on the numerator."""
+        if not den:
+            raise ZeroDivisionError(f"Scalar.rational({num}, 0)")
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return _new(num // g, 0, 0, 0, den // g)
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._a, self._q)
+        return _fraction(self._a, self._q)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._b, self._q)
+        return _fraction(self._b, self._q)
 
     @property
     def c(self) -> Fraction:
-        return Fraction(self._c, self._q)
+        return _fraction(self._c, self._q)
 
     @property
     def d(self) -> Fraction:
-        return Fraction(self._d, self._q)
+        return _fraction(self._d, self._q)
 
     @property
     def is_zero(self) -> bool:
@@ -182,10 +198,11 @@ class Scalar:
         return sum(1 for x in (self._a, self._b, self._c, self._d) if x) <= 1
 
     def __str__(self) -> str:
-        parts = [str(self.a)] if self._a else []
-        for coef, unit in ((self.b, "i"), (self.c, "r2"), (self.d, "i*r2")):
+        q = self._q
+        parts = [_ratio_text(self._a, q)] if self._a else []
+        for coef, unit in ((self._b, "i"), (self._c, "r2"), (self._d, "i*r2")):
             if coef:
-                parts.append(signed_term(str(coef), unit))
+                parts.append(signed_term(_ratio_text(coef, q), unit))
         return join_signed(parts)
 
     def __repr__(self) -> str:

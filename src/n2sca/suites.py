@@ -10,6 +10,10 @@ import random
 
 from .algebra import (
     PRESENTATIONS,
+    AlgebraPresentation,
+    CheckReport,
+    G1,
+    G2,
     GeneratorId,
     J,
     LinearCombo,
@@ -22,14 +26,107 @@ from .algebra import (
     Gm,
     SuiteReport,
     jacobi_check,
-    psi,
-    substitute_basis,
-    verify_automorphism,
 )
-from .scalars import ONE, Scalar, ZERO
+from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO
 
 # Each suite imports the engine, module, order and theorem names it uses,
-# so `verify <suite>` loads only the layers that suite runs.
+# so `verify <suite>` loads only the layers that suite runs.  The basis maps
+# below are checked by the substitution and psi suites alone, so they live
+# here and the other commands never compile them.
+
+_PSI_FLIP = {"G+": "G-", "G-": "G+"}
+
+
+def psi(combo: LinearCombo) -> LinearCombo:
+    """The order-2 automorphism Lu -> Lu, J -> -J, G+ <-> G-, Cu -> Cu."""
+
+    def image(g: GeneratorId) -> LinearCombo:
+        if g.kind in ("Lu", "Cu"):
+            return LinearCombo.single(g)
+        if g.kind == "J":
+            return LinearCombo.single(g, -ONE)
+        if g.kind in _PSI_FLIP:
+            return LinearCombo.single(GeneratorId(_PSI_FLIP[g.kind], g.index2))
+        raise ValueError(f"psi is defined on the untwisted +/- basis, not on {g}")
+
+    return combo.map_generators(image)
+
+
+_MINUS_I_INV_SQRT2 = -I * INV_SQRT2
+_I_INV_SQRT2 = I * INV_SQRT2
+
+
+def substitute_basis(combo: LinearCombo, direction: str) -> LinearCombo:
+    """Exact change of basis.
+
+    ``pm_to_12``   G+- of the untwisted algebra -> G1/G2 coordinates.
+    ``12_to_pm``   the inverse substitution.
+    ``twisted_pm`` reinterpret a twisted combo written in the rescaled
+                   +/- convention in the defining basis (half-odd
+                   fermions pick up a factor of i).
+    """
+
+    def pm_to_12(g: GeneratorId) -> LinearCombo:
+        if g.kind == "G+":
+            return LinearCombo.of(
+                (G1(g.index2), INV_SQRT2), (G2(g.index2), _MINUS_I_INV_SQRT2)
+            )
+        if g.kind == "G-":
+            return LinearCombo.of(
+                (G1(g.index2), INV_SQRT2), (G2(g.index2), _I_INV_SQRT2)
+            )
+        if g.kind in ("G1", "G2"):
+            raise ValueError(f"{g} is already in the (1,2) basis")
+        if g.kind in ("Lu", "J", "Cu"):
+            return LinearCombo.single(g)
+        raise ValueError(f"{g} is not an untwisted generator")
+
+    def to_pm(g: GeneratorId) -> LinearCombo:
+        if g.kind == "G1":
+            return LinearCombo.of(
+                (Gp(g.index2), INV_SQRT2), (Gm(g.index2), INV_SQRT2)
+            )
+        if g.kind == "G2":
+            return LinearCombo.of(
+                (Gp(g.index2), _I_INV_SQRT2), (Gm(g.index2), -_I_INV_SQRT2)
+            )
+        if g.kind in ("G+", "G-"):
+            raise ValueError(f"{g} is already in the +/- basis")
+        if g.kind in ("Lu", "J", "Cu"):
+            return LinearCombo.single(g)
+        raise ValueError(f"{g} is not an untwisted generator")
+
+    def twisted_pm(g: GeneratorId) -> LinearCombo:
+        if g.kind == "G":
+            return LinearCombo.single(g, ONE if g.index2 % 2 == 0 else I)
+        if g.kind in ("L", "T", "C"):
+            return LinearCombo.single(g)
+        raise ValueError(f"{g} is not a twisted generator")
+
+    table = {"pm_to_12": pm_to_12, "12_to_pm": to_pm, "twisted_pm": twisted_pm}
+    if direction not in table:
+        raise ValueError(f"unknown substitution direction {direction!r}")
+    return combo.map_generators(table[direction])
+
+
+def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int,
+                        target: AlgebraPresentation | None = None) -> CheckReport:
+    """Check map([x,y]) == [map(x), map(y)] for all pairs in the window;
+    the right-hand bracket is taken in ``target`` (default: the source)."""
+    target = target or presentation
+    report = CheckReport(f"automorphism[{presentation.name}]", window2)
+    gens = presentation.generators(window2)
+    for x in gens:
+        mx = map_fn(LinearCombo.single(x))
+        for y in gens:
+            report.checked += 1
+            lhs = map_fn(presentation.bracket(x, y))
+            rhs = target.bracket_combo(mx, map_fn(LinearCombo.single(y)))
+            if lhs != rhs:
+                report.violations.append((x, y))
+                if len(report.violations) >= 16:
+                    return report
+    return report
 
 
 def _random_scalar(rng: random.Random) -> Scalar:
@@ -151,9 +248,8 @@ def suite_orders(seed: int = 0) -> SuiteReport:
 
 def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
                        max_length: int = 4) -> SuiteReport:
-    from .modules import whittaker_spec
+    from .modules import module_axiom_check, whittaker_spec
     from .orders import enumerate_vectors
-    from .theorems import module_axiom_check
 
     module = whittaker_spec(1, 0).induced()
     vectors = [module.basis_vector(ev)
@@ -311,17 +407,3 @@ def suite_verma_singular() -> SuiteReport:
             )
     return report
 
-
-SUITES = {
-    "scalars": suite_scalars,
-    "jacobi": suite_jacobi,
-    "module-axiom": suite_module_axiom,
-    "orders": suite_orders,
-    "deg-lemma": suite_deg_lemma,
-    "reduction": suite_reduction,
-    "annihilator": suite_annihilator,
-    "whittaker-identity": suite_whittaker_identity,
-    "substitution": suite_substitution,
-    "psi": suite_psi,
-    "verma-singular": suite_verma_singular,
-}

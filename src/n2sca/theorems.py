@@ -13,7 +13,7 @@ from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
 from .engine import InducedModule, ModuleVector, supp_deg
 from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
-from .modules import check_conditions, module_axiom_rows, t_upper
+from .modules import check_conditions, t_upper
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -272,24 +272,6 @@ def closure_check(
                 if report.witness is None:
                     report.witness = (x, v, ModuleVector(module, residue))
                 return report
-    return report
-
-
-def module_axiom_check(
-    module: InducedModule,
-    window2: int,
-    vectors: list[ModuleVector],
-) -> SuiteReport:
-    """act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
-    for all ordered generator pairs in the window and all sample vectors,
-    one `module_axiom_rows` row per pair."""
-    report = SuiteReport(f"module-axiom[w{window2}]")
-    inputs = f"pairs over {len(vectors)} vectors"
-    for x, y, bad, skipped in module_axiom_rows(module, TWISTED.generators(window2),
-                                                vectors):
-        got = (f"mismatch at {vectors[bad]}" if bad is not None
-               else f"ok ({skipped} boundary skips)" if skipped else "ok")
-        report.add(f"axiom[{x},{y}]", inputs, "exact equality", got, bad is None)
     return report
 
 

@@ -28,20 +28,21 @@ from n2sca.algebra import (
     jacobi_check,
     parse_combo,
     parse_generator,
-    psi,
-    substitute_basis,
-    verify_automorphism,
 )
 from n2sca.engine import supp_deg
-from n2sca.modules import generalized_whittaker_spec, verma_untwisted, whittaker_spec
+from n2sca.modules import (
+    generalized_whittaker_spec,
+    module_axiom_check,
+    verma_untwisted,
+    whittaker_spec,
+)
 from n2sca.orders import ZERO_VECTOR, enumerate_vectors, parse_exponent_vector
 from n2sca.scalars import Scalar, ZERO
-from n2sca.suites import SUITES
+from n2sca.suites import psi, substitute_basis, verify_automorphism
 from n2sca.theorems import (
     annihilator_Mt,
     closure_check,
     lemma_deg_suite,
-    module_axiom_check,
     reduce_to_M,
     whittaker_identity_check,
 )

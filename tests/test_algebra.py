@@ -26,11 +26,9 @@ from n2sca.algebra import (
     gen,
     jacobi_check,
     parse_combo,
-    psi,
-    substitute_basis,
-    verify_automorphism,
 )
 from n2sca.scalars import I, ONE, Scalar, add_scaled, parse_scalar
+from n2sca.suites import psi, substitute_basis, verify_automorphism
 
 HERE = os.path.dirname(__file__)
 

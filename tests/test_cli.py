@@ -11,9 +11,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca import modules
-from n2sca.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main
-from n2sca.suites import SUITES
+from n2sca import modules, suites
+from n2sca.cli import FAIL, INCONCLUSIVE, PASS, SUITE_NAMES, USAGE, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -478,6 +477,20 @@ def test_recursion_past_the_limit_is_inconclusive(capsys):
     assert captured.err == "inconclusive: recursion limit reached at this window or truncation\n"
 
 
+def _suite(name):
+    """The suite function `verify <name>` runs."""
+    return getattr(suites, "suite_" + name.replace("-", "_"), None)
+
+
+def test_every_verify_name_has_a_suite_and_every_suite_a_name():
+    assert list(SUITE_NAMES) == sorted(SUITE_NAMES)
+    named = {_suite(name) for name in SUITE_NAMES}
+    assert None not in named and len(named) == len(SUITE_NAMES)
+    defined = {fn for attr, fn in vars(suites).items()
+               if attr.startswith("suite_") and callable(fn)}
+    assert named == defined
+
+
 # one value per verify flag, each naming the suite parameter it sets
 VERIFY_FLAGS = {"--seed": ("seed", "3"), "--window": ("window2", "2"),
                 "--max-weight": ("max_weight2", "1"), "--max-length": ("max_length", "1"),
@@ -485,8 +498,8 @@ VERIFY_FLAGS = {"--seed": ("seed", "3"), "--window": ("window2", "2"),
 
 
 @pytest.mark.parametrize("suite, flag", [
-    (suite, flag) for suite, fn in sorted(SUITES.items()) for flag, (param, _) in
-    VERIFY_FLAGS.items() if param not in inspect.signature(fn).parameters
+    (suite, flag) for suite in SUITE_NAMES for flag, (param, _) in VERIFY_FLAGS.items()
+    if param not in inspect.signature(_suite(suite)).parameters
 ])
 def test_verify_rejects_a_flag_its_suite_does_not_take(suite, flag, capsys):
     code = main(["verify", suite, flag, VERIFY_FLAGS[flag][1]])

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
-from n2sca.engine import (BModuleSpec, FiniteSeed, InducedModule, TwistedTemplate,
-                          straighten_negative, supp_deg)
+from n2sca.engine import BModuleSpec, FiniteSeed, InducedModule, TwistedTemplate, supp_deg
 from n2sca.errors import TruncationError
-from n2sca.modules import b_plus_t0_induce, whittaker_spec
+from n2sca.modules import b_plus_t0_induce, module_axiom_check, whittaker_spec
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
-from n2sca.theorems import module_axiom_check, weight_bound_check
+from n2sca.theorems import weight_bound_check
 
 
 def ev(*items):
@@ -19,6 +18,24 @@ def ev(*items):
 
 def sc(x):
     return x if isinstance(x, Scalar) else Scalar(x)
+
+
+def straighten_negative(word, c: Scalar | int = 0) -> dict[ExponentVector, Scalar]:
+    """Expand a product of nonpositive-degree twisted generators in the
+    normal monomial basis; the central element is replaced by ``c`` and
+    ``L[0]`` by ``G[0]^2 + c/24``.  It acts by the word on the vacuum of a
+    one-label seed that every positive generator kills."""
+    c = sc(c)
+    gens = list(word)
+    for g in gens:
+        if not g.twisted:
+            raise ValueError(f"{g} is not a twisted generator")
+        if g.degree2 > 0:
+            raise ValueError(f"{g} has positive degree; straightening needs degree <= 0")
+    seed = FiniteSeed("straightening", ("1",), {}, lambda g: False, c, {"1": 0})
+    module = InducedModule(TwistedTemplate(c), seed)
+    v = module.act_word(gens, module.basis_vector(ZERO_VECTOR, "1"))
+    return {w: s for (w, _), s in v.terms.items()}
 
 
 @pytest.fixture(scope="module")

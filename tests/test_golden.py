@@ -146,15 +146,16 @@ def test_cli_golden(name):
 
 # One case per subcommand, each run in a fresh interpreter, with the modules
 # that command must not load.  In-process runs cannot catch a missed local
-# import, because earlier tests have already loaded every layer.
+# import, because earlier tests have already loaded every layer.  Only a
+# `Fraction` passed into or read back from a scalar loads `fractions`.
 LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg")}
 FRESH_CASES = {
-    "verify-jacobi-w4": LAYERS | {"inspect"},
-    "verify-module-axiom-w4": {"inspect"},
-    "jacobi-twisted": LAYERS | {"inspect"},
-    "act-whittaker": {"n2sca.theorems", "n2sca.linalg"},
+    "verify-jacobi-w4": LAYERS | {"inspect", "fractions"},
+    "verify-module-axiom-w4": {"inspect", "n2sca.theorems", "n2sca.linalg", "fractions"},
+    "jacobi-twisted": LAYERS | {"inspect", "fractions"},
+    "act-whittaker": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "fractions"},
     "reduce-whittaker": set(),
-    "annihilator-whittaker": set(),
+    "annihilator-whittaker": {"n2sca.suites", "fractions"},
     "closure-full": set(),
     "demo-b-t0": set(),
 }

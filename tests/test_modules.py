@@ -19,13 +19,13 @@ from n2sca.modules import (
     highorder_whittaker_spec,
     lemma31_check,
     load_spec_config,
+    module_axiom_check,
     t_upper,
     verma_untwisted,
     whittaker_spec,
 )
 from n2sca.orders import ZERO_VECTOR
 from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
-from n2sca.theorems import module_axiom_check
 
 
 def _frak_t(g):
@@ -414,7 +414,6 @@ class TestRepresentationProperty:
 
     def test_outer_module_axiom_over_generalized_seed(self):
         from n2sca.orders import enumerate_vectors
-        from n2sca.theorems import module_axiom_check
 
         spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
         module = spec.induced()

@@ -1,14 +1,15 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from n2sca.algebra import parse_generator
+from n2sca.algebra import parse_generator, parse_half
 from n2sca.errors import ParseError
 from n2sca.orders import parse_exponent_vector
 from n2sca.scalars import (
@@ -20,7 +21,9 @@ from n2sca.scalars import (
     Scalar,
     ZERO,
     add_scaled,
+    join_signed,
     parse_scalar,
+    signed_term,
 )
 
 rationals = st.fractions(
@@ -183,6 +186,69 @@ def test_rational_scalar_takes_no_int_or_fraction_operand(q):
                lambda: s - q, lambda: s == q):
         with pytest.raises((TypeError, AttributeError)):
             op()
+
+
+# References built on `Fraction`: the scalar text, `Scalar.rational` and
+# `parse_half` compute from integers alone and must agree with them.
+def _text_by_fractions(x):
+    parts = [str(x.a)] if x.a else []
+    for coef, unit in ((x.b, "i"), (x.c, "r2"), (x.d, "i*r2")):
+        if coef:
+            parts.append(signed_term(str(coef), unit))
+    return join_signed(parts)
+
+
+def _half_by_fractions(text):
+    """The doubled value of `m` or `p/q` text, or None where it is rejected."""
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())
+    if not m or not int(m[2] or 1):
+        return None
+    f2 = Fraction(2 * int(m[1]), int(m[2] or 1))
+    return int(f2) if f2.denominator == 1 else None
+
+
+@given(scalars | st.builds(Scalar, wide, wide, wide, wide))
+def test_scalar_text_matches_the_fraction_text(x):
+    assert str(x) == _text_by_fractions(x)
+
+
+big = st.integers(-(2**90), 2**90)
+
+
+@example(0, -5)
+@example(0, 1)
+@example(6, -4)
+@example(-(2**100), -(2**70))
+@example(3, 0)
+@example(0, 0)
+@given(big | st.integers(-12, 12), big | st.integers(-12, 12))
+def test_rational_matches_fraction(num, den):
+    if not den:
+        with pytest.raises(ZeroDivisionError):
+            Scalar.rational(num, den)
+        return
+    f, s = Fraction(num, den), Scalar.rational(num, den)
+    assert (s._a, s._b, s._c, s._d, s._q) == (f.numerator, 0, 0, 0, f.denominator)
+    assert s == Scalar(f) and str(s) == str(f)
+
+
+@example("3/2")
+@example("-3/2")
+@example("6/4")
+@example("1/3")
+@example("+7")
+@example("1/0")
+@example(" -0/9 ")
+@given(st.builds("{}{}/{}".format, st.sampled_from(["", "+"]), st.integers(-(2**70), 2**70),
+                 st.integers(0, 2**40) | st.integers(0, 8))
+       | st.builds(str, st.integers(-(2**70), 2**70)))
+def test_parse_half_matches_fraction(text):
+    want = _half_by_fractions(text)
+    if want is None:
+        with pytest.raises(ParseError):
+            parse_half(text)
+    else:
+        assert parse_half(text) == want
 
 
 # Primes p = 1 (mod 8), so F_p holds a primitive 8th root of unity z, and

@@ -12,6 +12,7 @@ from n2sca.modules import (
     _positive,
     derived_pair_seed,
     generalized_whittaker_spec,
+    module_axiom_check,
     t_upper,
     whittaker_spec,
 )
@@ -27,7 +28,6 @@ from n2sca.theorems import (
     annihilator_Mt,
     closure_check,
     lemma_deg_suite,
-    module_axiom_check,
     prescribed_generator,
     reduce_to_M,
     whittaker_identity_check,

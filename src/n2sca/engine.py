@@ -10,13 +10,16 @@ generator acts on a basis term ``word (x) label`` by the recursion
 until it either merges into the word (letters), is rewritten into
 letters (e.g. ``L[-m] -> (-1)^m G[-m/2]^2``), or reaches the seed,
 whose oracle supplies the module action of the remaining generator.
+Every act is exact: no word is cut.  A truncation belongs to a seed (an
+induced seed raises when an image leaves its box) or to a letter family
+that registers only some of its members.
 
 A generator that meets a power ``a^e`` (e >= 3) of the top letter passes
 it in one step, by the power rule of `InducedModule._act_past_power`: with
 ``b = a`` (``a.a = (1/2)[a, a]`` for an odd letter) and ``c_n = ad_b^n(x)``,
 ``x b^m = sum_n C(m, n) b^(m-n) c_n``.  That costs O(e) work and memo
 entries instead of O(e^2).  The rule skips the words between ``a^e`` and
-``a``, so it runs only where no act can truncate: twisted-template letters
+``a``, so it runs only where no seed can truncate: twisted-template letters
 over a `FiniteSeed`.  Elsewhere the generator passes one letter at a time,
 after the memo has been filled for the lower powers.
 
@@ -92,9 +95,6 @@ class TwistedTemplate:
             return [(Scalar.rational((-1) ** m), (half, half))]
         return None
 
-    def within(self, ev):
-        return True
-
     def word_text(self, ev):
         return "w" + str(ev)
 
@@ -102,17 +102,16 @@ class TwistedTemplate:
 class FiniteLetters:
     """Finitely many registered letters, leftmost first.
 
-    ``domain`` tells which generators belong to the letter family at all;
-    family members that are not registered raise TruncationError when
-    they try to act.
+    ``domain`` tells which further generators belong to the letter family
+    (by default none): such a member is not registered, and `slot_of`
+    refuses it as outside the truncation.
     """
 
     def __init__(
         self,
         presentation: AlgebraPresentation,
         letters_desc: list[GeneratorId],
-        domain,
-        bounds: tuple[int, int],
+        domain=None,
         keep_squares: bool = False,
         rewrites: dict[GeneratorId, Rewrite] | None = None,
     ):
@@ -124,14 +123,13 @@ class FiniteLetters:
         self._domain = domain
         self._keep_squares = keep_squares
         self._rewrites = rewrites or {}
-        self.bounds = bounds
         self._w2 = {s: abs(g.degree2) for s, g in self._by_slot.items()}
 
     def slot_of(self, gen):
         slot = self._slot.get(gen)
         if slot is not None:
             return slot
-        if self._domain(gen):
+        if self._domain and self._domain(gen):
             raise TruncationError(f"{gen} lies outside the truncated letter range")
         return None
 
@@ -144,20 +142,15 @@ class FiniteLetters:
     def rewrite(self, gen):
         return self._rewrites.get(gen)
 
-    def word_weight2(self, ev):
-        return sum(self._w2[s] * e for s, e in ev.entries)
-
-    def within(self, ev):
-        max_w2, max_len = self.bounds
-        return self.word_weight2(ev) <= max_w2 and ev.length <= max_len
-
-    def enumerate_words(self) -> list[ExponentVector]:
-        """All normal words inside the bounds, by (weight, length, entries)."""
-        max_w2, max_len = self.bounds
+    def enumerate_words(self, max_w2: int, max_len: int) -> list[ExponentVector]:
+        """All normal words of doubled weight <= max_w2 and length <= max_len,
+        by (weight, length, entries)."""
         slots = [(s, self._w2[s], max_len if self.keep_power(g) else 1)
                  for s, g in sorted(self._by_slot.items())]
         out = walk_vectors(slots, max_w2, max_len)
-        out.sort(key=lambda ev: (self.word_weight2(ev), ev.length, ev.dense_key()))
+        w2 = self._w2
+        out.sort(key=lambda ev: (sum(w2[s] * e for s, e in ev.entries), ev.length,
+                                 ev.dense_key()))
         return out
 
     def word_text(self, ev):
@@ -223,10 +216,10 @@ class InducedModule:
     """An induced module realised over a letter system and a seed.
 
     A letter system (`TwistedTemplate` or `FiniteLetters`) has a
-    ``presentation``, ``slot_of(gen)`` (None for a mover; TruncationError
-    for a letter outside the registered range), ``letter(slot)``,
+    ``presentation``, ``slot_of(gen)`` (None for a mover; it raises for a
+    letter outside the registered range), ``letter(slot)``,
     ``keep_power(gen)`` (False folds an odd g.g -> (1/2)[g, g]),
-    ``rewrite(gen)`` (a Rewrite or None), ``within(ev)`` and ``word_text(ev)``.
+    ``rewrite(gen)`` (a Rewrite or None) and ``word_text(ev)``.
     """
 
     def __init__(self, letters, seed):
@@ -235,12 +228,10 @@ class InducedModule:
         self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
-        # the power rule skips the words between a^e and a, where a module
-        # that truncates may stop; it runs only where no act can truncate
+        # the power rule skips the words between a^e and a, where a seed
+        # that truncates may stop; it runs only where no seed can truncate
         self._powers = isinstance(letters, TwistedTemplate) and isinstance(seed, FiniteSeed)
-        self._label_rank: dict = {
-            lbl: i for i, lbl in enumerate(seed.labels())
-        }
+        self._label_rank = {lbl: i for i, lbl in enumerate(seed.labels())}
 
     # -- construction -------------------------------------------------
 
@@ -250,8 +241,6 @@ class InducedModule:
     def basis_vector(self, ev: ExponentVector, label=None) -> ModuleVector:
         if label is None:
             label = self.seed.labels()[0]
-        if not self.letters.within(ev):
-            raise TruncationError(f"word {ev} lies outside the truncation bounds")
         return ModuleVector(self, {(ev, label): ONE})
 
     def vector(self, terms: dict) -> ModuleVector:
@@ -320,12 +309,7 @@ class InducedModule:
         if slot is not None and (
             top is None or slot > top or (slot == top and letters.keep_power(gen))
         ):
-            new_ev = ev.bump(slot, +1)
-            if not letters.within(new_ev):
-                raise TruncationError(
-                    f"{gen} pushes {letters.word_text(ev)} outside the truncation"
-                )
-            return {(new_ev, label): ONE}
+            return {(ev.bump(slot, +1), label): ONE}
         if slot is not None and slot == top:
             # fold: g.g = (1/2)[g, g]
             rest = ev.bump(slot, -1)
@@ -336,9 +320,9 @@ class InducedModule:
             acted = self.seed.act(gen, label)
             return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
         # move gen one letter to the right; the first time gen meets this
-        # stack of top letters, pass the whole power at once, or in a module
-        # that truncates fill the memo for the lower powers bottom-up, in the
-        # order the recursion would, so that its depth stays bounded
+        # stack of top letters, pass the whole power at once, or elsewhere
+        # fill the memo for the lower powers bottom-up, in the order the
+        # recursion would, so that its depth stays bounded
         g1 = letters.letter(top)
         rest = ev.bump(top, -1)
         if (gen, rest, label) not in self._memo:
@@ -450,7 +434,7 @@ class BModuleSpec:
     A seed has a charge ``c`` and a finite basis of opaque labels, and it
     provides ``labels()`` (the basis, in its output order),
     ``act(gen, label)`` (a {label: Scalar} map; ValueError for a generator
-    that does not act on the seed, TruncationError past a truncation),
+    that does not act on the seed; an induced seed raises past its box),
     ``label_text(label)`` and its inverse ``parse_label(text)`` (which
     raises ParseError).
     """

@@ -3,8 +3,9 @@
 Every spec here describes a module over the positive subalgebra (plus,
 where the family needs it, the degree-0 part) through a finite or
 truncated basis and an exact action oracle.  Specs plug directly into
-the induction engine as seeds; infinite-dimensional families carry
-explicit truncation bounds and raise TruncationError past them.
+the induction engine as seeds.  An infinite-dimensional family is an
+`InducedSpec` that owns its box: its inner module acts exactly, and it
+raises TruncationError when an image leaves the box.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def check_seed(seed: FiniteSeed, letters=()) -> None:
 
     top2 = max((x.degree2 for (x, _), out in seed.table.items() if out and reaches(x)),
                default=0)
-    module = InducedModule(FiniteLetters(TWISTED, [], lambda g: False, (0, 0)), seed)
+    module = InducedModule(FiniteLetters(TWISTED, []), seed)
     labels = seed.labels()
     vectors = [module.basis_vector(ZERO_VECTOR, lbl) for lbl in labels]
     gens = [g for g in TWISTED.generators(top2) if reaches(g)]
@@ -198,17 +199,18 @@ def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
 
 
 class InducedSpec(BModuleSpec):
-    """A seed realised as a truncated induced module over a small letter
-    system; the outer engine sees its normal words as opaque labels."""
+    """A seed realised as an induced module over a small letter system, cut
+    to the box ``bounds`` = (doubled weight, length) of its normal words;
+    the outer engine sees the words in the box as opaque labels.  The inner
+    module acts exactly; `act` raises TruncationError when an image names
+    a label outside the box."""
 
-    def __init__(self, family: str, inner: InducedModule):
+    def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
         super().__init__(inner.seed.c)
         self.family = family
         self.inner = inner
-        words = inner.letters.enumerate_words()
-        self._labels = tuple(
-            (ev, slabel) for slabel in inner.seed.labels() for ev in words
-        )
+        words = inner.letters.enumerate_words(*bounds)
+        self._labels = tuple((ev, slabel) for slabel in inner.seed.labels() for ev in words)
         self._label_set = set(self._labels)
 
     def labels(self):
@@ -216,7 +218,11 @@ class InducedSpec(BModuleSpec):
 
     def act(self, gen, label):
         ev, slabel = label
-        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
+        image = self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
+        if not self._label_set.issuperset(image):
+            raise TruncationError(
+                f"{gen} takes {self.label_text(label)} outside the truncation")
+        return image
 
     def label_text(self, label):
         ev, slabel = label
@@ -254,11 +260,10 @@ def _derived_pair_spec(s2: int, phi: dict[GeneratorId, Scalar], c: Scalar, trunc
     complement = [g for g in TWISTED.generators(s2)
                   if g.degree2 > 0 and g != G(1) and not upper(g)]
     letters = [G(1)] + sorted(complement, key=lambda g: (KIND_RANK[g.kind], -g.index2))
-    system = FiniteLetters(TWISTED, letters, domain=set(letters).__contains__,
-                           bounds=tuple(truncation))
     seed = derived_pair_seed(phi, upper, seed_family, c)
     check_seed(seed, letters)
-    return InducedSpec(family, InducedModule(system, seed))
+    return InducedSpec(family, InducedModule(FiniteLetters(TWISTED, letters), seed),
+                       tuple(truncation))
 
 
 def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
@@ -296,12 +301,10 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
         raise ValidationError("the G[0]-power bound must be nonnegative")
     letters = FiniteLetters(
         TWISTED, [G(0)],
-        domain=lambda g: g == G(0),
-        bounds=(0, max_k),
         keep_squares=True,
         rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))},
     )
-    return InducedSpec("b_t0", InducedModule(letters, spec))
+    return InducedSpec("b_t0", InducedModule(letters, spec), (0, max_k))
 
 
 def verma_untwisted(c, depth2: int) -> InducedModule:
@@ -315,7 +318,6 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
     system = FiniteLetters(
         UNTWISTED_PM, letters,
         domain=lambda g: not g.is_central and g.degree2 < 0,
-        bounds=(depth2, depth2),
     )
     seed = FiniteSeed("vacuum", ("1",), {},
                       lambda g: g.degree2 >= 0 and not g.is_central, c, {"1": 0})

@@ -142,7 +142,7 @@ def principal_sort_key(i: ExponentVector):
 
 def _exponent_top(w2: int, cap: int, left_w2: int, left_len: int) -> int:
     """Largest exponent a slot of doubled weight ``w2`` and exponent cap
-    ``cap`` can take within the weight and length left."""
+    ``cap`` can take inside the weight and length left."""
     top = left_len if w2 == 0 else min(left_len, left_w2 // w2)
     return min(top, cap)
 
@@ -188,7 +188,7 @@ def count_vectors(max_weight2: int, max_length: int) -> int:
     the vectors: the walk's count memoized on (slot, weight left, length
     left), filled from the last slot back."""
     slots = _template_slots(max_weight2, max_length)
-    # ways[w][l]: vectors over the slots folded in so far, within (w, l)
+    # ways[w][l]: vectors over the slots folded in so far, inside (w, l)
     ways = [[1] * (max_length + 1) for _ in range(max_weight2 + 1)]
     for _, w2, cap in reversed(slots):
         ways = [[sum(ways[w - w2 * e][l - e]

@@ -356,6 +356,8 @@ def whittaker_identity_check(
     rng = random.Random(seed)
     gens = TWISTED.generators(window2)
     positive = [g for g in gens if g.degree2 > 0]
+    if not positive:
+        raise ValueError(f"the window {window2} holds no positive generator")
     v0 = module.basis_vector(ZERO_VECTOR)
     for case in range(samples):
         x = rng.choice(positive)

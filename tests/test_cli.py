@@ -68,6 +68,8 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     # a negative step budget is not an exhausted one
     (["reduce", "{1:1}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
     (["reduce", "{}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
+    # window 0 holds no positive generator to draw an x from
+    (["verify", "whittaker-identity", "--window", "0"], "holds no positive generator"),
 ])
 def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
@@ -75,6 +77,12 @@ def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     assert code == USAGE
     assert captured.out == "" and captured.err.count("\n") == 1
     assert names in captured.err
+
+
+def test_whittaker_identity_at_the_smallest_window_passes(capsys):
+    # window 1 holds the positive generators T[1/2] and G[1/2]
+    code, out = run(["verify", "whittaker-identity", "--window", "1"], capsys)
+    assert code == PASS and "x=G[1/2]" in out and "x=T[1/2]" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,8 +277,8 @@ class TestActReduce:
             "9703494168e438832eea83e2589b6d5ae14f604595c2782e70c138bc9c0cb146")
 
     def test_deep_act_in_a_truncated_module_fills_the_memo(self):
-        # b_t0 truncates, so G[0] passes 200 letters one at a time, after
-        # the memo is filled bottom-up
+        # the b_t0 seed truncates, so G[0] passes 200 letters one at a time,
+        # after the memo is filled bottom-up
         assert self.fresh_act_digest("b_t0.cfg", "{4:200}") == (
             "cf81486ed0bf3adf83bcc42f3eb64c77727f28574dac7520f47cc53b446fde1d")
 
@@ -282,6 +290,16 @@ class TestActReduce:
             capsys,
         )
         assert code == INCONCLUSIVE
+
+    def test_truncation_names_the_seed_act(self, capsys):
+        # the exact image of the seed act leaves the seed's box; the one
+        # stderr line names that act, which `act --label` replays
+        code = main(["act", "G[1/2]", "--spec", os.path.join(GOLDEN, "generalized.cfg"),
+                     "--label", "T[1/2]^3.v0"])
+        captured = capsys.readouterr()
+        assert code == INCONCLUSIVE and captured.out == ""
+        assert captured.err == ("inconclusive at truncation: G[1/2] takes "
+                                "T[1/2]^3.v0 outside the truncation\n")
 
 
 # the seeds of highorder.cfg and table.cfg are not modules: the first

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 
@@ -290,10 +291,44 @@ class TestBT0Spec:
         assert got == {"G[0]^2.v0": ONE, "v0": ONE}  # G0^2 + c/24 with c = 24
 
 
+@pytest.mark.parametrize("config, inside, outside", [
+    ("generalized.cfg", 162, 6),
+    ("highorder-module.cfg", 284, 100),
+    # a positive generator never raises the power of the G[0] letter
+    ("b_t0.cfg", 48, 0),
+])
+def test_induced_seed_raises_exactly_when_the_exact_image_leaves_its_box(
+        config, inside, outside):
+    # the inner module acts exactly, past the box of the seed's labels; the
+    # seed returns the exact image when it stays inside the box and raises
+    # TruncationError when it names a label outside.  The exact images come
+    # from a second copy of the seed, whose memo the seed's acts never fill
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", config)
+    with open(path) as fh:
+        text = fh.read()
+    spec, ref = load_spec_config(text), load_spec_config(text)
+    box = set(spec.labels())
+    counts = [0, 0]
+    for x in TWISTED.generators(6):
+        if x.degree2 <= 0:
+            continue
+        for label in spec.labels():
+            exact = ref.inner.act(x, ref.inner.basis_vector(*label)).terms
+            leaves = not box.issuperset(exact)
+            counts[leaves] += 1
+            if leaves:
+                with pytest.raises(TruncationError, match=re.escape(
+                        f"{x} takes {spec.label_text(label)} outside the truncation")):
+                    spec.act(x, label)
+            else:
+                assert spec.act(x, label) == exact
+    assert counts == [inside, outside]
+
+
 class TestVerma:
     def test_depth_three_halves_basis(self):
         module = verma_untwisted(0, 3)
-        words = module.letters.enumerate_words()
+        words = module.letters.enumerate_words(3, 3)
         texts = {module.letters.word_text(w) for w in words}
         assert len(words) == 12
         for expected in (

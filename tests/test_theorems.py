@@ -402,10 +402,9 @@ def test_module_axiom_rows_match_all_pairs_on_a_failing_module():
     # them, count boundary skips.  The seed check rejects that seed, so it
     # is assembled here from its letters and table
     letters = [G(1), L(1), T(3), T(1), G(2)]
-    system = FiniteLetters(TWISTED, letters, domain=set(letters).__contains__,
-                           bounds=(6, 2))
     seed = derived_pair_seed({T(7): ONE}, t_upper(3), "highorder[s=3/2]", ONE)
-    spec = InducedSpec("highorder", InducedModule(system, seed))
+    spec = InducedSpec("highorder", InducedModule(FiniteLetters(TWISTED, letters), seed),
+                       (6, 2))
     module = spec.induced()
     vectors = [module.basis_vector(w, lbl)
                for w in enumerate_vectors(0, 0) for lbl in spec.labels()]

@@ -10,18 +10,17 @@ generator acts on a basis term ``word (x) label`` by the recursion
 until it either merges into the word (letters), is rewritten into
 letters (e.g. ``L[-m] -> (-1)^m G[-m/2]^2``), or reaches the seed,
 whose oracle supplies the module action of the remaining generator.
-Every act is exact: no word is cut.  A truncation belongs to a seed (an
-induced seed raises when an image leaves its box) or to a letter family
-that registers only some of its members.
+Every act is exact: no word is cut, and no seed truncates.  The one
+truncation is a letter family that registers only some of its members
+(`FiniteLetters` with a ``domain``).
 
 A generator that meets a power ``a^e`` (e >= 3) of the top letter passes
 it in one step, by the power rule of `InducedModule._act_past_power`: with
 ``b = a`` (``a.a = (1/2)[a, a]`` for an odd letter) and ``c_n = ad_b^n(x)``,
 ``x b^m = sum_n C(m, n) b^(m-n) c_n``.  That costs O(e) work and memo
-entries instead of O(e^2).  The rule skips the words between ``a^e`` and
-``a``, so it runs only where no seed can truncate: twisted-template letters
-over a `FiniteSeed`.  Elsewhere the generator passes one letter at a time,
-after the memo has been filled for the lower powers.
+entries instead of O(e^2).  It runs on every module; a generator passes a
+power below the cube, or one whose next lower power it has met, one letter
+at a time.
 
 The twisted negative template is the main instance: letters are
 ``T[-r]`` and ``G[-p]`` with slot 2n-1 for ``T[-(2n-1)/2]`` and slot 2n
@@ -142,16 +141,17 @@ class FiniteLetters:
     def rewrite(self, gen):
         return self._rewrites.get(gen)
 
+    def word_key(self, ev: ExponentVector) -> tuple:
+        """The order of `enumerate_words`: (weight, length, entries)."""
+        w2 = self._w2
+        return (sum(w2[s] * e for s, e in ev.entries), ev.length, ev.dense_key())
+
     def enumerate_words(self, max_w2: int, max_len: int) -> list[ExponentVector]:
         """All normal words of doubled weight <= max_w2 and length <= max_len,
-        by (weight, length, entries)."""
+        by `word_key`."""
         slots = [(s, self._w2[s], max_len if self.keep_power(g) else 1)
                  for s, g in sorted(self._by_slot.items())]
-        out = walk_vectors(slots, max_w2, max_len)
-        w2 = self._w2
-        out.sort(key=lambda ev: (sum(w2[s] * e for s, e in ev.entries), ev.length,
-                                 ev.dense_key()))
-        return out
+        return sorted(walk_vectors(slots, max_w2, max_len), key=self.word_key)
 
     def word_text(self, ev):
         if ev.is_zero:
@@ -163,17 +163,24 @@ class FiniteLetters:
         return "*".join(parts)
 
     def parse_word(self, text: str) -> ExponentVector:
-        """Inverse of `word_text` for words of one or more letters."""
-        items: dict[int, int] = {}
+        """Inverse of `word_text`: a normal word of one or more letters, each
+        letter once and leftmost first, an odd letter that folds unsquared."""
+        items: list[tuple[int, int]] = []
         for chunk in text.split("*"):
             gtext, hat, etext = chunk.strip().partition("^")
             if hat and not etext.strip().isdecimal():
                 raise ParseError(f"exponent {etext!r} of {gtext} is not a natural number")
-            slot = self.slot_of(parse_generator(gtext))
+            gen = parse_generator(gtext)
+            slot = self.slot_of(gen)
             if slot is None:
                 raise ParseError(f"{gtext} is not a letter of this spec")
-            items[slot] = items.get(slot, 0) + (int(etext) if hat else 1)
-        return ExponentVector(items.items())
+            if items and slot >= items[-1][0]:
+                raise ParseError(f"{gtext} is out of the normal order of the letters")
+            exp = int(etext) if hat else 1
+            if exp > 1 and not self.keep_power(gen):
+                raise ParseError(f"{gtext} is odd: no normal word holds its square")
+            items.append((slot, exp))
+        return ExponentVector(items)
 
 
 class ModuleVector(TermMap):
@@ -228,10 +235,7 @@ class InducedModule:
         self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
-        # the power rule skips the words between a^e and a, where a seed
-        # that truncates may stop; it runs only where no seed can truncate
-        self._powers = isinstance(letters, TwistedTemplate) and isinstance(seed, FiniteSeed)
-        self._label_rank = {lbl: i for i, lbl in enumerate(seed.labels())}
+        self.label_rank = seed.label_key
 
     # -- construction -------------------------------------------------
 
@@ -245,9 +249,6 @@ class InducedModule:
 
     def vector(self, terms: dict) -> ModuleVector:
         return ModuleVector(self, {k: v for k, v in terms.items() if v})
-
-    def label_rank(self, label) -> int:
-        return self._label_rank.get(label, len(self._label_rank))
 
     # -- the action ---------------------------------------------------
 
@@ -319,18 +320,14 @@ class InducedModule:
         if top is None:
             acted = self.seed.act(gen, label)
             return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
-        # move gen one letter to the right; the first time gen meets this
-        # stack of top letters, pass the whole power at once, or elsewhere
-        # fill the memo for the lower powers bottom-up, in the order the
-        # recursion would, so that its depth stays bounded
+        # move gen one letter to the right; the first time gen meets a
+        # stack of three or more top letters, pass the whole power at once
         g1 = letters.letter(top)
         rest = ev.bump(top, -1)
         if (gen, rest, label) not in self._memo:
             e = ev.entries[-1][1]
-            if e >= 3 and self._powers:
+            if e >= 3:
                 return self._act_past_power(gen, ev, label, g1, top, e)
-            for k in range(1, e - 1):
-                self._act_basis(gen, ev.bump(top, k - e), label)
         odd = gen.parity and g1.parity
         for (ev1, lbl1), s in self._act_basis(gen, rest, label).items():
             add_scaled(acc, self._act_basis(g1, ev1, lbl1), -s if odd else s)
@@ -431,12 +428,13 @@ def _int_times(k: int, s: Scalar) -> Scalar:
 class BModuleSpec:
     """Base class of the seed modules that `induced()` wraps.
 
-    A seed has a charge ``c`` and a finite basis of opaque labels, and it
-    provides ``labels()`` (the basis, in its output order),
+    A seed has a charge ``c`` and a basis of opaque labels, and it provides
+    ``labels()`` (a finite list of them, in output order: all of a
+    `FiniteSeed`, the box of an induced seed), ``label_key(label)`` (a sort
+    key on every label, in that order on the listed ones),
     ``act(gen, label)`` (a {label: Scalar} map; ValueError for a generator
-    that does not act on the seed; an induced seed raises past its box),
-    ``label_text(label)`` and its inverse ``parse_label(text)`` (which
-    raises ParseError).
+    that does not act on the seed), ``label_text(label)`` and its inverse
+    ``parse_label(text)`` (which raises ParseError).
     """
 
     family = "abstract"
@@ -472,6 +470,7 @@ class FiniteSeed(BModuleSpec):
                       for key, out in table.items()}
         self.acts = acts
         self._parities = parities or {}
+        self.label_key = {lbl: i for i, lbl in enumerate(self._labels)}.__getitem__
 
     def labels(self):
         return self._labels

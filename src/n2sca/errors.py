@@ -8,8 +8,9 @@ class EngineError(Exception):
 class TruncationError(EngineError):
     """An exact computation left the explicit truncation window.
 
-    Raised instead of silently returning a clipped value; callers that
-    tolerate boundary effects catch this and report inconclusiveness.
+    Raised instead of silently returning a clipped value, by a letter
+    family that registers only some of its members; the CLI reports it as
+    inconclusive (exit 3).
     """
 
 

@@ -1,11 +1,11 @@
 """Constructors and validators for the seed modules of the induction.
 
 Every spec here describes a module over the positive subalgebra (plus,
-where the family needs it, the degree-0 part) through a finite or
-truncated basis and an exact action oracle.  Specs plug directly into
-the induction engine as seeds.  An infinite-dimensional family is an
-`InducedSpec` that owns its box: its inner module acts exactly, and it
-raises TruncationError when an image leaves the box.
+where the family needs it, the degree-0 part) through a basis of labels
+and an exact action oracle.  Specs plug directly into the induction
+engine as seeds.  An infinite-dimensional family is an `InducedSpec`: its
+inner module acts exactly on every word, and its box only lists the
+finite set of labels that the checks over the seed range over.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .engine import (
     ModuleVector,
     TwistedTemplate,
 )
-from .errors import ParseError, TruncationError, ValidationError
+from .errors import ParseError, ValidationError
 from .orders import ZERO_VECTOR
 from .scalars import ONE, Scalar, ZERO, add_scaled, as_scalar, parse_scalar
 
@@ -50,62 +50,51 @@ def t_upper(u2: int):
 def module_axiom_rows(module: InducedModule, gens: list[GeneratorId],
                       vectors: list[ModuleVector]):
     """Check act(x, act(y, v)) - (-1)^{|x||y|} act(y, act(x, v)) = act([x,y], v)
-    for every ordered pair of ``gens``, yielding one row (x, y, bad, skipped)
-    per pair: ``bad`` indexes the first vector where it fails (None when it
-    passes), ``skipped`` counts the vectors where an act left the truncation.
+    for every ordered pair of ``gens``, yielding one row (x, y, bad) per
+    pair: ``bad`` indexes the first vector where it fails (None when it
+    passes).
 
     The first-level images act(g, v) are computed once per generator and
-    vector, a TruncationError included: it is stored and raised again.
-    Each row sums both sides into one accumulator and checks that it is
-    empty.  Row (y, x) is the row of (x, y) replayed when (x, y) passed
+    vector.  Each row sums both sides into one accumulator and checks that
+    it is empty.  Row (y, x) is the row of (x, y) replayed when (x, y) passed
     and [y, x] == -(-1)^{|x||y|} [x, y] holds exactly: each of its sums is
     then -(-1)^{|x||y|} times the (x, y) sum, over the same acts (why:
     notes/decisions.md).  Otherwise it is evaluated in its turn.
     """
-    images: dict[tuple[GeneratorId, int], ModuleVector | TruncationError] = {}
+    images: dict[tuple[GeneratorId, int], ModuleVector] = {}
 
     def image(g: GeneratorId, n: int, v: ModuleVector) -> ModuleVector:
         key = (g, n)
         hit = images.get(key)
         if hit is None:
-            try:
-                hit = module.act(g, v)
-            except TruncationError as exc:
-                hit = exc.with_traceback(None)
-            images[key] = hit
-        if isinstance(hit, TruncationError):
-            raise hit.with_traceback(None)
+            hit = images[key] = module.act(g, v)
         return hit
 
-    def row(x: GeneratorId, y: GeneratorId, sign: Scalar, bracket) -> tuple:
+    def row(x: GeneratorId, y: GeneratorId, sign: Scalar, bracket) -> int | None:
         minus_sign = -sign
         minus_bracket = [(z, -s) for z, s in bracket.items()]
-        skipped = 0
         for n, v in enumerate(vectors):
             acc: dict = {}
-            try:
-                module.act_into(acc, x, image(y, n, v))
-                module.act_into(acc, y, image(x, n, v), minus_sign)
-                for z, s in minus_bracket:
-                    add_scaled(acc, image(z, n, v).terms, s)
-            except TruncationError:
-                skipped += 1
-                continue
+            module.act_into(acc, x, image(y, n, v))
+            module.act_into(acc, y, image(x, n, v), minus_sign)
+            for z, s in minus_bracket:
+                add_scaled(acc, image(z, n, v).terms, s)
             if acc:
-                return n, skipped
-        return None, skipped
+                return n
+        return None
 
-    replay: dict[tuple[GeneratorId, GeneratorId], tuple] = {}
+    # the pairs whose row is the replay of a passing row
+    replay: set[tuple[GeneratorId, GeneratorId]] = set()
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            got = replay.pop((x, y), None)
-            if got is None:
+            bad = None
+            if (x, y) not in replay:
                 sign = -ONE if x.parity and y.parity else ONE
                 bracket = TWISTED.bracket(x, y)
-                got = row(x, y, sign, bracket)
-                if got[0] is None and j > i and TWISTED.bracket(y, x) == bracket.scaled(-sign):
-                    replay[(y, x)] = got
-            yield (x, y, *got)
+                bad = row(x, y, sign, bracket)
+                if bad is None and j > i and TWISTED.bracket(y, x) == bracket.scaled(-sign):
+                    replay.add((y, x))
+            yield x, y, bad
 
 
 def module_axiom_check(
@@ -118,10 +107,8 @@ def module_axiom_check(
     one `module_axiom_rows` row per pair."""
     report = SuiteReport(f"module-axiom[w{window2}]")
     inputs = f"pairs over {len(vectors)} vectors"
-    for x, y, bad, skipped in module_axiom_rows(module, TWISTED.generators(window2),
-                                                vectors):
-        got = (f"mismatch at {vectors[bad]}" if bad is not None
-               else f"ok ({skipped} boundary skips)" if skipped else "ok")
+    for x, y, bad in module_axiom_rows(module, TWISTED.generators(window2), vectors):
+        got = "ok" if bad is None else f"mismatch at {vectors[bad]}"
         report.add(f"axiom[{x},{y}]", inputs, "exact equality", got, bad is None)
     return report
 
@@ -149,7 +136,7 @@ def check_seed(seed: FiniteSeed, letters=()) -> None:
     labels = seed.labels()
     vectors = [module.basis_vector(ZERO_VECTOR, lbl) for lbl in labels]
     gens = [g for g in TWISTED.generators(top2) if reaches(g)]
-    for x, y, bad, _ in module_axiom_rows(module, gens, vectors):
+    for x, y, bad in module_axiom_rows(module, gens, vectors):
         if bad is not None:
             raise ValidationError(
                 f"the {seed.family} seed is not a module: [{x},{y}] breaks "
@@ -199,11 +186,11 @@ def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
 
 
 class InducedSpec(BModuleSpec):
-    """A seed realised as an induced module over a small letter system, cut
-    to the box ``bounds`` = (doubled weight, length) of its normal words;
-    the outer engine sees the words in the box as opaque labels.  The inner
-    module acts exactly; `act` raises TruncationError when an image names
-    a label outside the box."""
+    """A seed realised as an induced module over a small letter system; the
+    outer engine sees its (word, seed label) pairs as opaque labels.  The
+    inner module acts exactly on every word.  The box ``bounds`` = (doubled
+    weight, length) of the normal words only lists `labels`, the finite
+    set that the checks over the seed range over."""
 
     def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
         super().__init__(inner.seed.c)
@@ -211,18 +198,17 @@ class InducedSpec(BModuleSpec):
         self.inner = inner
         words = inner.letters.enumerate_words(*bounds)
         self._labels = tuple((ev, slabel) for slabel in inner.seed.labels() for ev in words)
-        self._label_set = set(self._labels)
 
     def labels(self):
         return self._labels
 
+    def label_key(self, label):
+        ev, slabel = label
+        return (self.inner.label_rank(slabel), self.inner.letters.word_key(ev))
+
     def act(self, gen, label):
         ev, slabel = label
-        image = self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
-        if not self._label_set.issuperset(image):
-            raise TruncationError(
-                f"{gen} takes {self.label_text(label)} outside the truncation")
-        return image
+        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
 
     def label_text(self, label):
         ev, slabel = label
@@ -240,10 +226,7 @@ class InducedSpec(BModuleSpec):
                 raise ParseError(f"label {text!r}: {exc}") from None
         else:
             ev, stext = ZERO_VECTOR, text
-        label = (ev, self.inner.seed.parse_label(stext))
-        if label not in self._label_set:
-            raise ParseError(f"label {text!r} lies outside the truncation")
-        return label
+        return (ev, self.inner.seed.parse_label(stext))
 
     def slice_labels(self, seed_label) -> list:
         """All labels over one seed vector (the U(b)-saturated slice)."""
@@ -296,7 +279,8 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
 
 def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
     """Extend a positive-part seed to the degree-0 part by a free G[0]
-    letter (with L[0] -> G[0]^2 + c/24), truncated at G[0]^max_k."""
+    letter (with L[0] -> G[0]^2 + c/24); its labels are listed up to
+    G[0]^max_k."""
     if max_k < 0:
         raise ValidationError("the G[0]-power bound must be nonnegative")
     letters = FiniteLetters(
@@ -325,21 +309,16 @@ def verma_untwisted(c, depth2: int) -> InducedModule:
 
 
 def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:
-    """(T_u injective on the truncated basis, G_u kills every basis vector)."""
+    """(T_u injective on the listed labels, G_u kills every listed label).
+    The images are exact: they may name labels outside the list."""
     from .linalg import kernel_basis
 
     if u2 < 1 or u2 % 2 == 0:
         raise ValueError("u must be a positive half-odd integer")
-    labels = list(spec.labels())
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    images = []
-    killed = True
-    for lbl in labels:
-        img = spec.act(T(u2), lbl)
-        images.append({index[l]: s for l, s in img.items()})
-        if spec.act(G(u2), lbl):
-            killed = False
-    kernel = kernel_basis(images, len(labels), coord_key=lambda i: i)
+    labels = spec.labels()
+    images = [spec.act(T(u2), lbl) for lbl in labels]
+    killed = not any(spec.act(G(u2), lbl) for lbl in labels)
+    kernel = kernel_basis(images, len(labels), coord_key=spec.label_key)
     return (not kernel, killed)
 
 

@@ -11,7 +11,6 @@ import random
 
 from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
 from .engine import InducedModule, ModuleVector, supp_deg
-from .errors import TruncationError
 from .linalg import SpanChecker, kernel_basis
 from .modules import check_conditions, t_upper
 from .orders import (
@@ -188,14 +187,7 @@ def annihilator_Mt(
         stacked: dict = {}
         base = module.basis_vector(ev, lbl)
         for op_index, x in enumerate(ops):
-            try:
-                img = module.act(x, base)
-            except TruncationError as exc:
-                raise TruncationError(
-                    f"annihilator inconclusive at bound "
-                    f"({format_half(max_weight2)},{max_length}): {exc}"
-                ) from exc
-            for key, s in img.terms.items():
+            for key, s in module.act(x, base).terms.items():
                 stacked[(op_index, key)] = s
         images.append(stacked)
 
@@ -216,15 +208,11 @@ class ClosureReport:
         self.closed = True
         self.witness: tuple | None = None
         self.checked = 0
-        self.boundary_skips = 0
         self.projected = 0
 
     def __str__(self) -> str:
         verdict = "closed" if self.closed else f"not closed (witness {self.witness[0]})"
-        return (
-            f"closure: {verdict}; {self.checked} cases, "
-            f"{self.boundary_skips} boundary skips, {self.projected} projected"
-        )
+        return f"closure: {verdict}; {self.checked} cases, {self.projected} projected"
 
 
 def closure_check(
@@ -238,8 +226,7 @@ def closure_check(
 
     Components outside ``universe`` (the coordinate set of the subspace,
     by default) are projected away and counted: the verdict is about the
-    truncated window only.  Actions that raise TruncationError inside a
-    truncated seed are recorded as boundary skips.
+    truncated window only.
     """
     report = ClosureReport()
     if universe is None:
@@ -258,11 +245,7 @@ def closure_check(
     for x in gens:
         for v in subspace:
             report.checked += 1
-            try:
-                image = module.act(x, v)
-            except TruncationError:
-                report.boundary_skips += 1
-                continue
+            image = module.act(x, v)
             inside = {k: s for k, s in image.terms.items() if k in universe}
             if len(inside) != len(image.terms):
                 report.projected += 1

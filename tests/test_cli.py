@@ -276,30 +276,31 @@ class TestActReduce:
         assert self.fresh_act_digest("whittaker.cfg", "{4:500}") == (
             "9703494168e438832eea83e2589b6d5ae14f604595c2782e70c138bc9c0cb146")
 
-    def test_deep_act_in_a_truncated_module_fills_the_memo(self):
-        # the b_t0 seed truncates, so G[0] passes 200 letters one at a time,
-        # after the memo is filled bottom-up
+    def test_deep_act_over_an_induced_seed(self):
+        # the b_t0 seed is an induced seed, which acts exactly, so G[0] passes
+        # 200 letters by the power rule too; the digest is that of the
+        # one-step recursion, which filled the memo for every lower power first
         assert self.fresh_act_digest("b_t0.cfg", "{4:200}") == (
             "cf81486ed0bf3adf83bcc42f3eb64c77727f28574dac7520f47cc53b446fde1d")
 
     def test_truncation_exit_code(self, generalized_cfg, capsys):
-        # pushing the seed's polynomial layer past its bound is inconclusive
-        code, _ = run(
+        # pushing the seed's polynomial layer past the box of its listed
+        # labels gives the exact image
+        code, out = run(
             ["act", "T[1/2]", "--spec", generalized_cfg,
              "--label", "T[1/2]^3.v0"],
             capsys,
         )
-        assert code == INCONCLUSIVE
+        assert (code, out) == (PASS, "w{}⊗T[1/2]^4.v0\n")
 
     def test_truncation_names_the_seed_act(self, capsys):
-        # the exact image of the seed act leaves the seed's box; the one
-        # stderr line names that act, which `act --label` replays
+        # the image of the seed act has length 4, past the box (2, 3) of the
+        # seed's listed labels; the seed acts exactly and names it
         code = main(["act", "G[1/2]", "--spec", os.path.join(GOLDEN, "generalized.cfg"),
                      "--label", "T[1/2]^3.v0"])
         captured = capsys.readouterr()
-        assert code == INCONCLUSIVE and captured.out == ""
-        assert captured.err == ("inconclusive at truncation: G[1/2] takes "
-                                "T[1/2]^3.v0 outside the truncation\n")
+        assert code == PASS and captured.err == ""
+        assert captured.out == "w{}⊗G[1/2]*T[1/2]^3.v0\n"
 
 
 # the seeds of highorder.cfg and table.cfg are not modules: the first
@@ -378,7 +379,7 @@ LABEL_TEXTS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(text=LABEL_TEXTS)
 def test_label_text_is_a_label_or_an_input_error(family, text, tmp_path_factory):
-    # the central element acts by the charge, so no label leaves a truncation
+    # the central element acts by the charge, so every parsed label acts
     path = tmp_path_factory.getbasetemp() / f"{family}.cfg"
     path.write_text(FAMILY_CONFIGS[family])
     out, err = io.StringIO(), io.StringIO()

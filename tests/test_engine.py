@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
-from n2sca.engine import BModuleSpec, FiniteSeed, InducedModule, TwistedTemplate, supp_deg
-from n2sca.errors import TruncationError
+from n2sca.engine import FiniteSeed, InducedModule, TwistedTemplate, supp_deg
 from n2sca.modules import b_plus_t0_induce, module_axiom_check, whittaker_spec
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
@@ -258,19 +257,16 @@ def test_memo_values_never_leak(whittaker_module):
         assert call() == expected
 
 
-class OneStepSeed(BModuleSpec):
-    """A FiniteSeed behind another class: its induced module passes a power
-    of one letter one letter at a time, the reference for the power rule."""
+class OneStepModule(InducedModule):
+    """The reference for the power rule: a generator passes a power of one
+    letter one letter at a time, after the memo is filled for the lower
+    powers bottom-up, so that the recursion depth stays bounded."""
 
-    def __init__(self, seed: FiniteSeed):
-        super().__init__(seed.c)
-        self._seed = seed
-
-    def labels(self):
-        return self._seed.labels()
-
-    def act(self, gen, label):
-        return self._seed.act(gen, label)
+    def _act_past_power(self, gen, ev, label, a, top, e):
+        for k in range(1, e):
+            self._act_basis(gen, ev.bump(top, k - e), label)
+        # the next lower power is now in the memo: the one-step path runs
+        return self._act_basis_raw(gen, ev, label)
 
 
 # lambda = 1 + i and c = sqrt2.  The slots hold T[-1/2] (even), G[0] (its
@@ -280,8 +276,12 @@ POWER_SLOTS = (1, 2, 4, 6)
 
 
 def test_one_step_reference_differs_from_the_power_path():
-    assert POWER_SEED.induced()._powers
-    assert not InducedModule(TwistedTemplate(POWER_SEED.c), OneStepSeed(POWER_SEED))._powers
+    fast = POWER_SEED.induced()
+    slow = OneStepModule(TwistedTemplate(POWER_SEED.c), POWER_SEED)
+    word = ev((4, 40))
+    got = fast.act(G(0), fast.basis_vector(word)).terms
+    assert got == slow.act(G(0), slow.basis_vector(word)).terms
+    assert (len(fast._memo), len(slow._memo)) == (2, 1719)
 
 
 @settings(max_examples=80, deadline=None)
@@ -292,15 +292,25 @@ def test_one_step_reference_differs_from_the_power_path():
 def test_power_rule_matches_the_one_step_recursion(gen, slot, e, lower):
     entries = [(slot, e)] + ([(lower, 1)] if 0 < lower < slot else [])
     fast = POWER_SEED.induced()
-    slow = InducedModule(TwistedTemplate(POWER_SEED.c), OneStepSeed(POWER_SEED))
+    slow = OneStepModule(TwistedTemplate(POWER_SEED.c), POWER_SEED)
     word = ExponentVector(entries)
     got = fast.act(gen, fast.basis_vector(word)).terms
     assert got == slow.act(gen, slow.basis_vector(word)).terms
 
 
-@pytest.mark.parametrize("e", [80, 400])
-def test_deep_act_memo_is_linear_in_the_exponent(e):
-    module = whittaker_spec(1, 0).induced()
+# the induced seed of tests/golden/b_t0.cfg: 2 memo entries at e = 80,
+# where the one-step rule and its warm-up fill kept 6,639
+B_T0 = b_plus_t0_induce(whittaker_spec(1, 0), 3)
+
+
+@pytest.mark.parametrize("e, spec", [
+    pytest.param(80, whittaker_spec(1, 0), id="80"),
+    pytest.param(400, whittaker_spec(1, 0), id="400"),
+    pytest.param(80, B_T0, id="b_t0-80"),
+    pytest.param(400, B_T0, id="b_t0-400"),
+])
+def test_deep_act_memo_is_linear_in_the_exponent(e, spec):
+    module = spec.induced()
     image = module.act(G(0), module.basis_vector(ev((4, e))))
     assert len(image.terms) == e // 2 + 1
     assert len(module._memo) <= 2 * e

@@ -32,9 +32,11 @@ _CENTRAL_KINDS = frozenset({"C", "Cu"})
 
 
 class GeneratorId:
-    """Interned (kind, doubled index) pair."""
+    """Interned (kind, doubled index) pair: each pair has exactly one object,
+    kept for the life of the process, so equality and hashing are those of
+    identity."""
 
-    __slots__ = ("kind", "index2", "_hash")
+    __slots__ = ("kind", "index2")
     _cache: dict[tuple[str, int], "GeneratorId"] = {}
 
     def __new__(cls, kind: str, index2: int):
@@ -53,7 +55,6 @@ class GeneratorId:
         gen = object.__new__(cls)
         gen.kind = kind
         gen.index2 = index2
-        gen._hash = hash(key)
         cls._cache[key] = gen
         return gen
 
@@ -75,16 +76,6 @@ class GeneratorId:
 
     def sort_key(self) -> tuple[int, int]:
         return (KIND_RANK[self.kind], self.index2)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, GeneratorId)
-            and self.kind == other.kind
-            and self.index2 == other.index2
-        )
 
     def __str__(self) -> str:
         if self.is_central:
@@ -578,94 +569,3 @@ class SuiteReport:
         lines = ["case\tinputs\texpected\tgot\tstatus"]
         lines += ["\t".join(r) for r in self.rows]
         return "\n".join(lines) + "\n"
-
-
-class CheckReport:
-    """Outcome of an exhaustive window check."""
-
-    def __init__(self, name: str, window2: int):
-        self.name = name
-        self.window2 = window2
-        self.checked = 0
-        self.violations: list[tuple] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        head = f"{self.name}: window |2*index| <= {self.window2}, {self.checked} cases"
-        if self.ok:
-            return head + ", all pass"
-        first = ", ".join(str(g) for g in self.violations[0])
-        return head + f", {len(self.violations)} violations; first at ({first})"
-
-
-def jacobi_check(
-    presentation: AlgebraPresentation, window2: int, max_violations: int = 16
-) -> CheckReport:
-    """Exhaustive graded Jacobi identity over all generator triples with
-    |index2| <= window2.
-
-    The Jacobiator of (x, y, z) is the sum of the terms
-    (-1)^{|a||c|}[a,[b,c]] over the rotations (a, b, c) of (x, y, z), so the
-    three rotations of a triple sum the same exact terms (notes/decisions.md).
-    Each rotation orbit is evaluated once, at the rotation that comes first
-    in ``gens`` order.  ``checked`` counts all N^3 ordered triples, central
-    ones included.  The violations are the rotations of the failing orbits
-    in sorted order, cut at ``max_violations`` with ``checked`` counting up
-    to the last one kept: the violations, their order and the cut-off of
-    the plain triple loop.
-    """
-    report = CheckReport(f"jacobi[{presentation.name}]", window2)
-    gens = presentation.generators(window2)
-    n = len(gens)
-    pair_items: dict[tuple[GeneratorId, GeneratorId], list] = {}
-
-    def items(a: GeneratorId, b: GeneratorId):
-        key = (a, b)
-        hit = pair_items.get(key)
-        if hit is None:
-            hit = list(presentation.bracket(a, b).items())
-            pair_items[key] = hit
-        return hit
-
-    live = [i for i, g in enumerate(gens) if not g.is_central]
-    bad: list[tuple[int, int, int]] = []
-    # (i, j, k) leads its orbit when i <= j and i <= k, except (i, j, i) with
-    # i < j, whose rotation (i, i, j) comes first.
-    for p, i in enumerate(live):
-        x = gens[i]
-        px = x.parity
-        for j in live[p:]:
-            y = gens[j]
-            py = y.parity
-            for k in live[p + 1 if j > i else p:]:
-                z = gens[k]
-                pz = z.parity
-                acc: dict[GeneratorId, Scalar] = {}
-                # (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]]
-                #                        + (-1)^{|z||y|}[z,[x,y]] = 0
-                for a, b, c, flip in (
-                    (x, y, z, px and pz), (y, z, x, py and px), (z, x, y, pz and py)
-                ):
-                    for g1, s1 in items(b, c):
-                        if flip:
-                            s1 = -s1
-                        for g2, s2 in items(a, g1):
-                            prod = s1 * s2
-                            t = acc.get(g2)
-                            acc[g2] = prod if t is None else t + prod
-                if any(acc.values()):
-                    bad.append((i, j, k))
-    # every ordered triple of a failing orbit fails, and the plain triple
-    # loop meets them in sorted order
-    failing = sorted({r for i, j, k in bad for r in ((i, j, k), (j, k, i), (k, i, j))})
-    if len(failing) < max_violations:
-        report.checked = n * n * n
-    else:
-        failing = failing[:max_violations]
-        i, j, k = failing[-1]
-        report.checked = (i * n + j) * n + k + 1
-    report.violations = [(gens[i], gens[j], gens[k]) for i, j, k in failing]
-    return report

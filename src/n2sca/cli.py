@@ -64,7 +64,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    from .algebra import jacobi_check
+    from .suites import jacobi_check
 
     pres = PRESENTATIONS[args.algebra]
     report = jacobi_check(pres, args.window)

@@ -17,19 +17,23 @@ from .scalars import ONE, add_scaled
 
 
 class SpanChecker:
-    """Incremental row reduction with span membership tests."""
+    """Incremental row reduction with span membership tests.
+
+    Each row is zero at every other row's pivot (`add` reduces a new row by
+    the old ones, then clears its pivot from them), so `reduce` needs only
+    the rows whose pivot is a key of the vector, applied in pivot order.
+    """
 
     def __init__(self, coord_key):
         self.coord_key = coord_key
-        self.rows: list[tuple[object, dict]] = []  # (pivot coordinate, row)
+        self.rows: dict = {}  # pivot coordinate -> (coord_key(pivot), row)
 
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the current span."""
+        rows = self.rows
         vec = add_scaled({}, vec)
-        for pivot, row in self.rows:
-            coef = vec.get(pivot)
-            if coef:
-                add_scaled(vec, row, -coef)
+        for pivot in sorted((k for k in vec if k in rows), key=lambda k: rows[k][0]):
+            add_scaled(vec, rows[pivot][1], -vec[pivot])
         return vec
 
     def add(self, vec: dict) -> dict:
@@ -40,12 +44,11 @@ class SpanChecker:
         pivot = min(residue, key=self.coord_key)
         inv = residue[pivot].inverse()
         row = {k: inv * v for k, v in residue.items()}
-        for _, old in self.rows:
+        for _, old in self.rows.values():
             coef = old.get(pivot)
             if coef:
                 add_scaled(old, row, -coef)
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda pr: self.coord_key(pr[0]))
+        self.rows[pivot] = (self.coord_key(pivot), row)
         return residue
 
     def contains(self, vec: dict) -> bool:

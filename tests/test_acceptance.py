@@ -25,7 +25,6 @@ from n2sca.algebra import (
     TWISTED,
     UNTWISTED_12,
     UNTWISTED_PM,
-    jacobi_check,
     parse_combo,
     parse_generator,
 )
@@ -38,7 +37,7 @@ from n2sca.modules import (
 )
 from n2sca.orders import ZERO_VECTOR, enumerate_vectors, parse_exponent_vector
 from n2sca.scalars import Scalar, ZERO
-from n2sca.suites import psi, substitute_basis, verify_automorphism
+from n2sca.suites import jacobi_check, psi, substitute_basis, verify_automorphism
 from n2sca.theorems import (
     annihilator_Mt,
     closure_check,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from n2sca.algebra import (
     AlgebraPresentation,
     C,
-    CheckReport,
     G,
     G1,
     G2,
@@ -24,11 +23,13 @@ from n2sca.algebra import (
     UNTWISTED_12,
     UNTWISTED_PM,
     gen,
-    jacobi_check,
     parse_combo,
+    parse_generator,
 )
 from n2sca.scalars import I, ONE, Scalar, add_scaled, parse_scalar
-from n2sca.suites import psi, substitute_basis, verify_automorphism
+from n2sca.suites import (
+    CheckReport, jacobi_check, psi, substitute_basis, verify_automorphism,
+)
 
 HERE = os.path.dirname(__file__)
 
@@ -189,6 +190,57 @@ def test_corrupted_jacobi_matches_reference_loop(window2, max_violations):
     bad = _CorruptedVirasoro("corrupted", ("L", "T", "G", "C"))
     assert not _same_jacobi_report(bad, window2, max_violations).ok
 
+
+
+class _SwappedSignVirasoro(AlgebraPresentation):
+    """[L_2, L_1] given the sign of [L_1, L_2]: even-even antisymmetry broken
+    on one pair."""
+
+    def _pair(self, x, y):
+        if (x, y) == (L(2), L(1)):
+            return TWISTED._pair(y, x)
+        return TWISTED._pair(x, y)
+
+
+class _ScaledFermionPair(AlgebraPresentation):
+    """[G_{1/2}, G_{-1/2}] scaled by 3 and [G_{-1/2}, G_{1/2}] kept: odd-odd
+    antisymmetry broken on one pair."""
+
+    def _pair(self, x, y):
+        out = TWISTED._pair(x, y)
+        if (x, y) == (G(1), G(-1)):
+            return out.scaled(Scalar(3))
+        return out
+
+
+@pytest.mark.parametrize("table, x, y", [
+    (_SwappedSignVirasoro, L(1), L(2)), (_ScaledFermionPair, G(1), G(-1))])
+@pytest.mark.parametrize("window2", [4, 6])
+@pytest.mark.parametrize("max_violations", [1, 16, 10**6])
+def test_non_antisymmetric_jacobi_matches_reference_loop(table, x, y, window2,
+                                                         max_violations):
+    # one Jacobiator decides an S3 orbit only where the inner pairs are graded
+    # antisymmetric; around the broken pair both rotation orbits are evaluated
+    bad = table("broken", ("L", "T", "G", "C"))
+    sign = -ONE if x.parity and y.parity else ONE
+    assert bad.bracket(y, x) != bad.bracket(x, y).scaled(-sign)
+    assert not _same_jacobi_report(bad, window2, max_violations).ok
+
+
+def test_equal_generators_are_one_object():
+    # identity hashing and equality hold only while every constructor returns
+    # the interned object
+    for pres in PRESENTATIONS.values():
+        for g in pres.generators(6):
+            assert GeneratorId(g.kind, g.index2) is g
+            assert parse_generator(str(g)) is g
+            assert gen(f" {g} ") is g
+    assert L(2) is GeneratorId("L", 4) is parse_generator("L[2]")
+    assert T(-3) is GeneratorId("T", -3) is parse_generator("T[-3/2]")
+    assert G(0) is GeneratorId("G", 0) is parse_generator("G[0]")
+    assert C is GeneratorId("C", 0) is parse_generator("C")
+    assert {L(1): 1}.get(parse_generator("L[1]")) == 1
+    assert L(1) != L(-1) and L(1) != GeneratorId("Lu", 2)
 
 class TestPsi:
     def test_j_flips_sign(self):

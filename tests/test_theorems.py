@@ -497,6 +497,37 @@ def _random_sparse_map(rng, n, m, shared, planted):
     return images
 
 
+class _SortedRowsSpanChecker:
+    """The former SpanChecker: every reduce walks all rows, kept sorted by
+    pivot under coord_key."""
+
+    def __init__(self, coord_key):
+        self.coord_key = coord_key
+        self.rows = []
+
+    def reduce(self, vec):
+        vec = add_scaled({}, vec)
+        for pivot, row in self.rows:
+            coef = vec.get(pivot)
+            if coef:
+                add_scaled(vec, row, -coef)
+        return vec
+
+    def add(self, vec):
+        residue = self.reduce(vec)
+        if not residue:
+            return residue
+        pivot = min(residue, key=self.coord_key)
+        inv = residue[pivot].inverse()
+        row = {k: inv * v for k, v in residue.items()}
+        for _, old in self.rows:
+            coef = old.get(pivot)
+            if coef:
+                add_scaled(old, row, -coef)
+        self.rows.append((pivot, row))
+        self.rows.sort(key=lambda pr: self.coord_key(pr[0]))
+        return residue
+
 class TestLinalg:
     def test_kernel_does_not_depend_on_pivot_rule(self):
         rng = random.Random(11)
@@ -546,6 +577,32 @@ class TestLinalg:
                     for k, v in images[j].items():
                         total[k] = total.get(k, ZERO) + s * v
                 assert all(not v for v in total.values())
+
+    def test_span_checker_matches_sorted_rows_reference(self):
+        # residues, their dict order and the rows agree with the reference
+        # that reduces by every row, on sparse inputs over Q(i, sqrt2) with
+        # planted dependencies and a pivot order unlike insertion order
+        rng = random.Random(23)
+        for _ in range(6):
+            n = rng.randint(12, 20)
+            planted = set(rng.sample(range(2, n), 5))
+            images = _random_sparse_map(rng, n, 2 * n, 4, planted)
+            images.append({k: ZERO for k in images[0]})
+            rng.shuffle(images)
+            key = (lambda c: (c % 5, -c)) if rng.random() < 0.5 else (lambda c: c)
+            span, ref = SpanChecker(coord_key=key), _SortedRowsSpanChecker(key)
+            for img in images:
+                probe = dict(rng.choice(images))
+                probe[rng.randrange(2 * n)] = Scalar(rng.randint(-2, 2), 0, 1)
+                for vec in (probe, img):
+                    got, want = span.reduce(vec), ref.reduce(vec)
+                    assert list(got.items()) == list(want.items())
+                got, want = span.add(img), ref.add(img)
+                assert list(got.items()) == list(want.items())
+                assert span.contains(img)
+            assert [(p, list(row.items())) for p, (_, row) in
+                    sorted(span.rows.items(), key=lambda pr: key(pr[0]))] == [
+                        (p, list(row.items())) for p, row in ref.rows]
 
     def test_span_checker_membership(self):
         span = SpanChecker(coord_key=lambda c: c)

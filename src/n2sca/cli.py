@@ -2,7 +2,7 @@
 config files, verification suites and report emission.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse/config error,
-3 a result was inconclusive at its truncation.
+3 inconclusive: a spent step budget, the recursion limit, or memory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .algebra import (
     parse_generator,
     parse_half,
 )
-from .errors import ParseError, TruncationError, ValidationError
+from .errors import ParseError, ValidationError
 from .scalars import ONE
 
 # The engine, module, order, linalg, theorem and suite layers are imported
@@ -338,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
-    except TruncationError as exc:
-        sys.stderr.write(f"inconclusive at truncation: {exc}\n")
-        return INCONCLUSIVE
     # report after the handler, which frees the frames that filled the heap or stack
     except MemoryError:
         reason = "out of memory"

@@ -10,9 +10,8 @@ generator acts on a basis term ``word (x) label`` by the recursion
 until it either merges into the word (letters), is rewritten into
 letters (e.g. ``L[-m] -> (-1)^m G[-m/2]^2``), or reaches the seed,
 whose oracle supplies the module action of the remaining generator.
-Every act is exact: no word is cut, and no seed truncates.  The one
-truncation is a letter family that registers only some of its members
-(`FiniteLetters` with a ``domain``).
+Every act is exact: no word is cut, no seed truncates, and no letter
+family is cut short.
 
 A generator that meets a power ``a^e`` (e >= 3) of the top letter passes
 it in one step, by the power rule of `InducedModule._act_past_power`: with
@@ -26,8 +25,9 @@ The twisted negative template is the main instance: letters are
 ``T[-r]`` and ``G[-p]`` with slot 2n-1 for ``T[-(2n-1)/2]`` and slot 2n
 for ``G[-(n-1)/2]``, `L`-generators of nonpositive degree are eliminated
 through ``G``-squares (with ``L[0] -> G[0]^2 + c/24``), and the central
-element acts by the charge ``c``.  Finite letter systems reuse the same
-recursion for the small subalgebra inductions of the module zoo.
+element acts by the charge ``c``.  The untwisted template, behind the
+Verma module, has every negative generator as a letter.  Finite letter
+systems reuse the same recursion for the inductions of the module zoo.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from .algebra import (
     T,
     TWISTED,
     TermMap,
+    UNTWISTED_PM,
     parse_generator,
     parse_terms,
 )
-from .errors import ParseError, TruncationError
+from .errors import ParseError
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -56,6 +57,13 @@ from .orders import (
 from .scalars import HALF, ONE, Scalar, ZERO, add_scaled
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
+
+
+def word_text(ev: ExponentVector, letter) -> str:
+    """A normal word as its letters leftmost first, ``letter(slot)`` naming
+    each, ``g^e`` for a power and ``1`` for the empty word."""
+    return "*".join(f"{letter(s)}^{e}" if e > 1 else str(letter(s))
+                    for s, e in sorted(ev.entries, reverse=True)) or "1"
 
 
 class TwistedTemplate:
@@ -98,20 +106,48 @@ class TwistedTemplate:
         return "w" + str(ev)
 
 
+class UntwistedTemplate:
+    """The negative-monomial template of the untwisted algebra (+/- basis):
+    every generator of doubled degree -k < 0 is a letter, ``Lu[-k/2]`` or
+    ``G+[-k/2]`` in slot 2k and ``J[-k/2]`` or ``G-[-k/2]`` in slot 2k-1.
+    Nothing is rewritten, and an odd letter folds: [G+, G+] = [G-, G-] = 0.
+    """
+
+    presentation = UNTWISTED_PM
+
+    def slot_of(self, gen):
+        k = -gen.index2
+        if k > 0:
+            return 2 * k if gen.kind in ("Lu", "G+") else 2 * k - 1
+        return None
+
+    def letter(self, slot):
+        k = (slot + 1) // 2
+        kinds = ("Lu", "J") if k % 2 == 0 else ("G+", "G-")
+        return GeneratorId(kinds[slot % 2], -k)
+
+    def keep_power(self, gen):
+        return gen.parity == 0
+
+    def rewrite(self, gen):
+        return None
+
+    def word_text(self, ev):
+        return word_text(ev, self.letter)
+
+
 class FiniteLetters:
     """Finitely many registered letters, leftmost first.
 
-    ``domain`` tells which further generators belong to the letter family
-    (by default none): such a member is not registered, and `slot_of`
-    refuses it as outside the truncation.
+    An odd letter g keeps its square exactly when (1/2)[g, g] names a
+    rewritten generator, which would rewrite back into g^2 (``G[0]`` with
+    ``L[0] -> G[0]^2 + c/24``); otherwise g.g folds to (1/2)[g, g].
     """
 
     def __init__(
         self,
         presentation: AlgebraPresentation,
         letters_desc: list[GeneratorId],
-        domain=None,
-        keep_squares: bool = False,
         rewrites: dict[GeneratorId, Rewrite] | None = None,
     ):
         self.presentation = presentation
@@ -119,24 +155,19 @@ class FiniteLetters:
         n = len(self.letters_desc)
         self._slot = {g: n - i for i, g in enumerate(self.letters_desc)}
         self._by_slot = {n - i: g for i, g in enumerate(self.letters_desc)}
-        self._domain = domain
-        self._keep_squares = keep_squares
         self._rewrites = rewrites or {}
+        self._keep = {g for g in self.letters_desc if g.parity == 0 or any(
+            z in self._rewrites for z in presentation.bracket(g, g).terms)}
         self._w2 = {s: abs(g.degree2) for s, g in self._by_slot.items()}
 
     def slot_of(self, gen):
-        slot = self._slot.get(gen)
-        if slot is not None:
-            return slot
-        if self._domain and self._domain(gen):
-            raise TruncationError(f"{gen} lies outside the truncated letter range")
-        return None
+        return self._slot.get(gen)
 
     def letter(self, slot):
         return self._by_slot[slot]
 
     def keep_power(self, gen):
-        return self._keep_squares or gen.parity == 0
+        return gen in self._keep
 
     def rewrite(self, gen):
         return self._rewrites.get(gen)
@@ -154,13 +185,7 @@ class FiniteLetters:
         return sorted(walk_vectors(slots, max_w2, max_len), key=self.word_key)
 
     def word_text(self, ev):
-        if ev.is_zero:
-            return "1"
-        parts = []
-        for slot, exp in sorted(ev.entries, reverse=True):
-            g = self._by_slot[slot]
-            parts.append(str(g) if exp == 1 else f"{g}^{exp}")
-        return "*".join(parts)
+        return word_text(ev, self._by_slot.__getitem__)
 
     def parse_word(self, text: str) -> ExponentVector:
         """Inverse of `word_text`: a normal word of one or more letters, each
@@ -168,7 +193,7 @@ class FiniteLetters:
         items: list[tuple[int, int]] = []
         for chunk in text.split("*"):
             gtext, hat, etext = chunk.strip().partition("^")
-            if hat and not etext.strip().isdecimal():
+            if hat and not (etext.strip().isdecimal() and int(etext)):
                 raise ParseError(f"exponent {etext!r} of {gtext} is not a natural number")
             gen = parse_generator(gtext)
             slot = self.slot_of(gen)
@@ -200,11 +225,8 @@ class ModuleVector(TermMap):
 
     def _pairs(self):
         m = self.space
-        items = sorted(
-            self.terms.items(),
-            key=lambda kv: (principal_sort_key(kv[0][0]), m.label_rank(kv[0][1])),
-            reverse=True,
-        )
+        items = sorted(self.terms.items(), key=lambda kv: m.term_key(kv[0]),
+                       reverse=True)
         return [(f"{m.letters.word_text(ev)}⊗{m.seed.label_text(lbl)}", s)
                 for (ev, lbl), s in items]
 
@@ -222,9 +244,9 @@ class ModuleVector(TermMap):
 class InducedModule:
     """An induced module realised over a letter system and a seed.
 
-    A letter system (`TwistedTemplate` or `FiniteLetters`) has a
-    ``presentation``, ``slot_of(gen)`` (None for a mover; it raises for a
-    letter outside the registered range), ``letter(slot)``,
+    A letter system (`TwistedTemplate`, `UntwistedTemplate` or
+    `FiniteLetters`) has a ``presentation``, ``slot_of(gen)`` (None for a
+    mover), ``letter(slot)``,
     ``keep_power(gen)`` (False folds an odd g.g -> (1/2)[g, g]),
     ``rewrite(gen)`` (a Rewrite or None) and ``word_text(ev)``.
     """
@@ -236,6 +258,11 @@ class InducedModule:
         self.presentation = letters.presentation
         self._memo: dict = {}
         self.label_rank = seed.label_key
+
+    def term_key(self, key) -> tuple:
+        """The order of basis terms (word, label): principal, then by label."""
+        ev, label = key
+        return (principal_sort_key(ev), self.label_rank(label))
 
     # -- construction -------------------------------------------------
 

@@ -18,7 +18,6 @@ from .algebra import (
     SuiteReport,
     T,
     TWISTED,
-    UNTWISTED_PM,
     format_half,
     parse_half,
     parse_terms,
@@ -30,6 +29,7 @@ from .engine import (
     InducedModule,
     ModuleVector,
     TwistedTemplate,
+    UntwistedTemplate,
 )
 from .errors import ParseError, ValidationError
 from .orders import ZERO_VECTOR
@@ -284,28 +284,19 @@ def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
     if max_k < 0:
         raise ValidationError("the G[0]-power bound must be nonnegative")
     letters = FiniteLetters(
-        TWISTED, [G(0)],
-        keep_squares=True,
-        rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))},
+        TWISTED, [G(0)], rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))}
     )
     return InducedSpec("b_t0", InducedModule(letters, spec), (0, max_k))
 
 
-def verma_untwisted(c, depth2: int) -> InducedModule:
-    """Truncated Verma module over the untwisted algebra: negative-degree
-    letters act freely on a vacuum killed by the nonnegative part."""
-    if depth2 < 0:
-        raise ValidationError("depth must be nonnegative")
-    c = as_scalar(c)
-    letters = [g for g in UNTWISTED_PM.generators(depth2) if g.degree2 < 0]
-    letters.sort(key=lambda g: (g.index2, KIND_RANK[g.kind]))
-    system = FiniteLetters(
-        UNTWISTED_PM, letters,
-        domain=lambda g: not g.is_central and g.degree2 < 0,
-    )
+def verma_untwisted(c) -> InducedModule:
+    """Verma module over the untwisted algebra: every negative-degree
+    generator is a letter, acting freely on a vacuum killed by the
+    nonnegative part."""
     seed = FiniteSeed("vacuum", ("1",), {},
-                      lambda g: g.degree2 >= 0 and not g.is_central, c, {"1": 0})
-    return InducedModule(system, seed)
+                      lambda g: g.degree2 >= 0 and not g.is_central, as_scalar(c),
+                      {"1": 0})
+    return InducedModule(UntwistedTemplate(), seed)
 
 
 def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:

@@ -475,15 +475,15 @@ def suite_psi(window2: int = 10) -> SuiteReport:
 
 
 def suite_verma_singular() -> SuiteReport:
-    """Both weight-1/2 vectors are singular in the truncated Verma module
-    for c in {0, 1, -2}."""
+    """Both weight-1/2 vectors are singular in the Verma module for c in
+    {0, 1, -2}."""
     from .modules import verma_untwisted
     from .orders import ZERO_VECTOR
 
     report = SuiteReport("verma-singular")
     killers = [Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3)]
     for c in (0, 1, -2):
-        module = verma_untwisted(c, 3)
+        module = verma_untwisted(c)
         vac = module.basis_vector(ZERO_VECTOR)
         for gen in (Gp(-1), Gm(-1)):
             v = module.act(gen, vac)

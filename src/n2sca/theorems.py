@@ -19,7 +19,6 @@ from .orders import (
     count_vectors,
     enumerate_vectors,
     principal_compare,
-    principal_sort_key,
 )
 from .scalars import ONE, Scalar, ZERO, add_scaled
 
@@ -170,9 +169,9 @@ def annihilator_Mt(
 
     The domain is the truncated slice; images are computed exactly (no
     codomain truncation).  Returns (basis vectors, operators used).
-    Raises ValueError unless t is half-odd.
+    Raises ValueError unless t is positive and half-odd.
     """
-    if t2 % 2 == 0:
+    if t2 < 1 or t2 % 2 == 0:
         raise ValueError(f"t must be half-odd (1/2, 3/2, ...), got {format_half(t2)}")
     spec = module.seed
     labels = list(spec.labels())
@@ -191,11 +190,8 @@ def annihilator_Mt(
                 stacked[(op_index, key)] = s
         images.append(stacked)
 
-    def coord_key(coord):
-        op_index, (ev_, lbl_) = coord
-        return (op_index, principal_sort_key(ev_), module.label_rank(lbl_))
-
-    kernel = kernel_basis(images, len(domain), coord_key=coord_key)
+    kernel = kernel_basis(images, len(domain),
+                          coord_key=lambda c: (c[0], module.term_key(c[1])))
     basis = []
     for vec in kernel:
         terms = {domain[j]: s for j, s in vec.items()}
@@ -234,11 +230,7 @@ def closure_check(
         for v in subspace:
             universe |= set(v.terms)
 
-    def coord_key(key):
-        ev, lbl = key
-        return (principal_sort_key(ev), module.label_rank(lbl))
-
-    span = SpanChecker(coord_key=coord_key)
+    span = SpanChecker(coord_key=module.term_key)
     for v in subspace:
         span.add(v.terms)
     gens = [g for g in TWISTED.generators(window2)]

@@ -217,7 +217,7 @@ def test_criterion_09_verma_singular_vectors():
     ok = True
     killers = [Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3)]
     for c in (0, 1, -2):
-        module = verma_untwisted(c, 3)
+        module = verma_untwisted(c)
         vac = module.basis_vector(ZERO_VECTOR)
         for gen in (Gp(-1), Gm(-1)):
             v = module.act(gen, vac)

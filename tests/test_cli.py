@@ -70,6 +70,8 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     (["reduce", "{}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
     # window 0 holds no positive generator to draw an x from
     (["verify", "whittaker-identity", "--window", "0"], "holds no positive generator"),
+    # T^(t) is defined for t in 1/2 + Z_+ only; `--t -1/2` would be a missing value
+    (["annihilator", "--spec", "{cfg}", "--t=-1/2"], "t must be half-odd"),
 ])
 def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
@@ -243,7 +245,7 @@ class TestActReduce:
         assert code == PASS and captured.err == ""
         assert captured.out == expected + "\n"
 
-    @pytest.mark.parametrize("exponent", ["x", "-1", ""])
+    @pytest.mark.parametrize("exponent", ["x", "-1", "", "0"])
     def test_label_exponent_must_be_a_natural_number(self, exponent, tmp_path, capsys):
         path = tmp_path / "b_t0.cfg"
         path.write_text("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n")

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import (
-    C, G, KIND_RANK, L, T, TWISTED, Gm, Gp, J, Lu, format_terms, parse_combo,
+    C, G, KIND_RANK, L, T, TWISTED, UNTWISTED_PM, Gm, Gp, J, Lu, format_terms,
+    parse_combo,
 )
-from n2sca.errors import ParseError, TruncationError, ValidationError
-from n2sca.engine import FiniteSeed
+from n2sca.errors import ParseError, ValidationError
+from n2sca.engine import FiniteLetters, FiniteSeed, InducedModule
 from n2sca.modules import (
     _positive,
     b_plus_t0_induce,
@@ -25,7 +26,7 @@ from n2sca.modules import (
     verma_untwisted,
     whittaker_spec,
 )
-from n2sca.orders import ZERO_VECTOR
+from n2sca.orders import ZERO_VECTOR, walk_vectors
 from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
 
 
@@ -354,12 +355,39 @@ def test_conditions_on_the_induced_seeds(config, u2, want):
     assert check_conditions(spec, u2) == want
 
 
+VERMA_KILLERS = (Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3))
+
+
+def verma_acts(module):
+    """Every act that `TestVerma` and `suite_verma_singular` make, in order:
+    (generator, vector, image)."""
+    vac = module.basis_vector(ZERO_VECTOR)
+    out = []
+
+    def act(g, v):
+        image = module.act(g, v)
+        out.append((g, v, image))
+        return image
+
+    act(Lu(1), act(Lu(-1), vac))
+    act(J(1), act(J(-1), vac))
+    for g in (Gp(-1), Gm(-1)):
+        v = act(g, vac)
+        for x in VERMA_KILLERS + (Lu(0), J(0)):
+            act(x, v)
+    return out
+
+
 class TestVerma:
     def test_depth_three_halves_basis(self):
-        module = verma_untwisted(0, 3)
-        words = module.letters.enumerate_words(3, 3)
-        texts = {module.letters.word_text(w) for w in words}
-        assert len(words) == 12
+        # the template's letters of degree at least -3/2 are slots 1..6;
+        # slot s has doubled weight ceil(s/2), and an odd letter folds
+        letters = verma_untwisted(0).letters
+        slots = [(s, (s + 1) // 2, 3 if letters.keep_power(letters.letter(s)) else 1)
+                 for s in range(1, 7)]
+        words = walk_vectors(slots, 3, 3)
+        texts = {letters.word_text(w) for w in words}
+        assert len(words) == len(texts) == 12
         for expected in (
             "1", "G+[-1/2]", "G-[-1/2]", "Lu[-1]", "J[-1]",
             "G+[-1/2]*G-[-1/2]", "G+[-3/2]", "G-[-3/2]",
@@ -368,7 +396,7 @@ class TestVerma:
             assert expected in texts
 
     def test_lowest_weight_relations(self):
-        module = verma_untwisted(1, 3)
+        module = verma_untwisted(1)
         vac = module.basis_vector(ZERO_VECTOR)
         assert module.act(Lu(1), module.act(Lu(-1), vac)).is_zero
         got = module.act(J(1), module.act(J(-1), vac))
@@ -376,22 +404,55 @@ class TestVerma:
 
     @pytest.mark.parametrize("c", [0, 1, -2])
     def test_singular_vectors(self, c):
-        module = verma_untwisted(c, 3)
+        module = verma_untwisted(c)
         vac = module.basis_vector(ZERO_VECTOR)
         for g in (Gp(-1), Gm(-1)):
             v = module.act(g, vac)
             assert not v.is_zero
-            for x in (Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3)):
+            for x in VERMA_KILLERS:
                 assert module.act(x, v).is_zero, (c, g, x)
             assert module.act(Lu(0), v) == v.scaled(Scalar.rational(1, 2))
             expected_j = v if g.kind == "G+" else v.scaled(Scalar(-1))
             assert module.act(J(0), v) == expected_j
 
-    def test_depth_truncation(self):
-        module = verma_untwisted(0, 3)
+    def test_every_negative_generator_is_a_letter(self):
+        # Lu[-2] and Lu[-4] lie past the letters of degree -3/2 and above,
+        # which are all that the suite's acts reach
+        module = verma_untwisted(0)
         vac = module.basis_vector(ZERO_VECTOR)
-        with pytest.raises(TruncationError):
-            module.act(Lu(-2), vac)  # degree 2 exceeds depth 3/2
+        assert str(module.act(Lu(-2), vac)) == "Lu[-2]⊗1"
+        v = module.act(Lu(-3), vac)
+        assert str(module.act(Lu(-1), v)) == "2*Lu[-4]⊗1 + Lu[-3]*Lu[-1]⊗1"
+
+    @pytest.mark.parametrize("c", [0, 1, -2])
+    def test_template_matches_a_finite_letter_box(self, c):
+        # the letters of degree at least -3/2, leftmost first, registered
+        # one by one: the reference for every act the Verma checks make
+        box = [Gp(-3), Gm(-3), Lu(-1), J(-1), Gp(-1), Gm(-1)]
+        template = verma_untwisted(c)
+        reference = InducedModule(FiniteLetters(UNTWISTED_PM, box), template.seed)
+        for s, g in enumerate(reversed(box), 1):
+            assert template.letters.slot_of(g) == s and template.letters.letter(s) is g
+        acts = verma_acts(template)
+        assert len(acts) == 24
+        for g, v, image in acts:
+            want = reference.act(g, reference.vector(v.terms))
+            assert image.terms == want.terms and str(image) == str(want), (g, v)
+
+
+def test_square_rule_of_the_finite_letters():
+    # G[0].G[0] would fold to L[0] - c/24, which is rewritten back into G[0]^2
+    b_t0 = b_plus_t0_induce(whittaker_spec(1, 0), 3)
+    g0v0 = b_t0.parse_label("G[0].v0")
+    assert b_t0.inner.letters.keep_power(G(0))
+    assert b_t0.act(G(0), g0v0) == {b_t0.parse_label("G[0]^2.v0"): ONE}
+    # no derived-pair letter is rewritten: G[1/2].G[1/2] folds to -L[1],
+    # which acts on v0 by -phi(L[1]) = -1
+    spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+    assert not spec.inner.letters.keep_power(G(1))
+    assert spec.act(G(1), spec.parse_label("G[1/2].v0")) == {spec.parse_label("v0"): -ONE}
+    with pytest.raises(ParseError, match="no normal word holds its square"):
+        spec.parse_label("G[1/2]^2.v0")
 
 
 class TestLemma31:

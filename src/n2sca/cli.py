@@ -130,7 +130,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    from .modules import InducedSpec
     from .orders import enumerate_vectors
     from .theorems import closure_check
 
@@ -146,11 +145,7 @@ def _cmd_closure(args) -> int:
                     for ev in evs for lbl in spec.labels()]
         universe = None
     elif args.subspace.startswith("seed:"):
-        seed_label = args.subspace[5:]
-        if isinstance(spec, InducedSpec):
-            want = spec.slice_labels(spec.inner.seed.parse_label(seed_label))
-        else:
-            want = [spec.parse_label(seed_label)]
+        want = spec.slice_labels(args.subspace[5:])
         subspace = [module.basis_vector(ev, lbl) for ev in evs for lbl in want]
         universe = {(ev, lbl) for ev in evs for lbl in spec.labels()}
     else:

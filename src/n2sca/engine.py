@@ -10,6 +10,7 @@ generator acts on a basis term ``word (x) label`` by the recursion
 until it either merges into the word (letters), is rewritten into
 letters (e.g. ``L[-m] -> (-1)^m G[-m/2]^2``), or reaches the seed,
 whose oracle supplies the module action of the remaining generator.
+The seed classes, and the protocol a seed follows, live in `modules`.
 Every act is exact: no word is cut, no seed truncates, and no letter
 family is cut short.
 
@@ -54,7 +55,7 @@ from .orders import (
     principal_sort_key,
     walk_vectors,
 )
-from .scalars import HALF, ONE, Scalar, ZERO, add_scaled
+from .scalars import HALF, ONE, Scalar, add_scaled
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
 
@@ -248,7 +249,8 @@ class InducedModule:
     `FiniteLetters`) has a ``presentation``, ``slot_of(gen)`` (None for a
     mover), ``letter(slot)``,
     ``keep_power(gen)`` (False folds an odd g.g -> (1/2)[g, g]),
-    ``rewrite(gen)`` (a Rewrite or None) and ``word_text(ev)``.
+    ``rewrite(gen)`` (a Rewrite or None) and ``word_text(ev)``.  The seed
+    follows the protocol stated in the `modules` docstring.
     """
 
     def __init__(self, letters, seed):
@@ -450,73 +452,6 @@ def _int_times(k: int, s: Scalar) -> Scalar:
     if unit:
         return Scalar.rational(unit * k)
     return s if k == 1 else -s if k == -1 else Scalar.rational(k) * s
-
-
-class BModuleSpec:
-    """Base class of the seed modules that `induced()` wraps.
-
-    A seed has a charge ``c`` and a basis of opaque labels, and it provides
-    ``labels()`` (a finite list of them, in output order: all of a
-    `FiniteSeed`, the box of an induced seed), ``label_key(label)`` (a sort
-    key on every label, in that order on the listed ones),
-    ``act(gen, label)`` (a {label: Scalar} map; ValueError for a generator
-    that does not act on the seed), ``label_text(label)`` and its inverse
-    ``parse_label(text)`` (which raises ParseError).
-    """
-
-    family = "abstract"
-
-    def __init__(self, c: Scalar):
-        self.c = c
-
-    def induced(self) -> InducedModule:
-        """The induced module over the full twisted algebra."""
-        return InducedModule(TwistedTemplate(self.c), self)
-
-
-class FiniteSeed(BModuleSpec):
-    """A finite seed given by an action table.
-
-    ``table`` maps (generator, label) to {label: Scalar}.  A generator
-    that ``acts`` admits but the table omits acts by zero; any other
-    generator raises ValueError naming the ``family``.  ``parity(label)``,
-    for `check_seed`'s parity rule, is 0 or 1, or None for a label
-    missing from ``parities`` (ungraded).
-    """
-
-    def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,
-                 parities: dict | None = None):
-        super().__init__(c)
-        self.family = family
-        self._labels = tuple(labels)
-        for (gen, label), out in table.items():
-            for name in (label, *out):
-                if name not in self._labels:
-                    raise ParseError(f"{gen} action names undeclared label {name!r}")
-        self.table = {key: {l: s for l, s in out.items() if s}
-                      for key, out in table.items()}
-        self.acts = acts
-        self._parities = parities or {}
-        self.label_key = {lbl: i for i, lbl in enumerate(self._labels)}.__getitem__
-
-    def labels(self):
-        return self._labels
-
-    def parity(self, label):
-        return self._parities.get(label)
-
-    def act(self, gen, label):
-        if not self.acts(gen):
-            raise ValueError(f"{gen} does not act on the {self.family} seed")
-        return dict(self.table.get((gen, label), {}))
-
-    def label_text(self, label):
-        return label
-
-    def parse_label(self, text):
-        if text not in self._labels:
-            raise ParseError(f"unknown label {text!r}")
-        return text
 
 
 def supp_deg(v: ModuleVector):

@@ -1,11 +1,21 @@
-"""Constructors and validators for the seed modules of the induction.
+"""The seed modules of the induction: their two classes, builders and checks.
 
-Every spec here describes a module over the positive subalgebra (plus,
-where the family needs it, the degree-0 part) through a basis of labels
-and an exact action oracle.  Specs plug directly into the induction
-engine as seeds.  An infinite-dimensional family is an `InducedSpec`: its
-inner module acts exactly on every word, and its box only lists the
-finite set of labels that the checks over the seed range over.
+A seed describes a module over the positive subalgebra (plus, where the
+family needs it, the degree-0 part) through a basis of opaque labels and
+an exact action oracle.  Every seed has a ``family`` and a charge ``c``,
+and provides ``labels()`` (a finite list, in output order: all of a
+`FiniteSeed`, the box of an `InducedSpec`), ``label_key(label)`` (a sort
+key on every label, in that order on the listed ones), ``act(gen,
+label)`` (a {label: Scalar} map; ValueError for a generator that does not
+act on the seed), ``label_text(label)`` and its inverse
+``parse_label(text)`` (which raises ParseError), ``slice_labels(text)``
+(the listed labels over the seed vector that ``text`` names) and
+``induced()`` (the induced module over the full twisted algebra).
+
+A `FiniteSeed` is an action table.  An infinite-dimensional family is an
+`InducedSpec`: its inner module acts exactly on every word, and its box
+only lists the finite set of labels that the checks over the seed range
+over.
 """
 
 from __future__ import annotations
@@ -23,9 +33,7 @@ from .algebra import (
     parse_terms,
 )
 from .engine import (
-    BModuleSpec,
     FiniteLetters,
-    FiniteSeed,
     InducedModule,
     ModuleVector,
     TwistedTemplate,
@@ -45,6 +53,111 @@ def t_upper(u2: int):
     L_m (m >= u + 1/2), T_r (r >= u + 1)."""
     shift = {"G": 0, "L": 1, "T": 2}
     return lambda g: g.kind in shift and g.index2 >= u2 + shift[g.kind]
+
+
+class FiniteSeed:
+    """A finite seed given by an action table.
+
+    ``table`` maps (generator, label) to {label: Scalar}.  A generator
+    that ``acts`` admits but the table omits acts by zero; any other
+    generator raises ValueError naming the ``family``.  ``parity(label)``,
+    for `check_seed`'s parity rule, is 0 or 1, or None for a label
+    missing from ``parities`` (ungraded).
+    """
+
+    def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,
+                 parities: dict | None = None):
+        self.family = family
+        self.c = c
+        self._labels = tuple(labels)
+        for (gen, label), out in table.items():
+            for name in (label, *out):
+                if name not in self._labels:
+                    raise ParseError(f"{gen} action names undeclared label {name!r}")
+        self.table = {key: {l: s for l, s in out.items() if s}
+                      for key, out in table.items()}
+        self.acts = acts
+        self._parities = parities or {}
+        self.label_key = {lbl: i for i, lbl in enumerate(self._labels)}.__getitem__
+
+    def induced(self) -> InducedModule:
+        return InducedModule(TwistedTemplate(self.c), self)
+
+    def labels(self):
+        return self._labels
+
+    def parity(self, label):
+        return self._parities.get(label)
+
+    def act(self, gen, label):
+        if not self.acts(gen):
+            raise ValueError(f"{gen} does not act on the {self.family} seed")
+        return dict(self.table.get((gen, label), {}))
+
+    def label_text(self, label):
+        return label
+
+    def parse_label(self, text):
+        if text not in self._labels:
+            raise ParseError(f"unknown label {text!r}")
+        return text
+
+    def slice_labels(self, text) -> list:
+        return [self.parse_label(text)]
+
+
+class InducedSpec:
+    """A seed realised as an induced module over a small letter system; the
+    outer engine sees its (word, seed label) pairs as opaque labels.  The
+    inner module acts exactly on every word.  The box ``bounds`` = (doubled
+    weight, length) of the normal words only lists `labels`, the finite
+    set that the checks over the seed range over."""
+
+    induced = FiniteSeed.induced
+
+    def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
+        # before the walk, which lists the empty word alone under a negative bound
+        if min(bounds) < 0:
+            raise ValidationError("truncation bounds must be nonnegative")
+        self.family = family
+        self.inner = inner
+        self.c = inner.c
+        words = inner.letters.enumerate_words(*bounds)
+        self._labels = tuple((ev, slabel) for slabel in inner.seed.labels() for ev in words)
+
+    def labels(self):
+        return self._labels
+
+    def label_key(self, label):
+        ev, slabel = label
+        return (self.inner.label_rank(slabel), self.inner.letters.word_key(ev))
+
+    def act(self, gen, label):
+        ev, slabel = label
+        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
+
+    def label_text(self, label):
+        ev, slabel = label
+        stext = self.inner.seed.label_text(slabel)
+        if ev.is_zero:
+            return stext
+        return f"{self.inner.letters.word_text(ev)}.{stext}"
+
+    def parse_label(self, text: str):
+        if "." in text:
+            word, stext = text.rsplit(".", 1)
+            try:
+                ev = self.inner.letters.parse_word(word)
+            except ParseError as exc:
+                raise ParseError(f"label {text!r}: {exc}") from None
+        else:
+            ev, stext = ZERO_VECTOR, text
+        return (ev, self.inner.seed.parse_label(stext))
+
+    def slice_labels(self, text) -> list:
+        """All listed labels over one seed vector (the U(b)-saturated slice)."""
+        seed_label = self.inner.seed.parse_label(text)
+        return [lbl for lbl in self._labels if lbl[1] == seed_label]
 
 
 def module_axiom_rows(module: InducedModule, gens: list[GeneratorId],
@@ -185,60 +298,10 @@ def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
     return FiniteSeed(family, ("v0", "v1"), table, member, c, {"v0": 0, "v1": 1})
 
 
-class InducedSpec(BModuleSpec):
-    """A seed realised as an induced module over a small letter system; the
-    outer engine sees its (word, seed label) pairs as opaque labels.  The
-    inner module acts exactly on every word.  The box ``bounds`` = (doubled
-    weight, length) of the normal words only lists `labels`, the finite
-    set that the checks over the seed range over."""
-
-    def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
-        super().__init__(inner.seed.c)
-        self.family = family
-        self.inner = inner
-        words = inner.letters.enumerate_words(*bounds)
-        self._labels = tuple((ev, slabel) for slabel in inner.seed.labels() for ev in words)
-
-    def labels(self):
-        return self._labels
-
-    def label_key(self, label):
-        ev, slabel = label
-        return (self.inner.label_rank(slabel), self.inner.letters.word_key(ev))
-
-    def act(self, gen, label):
-        ev, slabel = label
-        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
-
-    def label_text(self, label):
-        ev, slabel = label
-        stext = self.inner.seed.label_text(slabel)
-        if ev.is_zero:
-            return stext
-        return f"{self.inner.letters.word_text(ev)}.{stext}"
-
-    def parse_label(self, text: str):
-        if "." in text:
-            word, stext = text.rsplit(".", 1)
-            try:
-                ev = self.inner.letters.parse_word(word)
-            except ParseError as exc:
-                raise ParseError(f"label {text!r}: {exc}") from None
-        else:
-            ev, stext = ZERO_VECTOR, text
-        return (ev, self.inner.seed.parse_label(stext))
-
-    def slice_labels(self, seed_label) -> list:
-        """All labels over one seed vector (the U(b)-saturated slice)."""
-        return [lbl for lbl in self._labels if lbl[1] == seed_label]
-
-
 def _derived_pair_spec(s2: int, phi: dict[GeneratorId, Scalar], c: Scalar, truncation,
                        seed_family: str, family: str) -> InducedSpec:
     """The derived pair (v0, v1 = G[1/2]v0) under phi on T^(s), induced over
     G[1/2] and the positive generators outside T^(s)."""
-    if min(truncation) < 0:
-        raise ValidationError("truncation bounds must be nonnegative")
     upper = t_upper(s2)
     complement = [g for g in TWISTED.generators(s2)
                   if g.degree2 > 0 and g != G(1) and not upper(g)]
@@ -277,12 +340,10 @@ def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
                               f"highorder[s={format_half(s2)}]", "highorder")
 
 
-def b_plus_t0_induce(spec: BModuleSpec, max_k: int) -> InducedSpec:
+def b_plus_t0_induce(spec: FiniteSeed | InducedSpec, max_k: int) -> InducedSpec:
     """Extend a positive-part seed to the degree-0 part by a free G[0]
     letter (with L[0] -> G[0]^2 + c/24); its labels are listed up to
     G[0]^max_k."""
-    if max_k < 0:
-        raise ValidationError("the G[0]-power bound must be nonnegative")
     letters = FiniteLetters(
         TWISTED, [G(0)], rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))}
     )
@@ -299,21 +360,22 @@ def verma_untwisted(c) -> InducedModule:
     return InducedModule(UntwistedTemplate(), seed)
 
 
-def check_conditions(spec: BModuleSpec, u2: int) -> tuple[bool, bool]:
+def check_conditions(spec: FiniteSeed | InducedSpec, u2: int) -> tuple[bool, bool]:
     """(T_u injective on the listed labels, G_u kills every listed label).
-    The images are exact: they may name labels outside the list."""
-    from .linalg import kernel_basis
+    The images are exact: they may name labels outside the list.  T_u is
+    injective when each image is independent of the ones before it."""
+    from .linalg import SpanChecker
 
     if u2 < 1 or u2 % 2 == 0:
         raise ValueError("u must be a positive half-odd integer")
     labels = spec.labels()
     images = [spec.act(T(u2), lbl) for lbl in labels]
     killed = not any(spec.act(G(u2), lbl) for lbl in labels)
-    kernel = kernel_basis(images, len(labels), coord_key=spec.label_key)
-    return (not kernel, killed)
+    span = SpanChecker(coord_key=spec.label_key)
+    return (all(span.add(image) for image in images), killed)
 
 
-def lemma31_check(spec: BModuleSpec, t2: int, window2: int = 8) -> SuiteReport:
+def lemma31_check(spec: FiniteSeed | InducedSpec, t2: int, window2: int = 8) -> SuiteReport:
     """Concrete scan of the two annihilation implications on the basis.
 
     Part 1: if L_m and T_r kill the module for m >= t+1/2, r >= t+1,
@@ -406,7 +468,7 @@ def _label_splitter(gen: GeneratorId, labels):
     return split
 
 
-def load_spec_config(text: str) -> BModuleSpec:
+def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
     """Parse the line-oriented `key = value` module description."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():

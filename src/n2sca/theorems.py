@@ -172,7 +172,7 @@ def annihilator_Mt(
     Raises ValueError unless t is positive and half-odd.
     """
     if t2 < 1 or t2 % 2 == 0:
-        raise ValueError(f"t must be half-odd (1/2, 3/2, ...), got {format_half(t2)}")
+        raise ValueError(f"t must be a positive half-odd integer, got {format_half(t2)}")
     spec = module.seed
     labels = list(spec.labels())
     evs = enumerate_vectors(max_weight2, max_length)

@@ -62,16 +62,19 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
 
 
 @pytest.mark.parametrize("argv, names", [
-    # the annihilator threshold t must be half-odd; an integer t is no input
-    (["annihilator", "--spec", "{cfg}", "--t", "1"], "t must be half-odd"),
-    (["annihilator", "--spec", "{cfg}", "--t", "0"], "t must be half-odd"),
+    # the annihilator threshold t must be positive and half-odd; an integer is no input
+    (["annihilator", "--spec", "{cfg}", "--t", "1"],
+     "t must be a positive half-odd integer"),
+    (["annihilator", "--spec", "{cfg}", "--t", "0"],
+     "t must be a positive half-odd integer"),
     # a negative step budget is not an exhausted one
     (["reduce", "{1:1}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
     (["reduce", "{}", "--spec", "{cfg}", "--budget", "-1"], "budget"),
     # window 0 holds no positive generator to draw an x from
     (["verify", "whittaker-identity", "--window", "0"], "holds no positive generator"),
     # T^(t) is defined for t in 1/2 + Z_+ only; `--t -1/2` would be a missing value
-    (["annihilator", "--spec", "{cfg}", "--t=-1/2"], "t must be half-odd"),
+    (["annihilator", "--spec", "{cfg}", "--t=-1/2"],
+     "t must be a positive half-odd integer, got -1/2"),
 ])
 def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
@@ -359,6 +362,41 @@ def test_step_that_fails_to_descend_exit_code(monkeypatch, tmp_path, capsys):
     assert code == FAIL
     assert captured.out == "start\tw{3:1}⊗v0\n"
     assert captured.err == "check failed: overshoot step failed to descend: {3:1} -> {3:1}\n"
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("v1", (PASS, "closure: closed; 228 cases, 106 projected\n")),
+    ("v0", (FAIL, "closure: not closed (witness L[1]); 38 cases, 34 projected\n")),
+])
+def test_closure_over_a_table_seed_slice(label, expected, capsys):
+    # a table seed's slice over a label is that one label
+    assert run(["closure", "--spec", os.path.join(GOLDEN, "table-module.cfg"),
+                "--subspace", f"seed:{label}", "--window", "4", "--max-weight", "1",
+                "--max-length", "2"], capsys) == expected
+
+
+@pytest.mark.parametrize("config", ["table-module.cfg", "generalized.cfg"])
+def test_closure_over_an_unknown_seed_label_exit_code(config, capsys):
+    code = main(["closure", "--spec", os.path.join(GOLDEN, config), "--subspace", "seed:v9",
+                 "--window", "4", "--max-weight", "1", "--max-length", "2"])
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == "error: unknown label 'v9'\n"
+
+
+@pytest.mark.parametrize("config", [
+    "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = -1\n",
+    "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nmax_length = -1\n",
+])
+def test_negative_label_box_exit_code(config, tmp_path, capsys):
+    # a negative bound would list the empty word alone; every induced seed
+    # rejects it with the same line
+    path = tmp_path / "box.cfg"
+    path.write_text(config)
+    code = main(["act", "C", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == "error: truncation bounds must be nonnegative\n"
 
 
 # one seed config per family

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
-from n2sca.engine import FiniteSeed, InducedModule, TwistedTemplate, supp_deg
-from n2sca.modules import b_plus_t0_induce, module_axiom_check, whittaker_spec
+from n2sca.engine import InducedModule, TwistedTemplate, supp_deg
+from n2sca.modules import (
+    FiniteSeed,
+    b_plus_t0_induce,
+    module_axiom_check,
+    whittaker_spec,
+)
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
 from n2sca.theorems import weight_bound_check

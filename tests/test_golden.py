@@ -164,17 +164,32 @@ CHILD = ("import sys; from n2sca.cli import main; code = main(sys.argv[1:]); "
          "sys.exit(code)")
 
 
-@pytest.mark.parametrize("name", sorted(FRESH_CASES))
-def test_cli_golden_in_a_fresh_interpreter(name):
+def run_fresh(name: str, **env: str) -> subprocess.CompletedProcess:
+    """One case in a fresh interpreter, ``env`` added to the environment;
+    its stdout must match the golden, and so must its exit code."""
     proc = subprocess.run([sys.executable, "-c", CHILD, *_resolved(CASES[name])],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-                                   PYTHONIOENCODING="utf-8"),
+                                   PYTHONIOENCODING="utf-8", **env),
                           capture_output=True, timeout=120)
     assert proc.stdout == (GOLDEN / _file_name(name)).read_bytes()
     assert proc.returncode == _exit_codes()[name]
+    return proc
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_CASES))
+def test_cli_golden_in_a_fresh_interpreter(name):
+    proc = run_fresh(name)
     loaded = set(proc.stderr.decode("utf-8").splitlines()[-1].split())
     assert "n2sca.cli" in loaded
     assert not loaded & FRESH_CASES[name], f"{name} loads {sorted(loaded & FRESH_CASES[name])}"
+
+
+# The iteration order of a set of strings follows the string hash seed; no
+# output may.  Each case runs over the labels, words or slices of an induced seed.
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+@pytest.mark.parametrize("name", ["closure-seed-v1", "annihilator-b_t0", "demo-b-t0"])
+def test_cli_golden_under_a_hash_seed(name, hash_seed):
+    run_fresh(name, PYTHONHASHSEED=hash_seed)
 
 
 def test_bracket_golden():

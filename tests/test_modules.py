@@ -10,8 +10,9 @@ from n2sca.algebra import (
     parse_combo,
 )
 from n2sca.errors import ParseError, ValidationError
-from n2sca.engine import FiniteLetters, FiniteSeed, InducedModule
+from n2sca.engine import FiniteLetters, InducedModule
 from n2sca.modules import (
+    FiniteSeed,
     _positive,
     b_plus_t0_induce,
     derived_pair_seed,

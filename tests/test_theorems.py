@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from n2sca.algebra import G, L, SuiteReport, T, TWISTED
-from n2sca.engine import FiniteLetters, FiniteSeed, InducedModule, supp_deg
+from n2sca.engine import FiniteLetters, InducedModule, supp_deg
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.modules import (
+    FiniteSeed,
     InducedSpec,
     _positive,
     derived_pair_seed,

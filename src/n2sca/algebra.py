@@ -34,9 +34,10 @@ _CENTRAL_KINDS = frozenset({"C", "Cu"})
 class GeneratorId:
     """Interned (kind, doubled index) pair: each pair has exactly one object,
     kept for the life of the process, so equality and hashing are those of
-    identity."""
+    identity.  ``parity`` (1 odd, 0 even) and ``is_central`` are set once,
+    with the pair."""
 
-    __slots__ = ("kind", "index2")
+    __slots__ = ("kind", "index2", "parity", "is_central")
     _cache: dict[tuple[str, int], "GeneratorId"] = {}
 
     def __new__(cls, kind: str, index2: int):
@@ -55,20 +56,14 @@ class GeneratorId:
         gen = object.__new__(cls)
         gen.kind = kind
         gen.index2 = index2
+        gen.parity = 1 if kind in _ODD_KINDS else 0
+        gen.is_central = kind in _CENTRAL_KINDS
         cls._cache[key] = gen
         return gen
 
     @property
-    def parity(self) -> int:
-        return 1 if self.kind in _ODD_KINDS else 0
-
-    @property
     def degree2(self) -> int:
         return self.index2
-
-    @property
-    def is_central(self) -> bool:
-        return self.kind in _CENTRAL_KINDS
 
     @property
     def twisted(self) -> bool:
@@ -395,12 +390,13 @@ class AlgebraPresentation:
         return out
 
     def bracket(self, x: GeneratorId, y: GeneratorId) -> LinearCombo:
-        self.check_member(x)
-        self.check_member(y)
+        """[x, y]; a cached pair was checked for membership when computed."""
         key = (x, y)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        self.check_member(x)
+        self.check_member(y)
         if x.is_central or y.is_central:
             out = ZERO_COMBO
         else:

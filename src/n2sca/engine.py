@@ -259,6 +259,8 @@ class InducedModule:
         self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
+        # gen -> (rewrite, slot, keep_power), the letter system's answers
+        self._dispatch: dict = {}
         self.label_rank = seed.label_key
 
     def term_key(self, key) -> tuple:
@@ -324,21 +326,27 @@ class InducedModule:
         return out
 
     def _act_basis_raw(self, gen, ev, label) -> dict:
-        letters = self.letters
         if gen.is_central:
             return {(ev, label): self.c} if self.c else {}
-        rw = letters.rewrite(gen)
+        how = self._dispatch.get(gen)
+        if how is None:
+            letters = self.letters
+            how = self._dispatch[gen] = (
+                letters.rewrite(gen), letters.slot_of(gen), letters.keep_power(gen))
+        rw, slot, keep = how
         acc: dict = {}
         if rw is not None:
-            unit = ModuleVector(self, {(ev, label): ONE})
+            # each word of the rewrite acts right to left, one letter at a time
             for s, gens in rw:
-                add_scaled(acc, self.act_word(gens, unit).terms, s)
+                terms = {(ev, label): ONE}
+                for g in reversed(gens):
+                    terms, prev = {}, terms
+                    for (ev1, lbl1), t in prev.items():
+                        add_scaled(terms, self._act_basis(g, ev1, lbl1), t)
+                add_scaled(acc, terms, s)
             return acc
-        slot = letters.slot_of(gen)
-        top = ev.max_slot()
-        if slot is not None and (
-            top is None or slot > top or (slot == top and letters.keep_power(gen))
-        ):
+        top = ev.entries[-1][0] if ev.entries else None
+        if slot is not None and (top is None or slot > top or (slot == top and keep)):
             return {(ev.bump(slot, +1), label): ONE}
         if slot is not None and slot == top:
             # fold: g.g = (1/2)[g, g]
@@ -351,7 +359,7 @@ class InducedModule:
             return {(ZERO_VECTOR, lbl): s for lbl, s in acted.items() if s}
         # move gen one letter to the right; the first time gen meets a
         # stack of three or more top letters, pass the whole power at once
-        g1 = letters.letter(top)
+        g1 = self.letters.letter(top)
         rest = ev.bump(top, -1)
         if (gen, rest, label) not in self._memo:
             e = ev.entries[-1][1]

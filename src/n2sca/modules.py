@@ -118,7 +118,7 @@ class InducedSpec:
     def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
         # before the walk, which lists the empty word alone under a negative bound
         if min(bounds) < 0:
-            raise ValidationError("truncation bounds must be nonnegative")
+            raise ValidationError("the label box must be nonnegative")
         self.family = family
         self.inner = inner
         self.c = inner.c

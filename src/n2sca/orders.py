@@ -26,9 +26,13 @@ def slot_weight2(slot: int) -> int:
 
 
 class ExponentVector:
-    """Immutable sparse vector of naturals, indexed from slot 1."""
+    """Immutable sparse vector of naturals, indexed from slot 1.
 
-    __slots__ = ("entries", "length", "_hash", "_w2")
+    Interned like `GeneratorId`: every vector is built by ``__new__``, which
+    returns the one object for its entries from ``_cache``, a table with no
+    size cap, so equality and hashing are those of identity."""
+
+    __slots__ = ("entries", "length", "_w2", "_bumps")
     _cache: dict[tuple[tuple[int, int], ...], "ExponentVector"] = {}
 
     def __new__(cls, entries):
@@ -47,10 +51,9 @@ class ExponentVector:
         ev = object.__new__(cls)
         ev.entries = items
         ev.length = sum(e for _, e in items)
-        ev._hash = hash(items)
         ev._w2 = sum(slot_weight2(s) * e for s, e in items)
-        if len(cls._cache) < 1_000_000:
-            cls._cache[items] = ev
+        ev._bumps = None
+        cls._cache[items] = ev
         return ev
 
     @property
@@ -68,13 +71,21 @@ class ExponentVector:
         return self.entries[-1][0] if self.entries else None
 
     def bump(self, slot: int, delta: int) -> "ExponentVector":
-        """A copy with ``delta`` added to one slot (may not go negative)."""
-        items = dict(self.entries)
-        new = items.get(slot, 0) + delta
-        if new < 0:
-            raise ValueError(f"slot {slot} would become negative")
-        items[slot] = new
-        return ExponentVector(items.items())
+        """The vector with ``delta`` added to one slot (may not go negative),
+        kept on this vector for the next call with the same arguments."""
+        bumps = self._bumps
+        if bumps is None:  # made on the first bump: a vector never bumped has none
+            bumps = self._bumps = {}
+        key = (slot, delta)
+        hit = bumps.get(key)
+        if hit is None:
+            items = dict(self.entries)
+            new = items.get(slot, 0) + delta
+            if new < 0:
+                raise ValueError(f"slot {slot} would become negative")
+            items[slot] = new
+            hit = bumps[key] = ExponentVector(items.items())
+        return hit
 
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         items = dict(self.entries)
@@ -91,14 +102,6 @@ class ExponentVector:
         for s, e in self.entries:
             dense[s - 1] = e
         return tuple(dense)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ExponentVector) and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self) -> str:
         if not self.entries:

@@ -268,22 +268,42 @@ def add_scaled(acc: dict, terms: dict, coef: Scalar = ONE) -> dict:
 
     Keys whose sum is zero are dropped, and so are zero values in terms, so
     a zero-free acc stays zero-free; only acc is written.  A coef of +1 or
-    -1 adds or subtracts without a product.  Returns acc.
+    -1 adds or subtracts without a product, and over one denominator it
+    sums the numerators here, as `Scalar.__add__` and `__sub__` do.
+    Returns acc.
     """
     unit = coef.unit_sign
     get = acc.get
+    if not unit:
+        for k, v in terms.items():
+            old = get(k)
+            v = coef * v if old is None else old + coef * v
+            if v:
+                acc[k] = v
+            elif old is not None:
+                del acc[k]
+        return acc
     for k, v in terms.items():
         old = get(k)
-        if unit == 1:
-            if old is not None:
-                v = old + v
-        elif unit:
-            v = -v if old is None else old - v
-        else:
-            v = coef * v if old is None else old + coef * v
+        if old is None:
+            if v._a or v._b or v._c or v._d:  # v != 0
+                acc[k] = v if unit == 1 else _new(-v._a, -v._b, -v._c, -v._d, v._q)
+            continue
+        q = old._q
+        if q == v._q:  # sum the numerators, as Scalar.__add__ does
+            a = old._a + unit * v._a
+            b = old._b + unit * v._b
+            c = old._c + unit * v._c
+            d = old._d + unit * v._d
+            if a or b or c or d:
+                acc[k] = _new(a, b, c, d, 1) if q == 1 else _reduced(a, b, c, d, q)
+            else:
+                del acc[k]
+            continue
+        v = old + v if unit == 1 else old - v
         if v:
             acc[k] = v
-        elif old is not None:
+        else:
             del acc[k]
     return acc
 

@@ -396,7 +396,7 @@ def test_negative_label_box_exit_code(config, tmp_path, capsys):
     code = main(["act", "C", "--spec", str(path)])
     captured = capsys.readouterr()
     assert code == USAGE and captured.out == ""
-    assert captured.err == "error: truncation bounds must be nonnegative\n"
+    assert captured.err == "error: the label box must be nonnegative\n"
 
 
 # one seed config per family

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from n2sca.engine import InducedModule, TwistedTemplate, supp_deg
 from n2sca.modules import (
     FiniteSeed,
     b_plus_t0_induce,
+    load_spec_config,
     module_axiom_check,
     whittaker_spec,
 )
@@ -319,3 +321,45 @@ def test_deep_act_memo_is_linear_in_the_exponent(e, spec):
     image = module.act(G(0), module.basis_vector(ev((4, e))))
     assert len(image.terms) == e // 2 + 1
     assert len(module._memo) <= 2 * e
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WHITTAKER_CFG = (GOLDEN / "whittaker.cfg").read_text()
+B_T0_CFG = (GOLDEN / "b_t0.cfg").read_text()
+
+
+def rewrite_reference(module, g, v):
+    """g . v as the sum of s * act_word(gens, v) over the rewrite of g."""
+    out = module.zero()
+    for s, gens in module.letters.rewrite(g):
+        out = out + module.act_word(gens, v).scaled(s)
+    return out
+
+
+def _whittaker(c):
+    return load_spec_config(WHITTAKER_CFG.replace("c = 0", f"c = {c}")).induced()
+
+
+# name: (a fresh module, the generators it rewrites, its basis terms (word, label))
+REWRITE_CASES = {
+    "whittaker": (lambda: _whittaker("0"), [L(0), L(-1), L(-2)],
+                  [(w, "v0") for w in enumerate_vectors(2, 3)]),
+    "whittaker-c": (lambda: _whittaker("1/3 + r2"), [L(0), L(-1), L(-2)],
+                    [(w, "v0") for w in enumerate_vectors(2, 3)]),
+    "b_t0": (lambda: load_spec_config(B_T0_CFG).induced(), [L(0), L(-1), L(-2)],
+             [(ZERO_VECTOR, lbl) for lbl in load_spec_config(B_T0_CFG).labels()]),
+    # the module inside the b_t0 seed rewrites L[0] over its one letter G[0]
+    "b_t0-inner": (lambda: load_spec_config(B_T0_CFG).inner, [L(0)],
+                   list(load_spec_config(B_T0_CFG).labels())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_CASES))
+def test_a_rewrite_acts_like_act_word_over_its_words(name):
+    build, gens, basis = REWRITE_CASES[name]
+    module, reference = build(), build()  # the reference starts from an empty memo
+    assert all(module.letters.rewrite(g) for g in gens)
+    for g in gens:
+        for key in basis:
+            want = rewrite_reference(reference, g, reference.vector({key: ONE}))
+            assert module.act(g, module.vector({key: ONE})).terms == want.terms, (g, key)

@@ -245,3 +245,54 @@ class TestMinSlotAndText:
         with pytest.raises(ValueError):
             ZERO_VECTOR.bump(1, -1)
         assert eps(1).bump(1, -1) == ZERO_VECTOR
+
+
+class TestInterning:
+    """Equal entries make one object, whatever builds it, so equality and
+    hashing can be those of identity."""
+
+    def test_identity_equality_and_hashing(self):
+        assert ExponentVector.__eq__ is object.__eq__
+        assert ExponentVector.__hash__ is object.__hash__
+
+    def test_every_builder_returns_the_one_vector(self):
+        want = ev((1, 2), (4, 1))
+        assert ExponentVector([(4, 1), (3, 0), (1, 2)]) is want
+        assert ExponentVector({1: 2, 4: 1}.items()) is want
+        assert ev((1, 2)).bump(4, 1) is want
+        assert ev((1, 3), (4, 1)).bump(1, -1) is want
+        assert ev((1, 2)) + eps(4) is want
+        assert eps(1) + eps(4) + eps(1) is want
+        assert parse_exponent_vector("{1:2,4:1}") is want
+        assert parse_exponent_vector("{ 4:1, 1:2 }") is want
+        assert [v for v in enumerate_vectors(3, 3) if v.entries == want.entries] == [want]
+        assert ExponentVector(()) is ZERO_VECTOR is parse_exponent_vector("{}")
+        assert eps(2).bump(2, -1) is ZERO_VECTOR
+
+    def test_enumerated_vectors_are_the_interned_ones(self):
+        for v in enumerate_vectors(6, 3):
+            assert ExponentVector(v.entries) is v
+            assert parse_exponent_vector(str(v)) is v
+        for v in walk_vectors([(1, 1, 2), (4, 1, 1)], 3, 3):
+            assert ExponentVector(dict(v.entries).items()) is v
+
+    @given(small_evs, st.integers(1, 8), st.integers(-3, 3))
+    def test_bump_is_interned_and_a_refused_bump_raises_again(self, v, slot, delta):
+        entries = dict(v.entries)
+        new = entries.get(slot, 0) + delta
+        if new < 0:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    v.bump(slot, delta)
+            return
+        entries[slot] = new
+        want = ExponentVector(entries.items())
+        assert v.bump(slot, delta) is want
+        assert v.bump(slot, delta) is v.bump(slot, delta)
+
+    @given(small_evs, small_evs)
+    def test_sum_is_interned(self, i, j):
+        entries = dict(i.entries)
+        for s, e in j.entries:
+            entries[s] = entries.get(s, 0) + e
+        assert i + j is ExponentVector(entries.items()) is j + i

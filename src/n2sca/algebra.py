@@ -257,7 +257,7 @@ def _split_top_level(text: str) -> list[tuple[str, str]]:
         if not ch.isspace():
             prev_meaningful = ch
     parts.append((sign, "".join(buf)))
-    return [(s, c.strip()) for s, c in parts if c.strip()]
+    return [(s, c.strip()) for s, c in parts]
 
 
 def parse_terms(text: str, split_body) -> dict:
@@ -272,6 +272,8 @@ def parse_terms(text: str, split_body) -> dict:
     if text == "0":
         return total
     for sign, chunk in _split_top_level(text):
+        if not chunk:
+            raise ParseError(f"empty term in {text!r}")
         prefix, key = split_body(chunk)
         prefix = prefix.strip().removesuffix("*").strip()
         if prefix in ("", "+"):
@@ -553,9 +555,8 @@ class SuiteReport:
         self.name = name
         self.rows: list[tuple[str, str, str, str, str]] = []
 
-    def add(self, case: str, inputs: str, expected: str, got: str, ok: bool | str):
-        status = ok if isinstance(ok, str) else ("pass" if ok else "FAIL")
-        self.rows.append((case, inputs, expected, got, status))
+    def add(self, case: str, inputs: str, expected: str, got: str, ok: bool):
+        self.rows.append((case, inputs, expected, got, "pass" if ok else "FAIL"))
 
     @property
     def ok(self) -> bool:

@@ -2,7 +2,8 @@
 config files, verification suites and report emission.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse/config error,
-3 inconclusive: a spent step budget, the recursion limit, or memory.
+3 inconclusive: a spent step budget, a reduction step that left its box, the
+recursion limit, or memory.
 """
 
 from __future__ import annotations
@@ -97,10 +98,8 @@ def _cmd_reduce(args) -> int:
     if trace.failure:
         sys.stderr.write(f"check failed: {trace.failure}\n")
         return FAIL
-    if trace.terminal is None:
-        sys.stderr.write(
-            f"inconclusive: {len(trace.steps)}-step budget spent before the seed module\n"
-        )
+    if trace.inconclusive:
+        sys.stderr.write(f"inconclusive: {trace.inconclusive}\n")
         return INCONCLUSIVE
     return PASS if trace.succeeded else FAIL
 
@@ -129,6 +128,15 @@ def _cmd_enumerate(args) -> int:
     return PASS
 
 
+def _seed_slice(module, evs, label_text: str):
+    """The words ``evs`` over the seed labels that ``label_text`` names, and
+    the universe of those words over every listed label: a `seed:` subspace."""
+    seed = module.seed
+    subspace = [module.basis_vector(ev, lbl)
+                for ev in evs for lbl in seed.slice_labels(label_text)]
+    return subspace, {(ev, lbl) for ev in evs for lbl in seed.labels()}
+
+
 def _cmd_closure(args) -> int:
     from .orders import enumerate_vectors
     from .theorems import closure_check
@@ -145,9 +153,7 @@ def _cmd_closure(args) -> int:
                     for ev in evs for lbl in spec.labels()]
         universe = None
     elif args.subspace.startswith("seed:"):
-        want = spec.slice_labels(args.subspace[5:])
-        subspace = [module.basis_vector(ev, lbl) for ev in evs for lbl in want]
-        universe = {(ev, lbl) for ev in evs for lbl in spec.labels()}
+        subspace, universe = _seed_slice(module, evs, args.subspace[5:])
     else:
         raise ParseError("subspace must be 'full', 'seed:<label>' or 'file:<path>'")
     report = closure_check(module, subspace, args.window, universe=universe)
@@ -202,10 +208,7 @@ def _demo_lines(which: str) -> list[str]:
         for phi_t32 in (0, 1):
             spec = generalized_whittaker_spec(1, phi_t32, 0, (4, 3))
             module = spec.induced()
-            evs = enumerate_vectors(4, 3)
-            subspace = [module.basis_vector(ev, lbl)
-                        for ev in evs for lbl in spec.slice_labels("v1")]
-            universe = {(ev, lbl) for ev in evs for lbl in spec.labels()}
+            subspace, universe = _seed_slice(module, enumerate_vectors(4, 3), "v1")
             report = closure_check(module, subspace, 4, universe=universe)
             out.append(f"phi(T3/2)={phi_t32}: odd slice {report}")
     elif which == "highorder":

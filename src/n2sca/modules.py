@@ -375,67 +375,6 @@ def check_conditions(spec: FiniteSeed | InducedSpec, u2: int) -> tuple[bool, boo
     return (all(span.add(image) for image in images), killed)
 
 
-def lemma31_check(spec: FiniteSeed | InducedSpec, t2: int, window2: int = 8) -> SuiteReport:
-    """Concrete scan of the two annihilation implications on the basis.
-
-    Part 1: if L_m and T_r kill the module for m >= t+1/2, r >= t+1,
-    then so does every G_p with p >= t+1/2.  Part 2: if G_{t+1/2} kills
-    the module, everything of degree >= t+1 does, and G_{p'} for
-    p' >= t+1/2.  Hypotheses and conclusions are checked generator by
-    generator up to degree window2/2.  Rows read "pass" when an
-    implication holds, "vacuous" when its hypothesis fails and "FAIL" with
-    the witness otherwise.
-    """
-    report = SuiteReport(f"lemma31[{spec.family}]")
-    labels = list(spec.labels())
-    inputs = f"t={format_half(t2)} window2={window2}"
-
-    def add(part, got, status):
-        report.add(part, inputs, "holds", got, status)
-
-    def kills(gen) -> bool:
-        return all(not spec.act(gen, lbl) for lbl in labels)
-
-    hyp_ok = True
-    witness = ""
-    for m2 in range(t2 + 1, window2 + 1):
-        if m2 % 2 == 0 and not kills(L(m2 // 2)):
-            hyp_ok, witness = False, str(L(m2 // 2))
-            break
-    if hyp_ok:
-        for r2 in range(t2 + 2, window2 + 1, 2):
-            if not kills(T(r2)):
-                hyp_ok, witness = False, str(T(r2))
-                break
-    if not hyp_ok:
-        add("part1", f"hypothesis fails at {witness}", "vacuous")
-    else:
-        for p2 in range(t2 + 1, window2 + 1):
-            if not kills(G(p2)):
-                add("part1", f"G witness {G(p2)}", False)
-                break
-        else:
-            add("part1", "holds", True)
-
-    p2 = t2 + 2  # probe with G_{t+1}
-    if not kills(G(p2)):
-        add("part2", f"hypothesis fails at {G(p2)}", "vacuous")
-        return report
-    for i2 in range(p2 + 1, window2 + 1):
-        if i2 % 2 == 0 and not kills(L(i2 // 2)):
-            add("part2", f"L witness {L(i2 // 2)}", False)
-            return report
-        if i2 % 2 and not kills(T(i2)):
-            add("part2", f"T witness {T(i2)}", False)
-            return report
-    for q2 in range(p2, window2 + 1):
-        if not kills(G(q2)):
-            add("part2", f"G witness {G(q2)}", False)
-            return report
-    add("part2", "holds", True)
-    return report
-
-
 def _parse_phi_key(key: str) -> GeneratorId:
     """`L1`, `T3/2`, `G2` -> generator ids."""
     if key[:1] not in ("L", "T", "G"):

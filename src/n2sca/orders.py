@@ -143,13 +143,6 @@ def principal_sort_key(i: ExponentVector):
     return (i.weight2, i.length, i.dense_key())
 
 
-def _exponent_top(w2: int, cap: int, left_w2: int, left_len: int) -> int:
-    """Largest exponent a slot of doubled weight ``w2`` and exponent cap
-    ``cap`` can take inside the weight and length left."""
-    top = left_len if w2 == 0 else min(left_len, left_w2 // w2)
-    return min(top, cap)
-
-
 def walk_vectors(slots, max_weight2: int, max_length: int) -> list[ExponentVector]:
     """Every vector over ``slots``, a list of (slot, doubled weight,
     exponent cap) triples, with doubled weight <= max_weight2 and length
@@ -165,40 +158,23 @@ def walk_vectors(slots, max_weight2: int, max_length: int) -> list[ExponentVecto
             extended.append(item)  # exponent 0 in this slot
             acc, left_w2, left_len = item
             if left_len and w2 <= left_w2:
-                for e in range(1, _exponent_top(w2, cap, left_w2, left_len) + 1):
+                top = min(cap, left_len, left_w2 // w2 if w2 else left_len)
+                for e in range(1, top + 1):
                     extended.append((acc + ((slot, e),), left_w2 - w2 * e, left_len - e))
         partial = extended
     return [ExponentVector(acc) for acc, _, _ in partial]
 
 
-def _template_slots(max_weight2: int, max_length: int) -> list[tuple[int, int, int]]:
-    if max_weight2 < 0 or max_length < 0:
-        raise ValueError("enumeration bounds must be nonnegative")
-    return [(s, slot_weight2(s), max_length) for s in range(1, 2 * max_weight2 + 3)
-            if slot_weight2(s) <= max_weight2]
-
-
 def enumerate_vectors(max_weight2: int, max_length: int) -> list[ExponentVector]:
     """All vectors with weight <= max_weight2/2 and length <= max_length,
     sorted descending by the principal order."""
-    out = walk_vectors(_template_slots(max_weight2, max_length), max_weight2, max_length)
+    if max_weight2 < 0 or max_length < 0:
+        raise ValueError("enumeration bounds must be nonnegative")
+    slots = [(s, slot_weight2(s), max_length) for s in range(1, 2 * max_weight2 + 3)
+             if slot_weight2(s) <= max_weight2]
+    out = walk_vectors(slots, max_weight2, max_length)
     out.sort(key=principal_sort_key, reverse=True)
     return out
-
-
-def count_vectors(max_weight2: int, max_length: int) -> int:
-    """``len(enumerate_vectors(max_weight2, max_length))`` without building
-    the vectors: the walk's count memoized on (slot, weight left, length
-    left), filled from the last slot back."""
-    slots = _template_slots(max_weight2, max_length)
-    # ways[w][l]: vectors over the slots folded in so far, inside (w, l)
-    ways = [[1] * (max_length + 1) for _ in range(max_weight2 + 1)]
-    for _, w2, cap in reversed(slots):
-        ways = [[sum(ways[w - w2 * e][l - e]
-                     for e in range(_exponent_top(w2, cap, w, l) + 1))
-                 for l in range(max_length + 1)]
-                for w in range(max_weight2 + 1)]
-    return ways[max_weight2][max_length]
 
 
 _EV_RE = re.compile(r"^\{([^{}]*)\}$")

@@ -24,6 +24,7 @@ from .algebra import (
     Gp,
     Gm,
     SuiteReport,
+    format_half,
 )
 from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO
 
@@ -371,6 +372,9 @@ def suite_reduction(seed: int = 0, max_weight2: int = 5,
     module = whittaker_spec(1, 0).induced()
     rng = random.Random(seed)
     box = enumerate_vectors(max_weight2, max_length)
+    if len(box) == 1:
+        raise ValueError(f"the box of weight {format_half(max_weight2)} and length "
+                         f"{max_length} holds only the empty word: nothing to reduce")
     for case in range(50):
         terms = {}
         for _ in range(rng.randint(1, 3)):

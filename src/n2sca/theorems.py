@@ -16,7 +16,6 @@ from .modules import check_conditions, t_upper
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
-    count_vectors,
     enumerate_vectors,
     principal_compare,
 )
@@ -79,6 +78,7 @@ class ReductionTrace:
         self.steps: list[tuple[str, str, ExponentVector, int, int]] = []
         self.terminal: ModuleVector | None = None
         self.failure: str | None = None
+        self.inconclusive: str | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -111,12 +111,17 @@ def reduce_to_M(
     accepted as an "overshoot" step, and where x kills the vector the
     loop takes the affine step v -> (T_u - theta)v ("affine").  A step that
     does not descend, or an affine step that annihilates, ends the trace
-    with ``failure`` naming the step kind and the degrees.  The default
-    budget is the number of vectors in the box of the starting degree
+    with ``failure`` naming the step kind and the degrees.
+
+    Every leading degree must stay in the box of the starting degree
     padded by its weight (bounding the letters that L-expansions can
-    add), counted without listing them.  When the budget runs out first,
-    the partial trace comes back with terminal None.  A u that is not
-    positive half-odd, or a negative budget, raises ValueError.
+    add): weight at most w0 and length at most l0 + w0.  The box is
+    finite and every step descends strictly, so the descent ends.  The
+    principal order compares weights first, so only the length can leave
+    the box.  A step that leaves it, or ``step_budget`` steps spent first,
+    ends the partial trace with terminal None and ``inconclusive`` saying
+    why.  A u that is not positive half-odd, or a negative budget, raises
+    ValueError.
     """
     if u2 < 1 or u2 % 2 == 0:
         raise ValueError("u must be a positive half-odd integer")
@@ -128,13 +133,15 @@ def reduce_to_M(
     _, deg0, _ = supp_deg(v)
     if not deg0.is_zero:
         _require_conditions(module, u2)
-    if step_budget is None:
-        step_budget = count_vectors(deg0.weight2, deg0.length + deg0.weight2)
+    top_len = deg0.length + deg0.weight2
     current = v
-    for _ in range(step_budget):
+    while True:
         _, deg, _ = supp_deg(current)
         if deg.is_zero:
             trace.terminal = current
+            return trace
+        if len(trace.steps) == step_budget:
+            trace.inconclusive = f"{step_budget}-step budget spent before the seed module"
             return trace
         x = prescribed_generator(deg, u2)
         image = module.act(x, current)
@@ -153,12 +160,14 @@ def reduce_to_M(
         if principal_compare(new_deg, deg) >= 0:
             trace.failure = f"{kind} step failed to descend: {deg} -> {new_deg}"
             return trace
+        if new_deg.length > top_len:
+            trace.inconclusive = (
+                f"{kind} step {op} left the box (weight <= {format_half(deg0.weight2)}, "
+                f"length <= {top_len}): {deg} -> {new_deg}"
+            )
+            return trace
         current = image
         trace.steps.append((kind, op, new_deg, new_deg.weight2, new_deg.length))
-    _, deg, _ = supp_deg(current)
-    if deg.is_zero:
-        trace.terminal = current
-    return trace
 
 
 def annihilator_Mt(
@@ -353,37 +362,4 @@ def whittaker_identity_check(
             "ok" if ok else f"lhs-rhs={lhs - rhs}",
             ok,
         )
-    return report
-
-
-def weight_bound_check(
-    module: InducedModule, u2: int, max_weight2: int, max_length: int, rho_cap2: int
-) -> SuiteReport:
-    """w(X_rho w) <= w(w) - rho + u for the positive raising family."""
-    report = SuiteReport(f"weight-bound[u={format_half(u2)}]")
-    raisers: list[GeneratorId] = []
-    for rho2 in range(u2, rho_cap2 + 1):
-        if rho2 % 2 == 0:
-            raisers.append(L(rho2 // 2))
-        raisers.append(G(rho2))
-    labels = list(module.seed.labels())
-    for i in enumerate_vectors(max_weight2, max_length):
-        for x in raisers:
-            bound2 = i.weight2 - x.degree2 + u2
-            worst = None
-            for lbl in labels:
-                image = module.act(x, module.basis_vector(i, lbl))
-                if image.is_zero:
-                    continue
-                _, _, w2 = supp_deg(image)
-                if worst is None or w2 > worst:
-                    worst = w2
-            ok = worst is None or worst <= bound2
-            report.add(
-                f"bound[{i},{x}]",
-                f"weight={format_half(i.weight2)}",
-                f"<= {format_half(bound2)}",
-                "zero" if worst is None else format_half(worst),
-                ok,
-            )
     return report

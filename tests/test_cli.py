@@ -75,6 +75,10 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     # T^(t) is defined for t in 1/2 + Z_+ only; `--t -1/2` would be a missing value
     (["annihilator", "--spec", "{cfg}", "--t=-1/2"],
      "t must be a positive half-odd integer, got -1/2"),
+    # a box of the empty word alone holds no word to draw a start vector from
+    (["verify", "reduction", "--max-length", "0"], "holds only the empty word"),
+    # a trailing sign leaves an empty term, which is not read as no term
+    (["bracket", "L[1] -", "T[1/2]"], "empty term"),
 ])
 def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
@@ -115,11 +119,36 @@ def test_u_checked_whatever_the_start_vector(vector, u, whittaker_cfg, capsys):
 
 
 def test_long_reduction_finishes(whittaker_cfg, capsys):
-    # the default budget counts a box of 405,728,685 vectors without listing it
-    code = main(["reduce", "{1:40}", "--spec", whittaker_cfg])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == PASS
-    assert len(lines) == 42 and lines[-1].startswith("terminal\t")
+    # the descent is bounded by the box of its starting degree, which the
+    # default run checks step by step instead of counting its vectors
+    for vector, steps in (("{1:40}", 40), ("{9:300}", 300)):
+        code = main(["reduce", vector, "--spec", whittaker_cfg])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == PASS
+        assert len(lines) == steps + 2 and lines[-1].startswith("terminal\t")
+
+
+def test_step_leaving_its_box_is_inconclusive(monkeypatch, capsys):
+    from n2sca import cli
+    from n2sca.engine import InducedModule
+    from n2sca.orders import ExponentVector
+
+    class Leaving(InducedModule):
+        """Every act lands on G[0]^5: weight 0 descends from w{3:1}, of
+        weight 3/2, but length 5 leaves its box (length at most 1 + 3)."""
+
+        def act(self, gen, v):
+            return self.basis_vector(ExponentVector([(2, 5)]))
+
+    spec = modules.whittaker_spec(1, 0)
+    stub = Leaving(spec.induced().letters, spec)
+    monkeypatch.setattr(cli, "_load_module", lambda path: (stub, spec))
+    code = main(["reduce", "{3:1}", "--spec", "unused.cfg"])
+    captured = capsys.readouterr()
+    assert code == INCONCLUSIVE
+    assert captured.out == "start\tw{3:1}⊗v0\n"  # the partial trace, no step
+    assert captured.err == ("inconclusive: overshoot step L[2] left the box "
+                            "(weight <= 3/2, length <= 4): {3:1} -> {2:5}\n")
 
 
 class TestBracket:

@@ -15,7 +15,6 @@ from n2sca.modules import (
 )
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
-from n2sca.theorems import weight_bound_check
 
 
 def ev(*items):
@@ -191,10 +190,6 @@ class TestModuleAxiom:
             whittaker_module.basis_vector(ev_) for ev_ in enumerate_vectors(2, 2)
         ]
         report = module_axiom_check(whittaker_module, 3, vectors)
-        assert report.ok
-
-    def test_weight_bound(self, whittaker_module):
-        report = weight_bound_check(whittaker_module, 1, 4, 3, 6)
         assert report.ok
 
     def test_grading_of_positive_action(self, whittaker_module):

@@ -69,7 +69,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "act-b_t0-label": ("act", "T[1/2] L[0]", "--spec", B, "--label", "G[0].v0"),
     "act-table-label": ("act", "T[1/2] G[-1/2]", "--spec", TB, "--label", "v1"),
     "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
-    # a long descent whose default step budget counts a large box
+    # a long descent, bounded by the box of its starting degree
     "reduce-whittaker-1_12": ("reduce", "{1:12}", "--spec", W),
     # G[0] past 400 letters G[-1/2]: the power rule of one letter
     "act-whittaker-deep400": ("act", "G[0]", "--spec", W, "--vector", "{4:400}"),

@@ -20,7 +20,6 @@ from n2sca.modules import (
     check_seed,
     generalized_whittaker_spec,
     highorder_whittaker_spec,
-    lemma31_check,
     load_spec_config,
     module_axiom_check,
     t_upper,
@@ -457,11 +456,6 @@ def test_square_rule_of_the_finite_letters():
 
 
 class TestLemma31:
-    def test_whittaker_both_parts_hold(self):
-        report = lemma31_check(whittaker_spec(1, 0), 1)
-        assert report.ok
-        assert [row[4] for row in report.rows] == ["pass", "pass"]
-
     def test_corrupted_table_fails_with_witness(self):
         cfg = """
 family = table
@@ -484,13 +478,11 @@ act.L2.v0 = 1*v1
 """
         with pytest.raises(ValidationError, match=re.escape("[L[2],T[1/2]]")):
             load_spec_config(cfg2)
-        # so the failing module is built without the loader
-        spec = FiniteSeed("table", ("v0", "v1"), {(T(1), "v0"): {"v0": ONE},
+        # the same table built without the loader fails with the same witness
+        seed = FiniteSeed("table", ("v0", "v1"), {(T(1), "v0"): {"v0": ONE},
                                                   (L(2), "v0"): {"v1": ONE}}, _positive)
-        report = lemma31_check(spec, 1)
-        assert not report.ok
-        detail = dict((r[0], r[3]) for r in report.rows)
-        assert "L[2]" in detail.get("part2", "")
+        with pytest.raises(ValidationError, match=re.escape("[L[2],T[1/2]]")):
+            check_seed(seed)
 
 
 class TestRepresentationProperty:
@@ -796,6 +788,9 @@ class TestConfig:
             load_spec_config("lambda = 1\n")
         with pytest.raises(ParseError):
             load_spec_config("family = whittaker\nbad line\n")
+        # an empty term is no term: the trailing minus is not dropped
+        with pytest.raises(ParseError, match="empty term"):
+            load_spec_config("family = table\nlabels = v0\nact.T1/2.v0 = 2*v0 -\n")
 
 
 SIZE_KEYS = ("max_weight", "max_length", "max_g0", "s")

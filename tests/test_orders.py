@@ -11,7 +11,6 @@ from n2sca.orders import (
     GT,
     LT,
     ZERO_VECTOR,
-    count_vectors,
     enumerate_vectors,
     eps,
     parse_exponent_vector,
@@ -212,14 +211,6 @@ class TestEnumeration:
 
         want = [ExponentVector(items) for items in depth_first(slots, max_w2, max_len)]
         assert walk_vectors(slots, max_w2, max_len) == want
-
-    @pytest.mark.parametrize("bounds", [(0, 0), (2, 3), (5, 3), (10, 20), (12, 24)])
-    def test_count_matches_enumeration(self, bounds):
-        assert count_vectors(*bounds) == len(enumerate_vectors(*bounds))
-
-    def test_count_rejects_negative_bounds(self):
-        with pytest.raises(ValueError):
-            count_vectors(2, -1)
 
 
 class TestMinSlotAndText:

@@ -412,6 +412,11 @@ class AlgebraPresentation:
         self._cache[key] = out
         return out
 
+    def antisymmetric(self, x: GeneratorId, y: GeneratorId) -> bool:
+        """Whether [y, x] = -(-1)^{|x||y|}[x, y] holds exactly."""
+        xy = self.bracket(x, y)
+        return self.bracket(y, x) == (xy if x.parity and y.parity else -xy)
+
     def bracket_combo(self, cx: LinearCombo, cy: LinearCombo) -> LinearCombo:
         out: dict[GeneratorId, Scalar] = {}
         for x, sx in cx.items():

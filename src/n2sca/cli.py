@@ -188,8 +188,7 @@ def _demo_lines(which: str) -> list[str]:
     from .modules import (
         b_plus_t0_induce,
         check_conditions,
-        generalized_whittaker_spec,
-        highorder_whittaker_spec,
+        derived_pair_spec,
         whittaker_spec,
     )
     from .orders import enumerate_vectors, parse_exponent_vector
@@ -206,14 +205,14 @@ def _demo_lines(which: str) -> list[str]:
         out += trace.lines()
     elif which == "generalized":
         for phi_t32 in (0, 1):
-            spec = generalized_whittaker_spec(1, phi_t32, 0, (4, 3))
+            spec = derived_pair_spec(1, {L(1): ONE, T(3): phi_t32}, 0, (4, 3))
             module = spec.induced()
             subspace, universe = _seed_slice(module, enumerate_vectors(4, 3), "v1")
             report = closure_check(module, subspace, 4, universe=universe)
             out.append(f"phi(T3/2)={phi_t32}: odd slice {report}")
     elif which == "highorder":
         # T[7/2] = -2[G[3/2], G[2]] acts by zero on every module seed of order 3/2
-        spec = highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
+        spec = derived_pair_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
         out.append(f"labels: {len(spec.labels())}")
         for u2 in (5, 7):
             out.append(f"conditions at u={format_half(u2)}: {check_conditions(spec, u2)}")

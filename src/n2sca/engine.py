@@ -91,9 +91,6 @@ class TwistedTemplate:
             return T(-slot)
         return G(-(slot - 2) // 2)
 
-    def keep_power(self, gen):
-        return True
-
     def rewrite(self, gen):
         if gen.kind == "L" and gen.index2 <= 0:
             if gen.index2 == 0:
@@ -127,9 +124,6 @@ class UntwistedTemplate:
         kinds = ("Lu", "J") if k % 2 == 0 else ("G+", "G-")
         return GeneratorId(kinds[slot % 2], -k)
 
-    def keep_power(self, gen):
-        return gen.parity == 0
-
     def rewrite(self, gen):
         return None
 
@@ -137,13 +131,17 @@ class UntwistedTemplate:
         return word_text(ev, self.letter)
 
 
-class FiniteLetters:
-    """Finitely many registered letters, leftmost first.
+def keeps_square(letters, g: GeneratorId) -> bool:
+    """Whether the normal words of ``letters`` hold g^2 for a letter g: g is
+    even, or (1/2)[g, g] names a rewritten generator, which would rewrite
+    back into g^2 (``G[0]`` with ``L[0] -> G[0]^2 + c/24``).  Otherwise g.g
+    folds to (1/2)[g, g]."""
+    return g.parity == 0 or any(
+        letters.rewrite(z) is not None for z in letters.presentation.bracket(g, g).terms)
 
-    An odd letter g keeps its square exactly when (1/2)[g, g] names a
-    rewritten generator, which would rewrite back into g^2 (``G[0]`` with
-    ``L[0] -> G[0]^2 + c/24``); otherwise g.g folds to (1/2)[g, g].
-    """
+
+class FiniteLetters:
+    """Finitely many registered letters, leftmost first."""
 
     def __init__(
         self,
@@ -157,8 +155,6 @@ class FiniteLetters:
         self._slot = {g: n - i for i, g in enumerate(self.letters_desc)}
         self._by_slot = {n - i: g for i, g in enumerate(self.letters_desc)}
         self._rewrites = rewrites or {}
-        self._keep = {g for g in self.letters_desc if g.parity == 0 or any(
-            z in self._rewrites for z in presentation.bracket(g, g).terms)}
         self._w2 = {s: abs(g.degree2) for s, g in self._by_slot.items()}
 
     def slot_of(self, gen):
@@ -166,9 +162,6 @@ class FiniteLetters:
 
     def letter(self, slot):
         return self._by_slot[slot]
-
-    def keep_power(self, gen):
-        return gen in self._keep
 
     def rewrite(self, gen):
         return self._rewrites.get(gen)
@@ -181,7 +174,7 @@ class FiniteLetters:
     def enumerate_words(self, max_w2: int, max_len: int) -> list[ExponentVector]:
         """All normal words of doubled weight <= max_w2 and length <= max_len,
         by `word_key`."""
-        slots = [(s, self._w2[s], max_len if self.keep_power(g) else 1)
+        slots = [(s, self._w2[s], max_len if keeps_square(self, g) else 1)
                  for s, g in sorted(self._by_slot.items())]
         return sorted(walk_vectors(slots, max_w2, max_len), key=self.word_key)
 
@@ -203,7 +196,7 @@ class FiniteLetters:
             if items and slot >= items[-1][0]:
                 raise ParseError(f"{gtext} is out of the normal order of the letters")
             exp = int(etext) if hat else 1
-            if exp > 1 and not self.keep_power(gen):
+            if exp > 1 and not keeps_square(self, gen):
                 raise ParseError(f"{gtext} is odd: no normal word holds its square")
             items.append((slot, exp))
         return ExponentVector(items)
@@ -231,9 +224,6 @@ class ModuleVector(TermMap):
         return [(f"{m.letters.word_text(ev)}⊗{m.seed.label_text(lbl)}", s)
                 for (ev, lbl), s in items]
 
-    def supp(self) -> set[ExponentVector]:
-        return {ev for ev, _ in self.terms}
-
     def coefficient(self, ev: ExponentVector) -> dict:
         """The seed-module coefficient of one word, as label -> Scalar."""
         return {lbl: s for (w, lbl), s in self.terms.items() if w == ev}
@@ -247,10 +237,10 @@ class InducedModule:
 
     A letter system (`TwistedTemplate`, `UntwistedTemplate` or
     `FiniteLetters`) has a ``presentation``, ``slot_of(gen)`` (None for a
-    mover), ``letter(slot)``,
-    ``keep_power(gen)`` (False folds an odd g.g -> (1/2)[g, g]),
-    ``rewrite(gen)`` (a Rewrite or None) and ``word_text(ev)``.  The seed
-    follows the protocol stated in the `modules` docstring.
+    mover), ``letter(slot)``, ``rewrite(gen)`` (a Rewrite or None) and
+    ``word_text(ev)``; `keeps_square` derives from these whether a letter
+    stacks or folds.  The seed follows the protocol stated in the `modules`
+    docstring.
     """
 
     def __init__(self, letters, seed):
@@ -259,7 +249,7 @@ class InducedModule:
         self.c = seed.c
         self.presentation = letters.presentation
         self._memo: dict = {}
-        # gen -> (rewrite, slot, keep_power), the letter system's answers
+        # gen -> (rewrite, slot, keeps_square), the last asked of letters only
         self._dispatch: dict = {}
         self.label_rank = seed.label_key
 
@@ -331,8 +321,9 @@ class InducedModule:
         how = self._dispatch.get(gen)
         if how is None:
             letters = self.letters
-            how = self._dispatch[gen] = (
-                letters.rewrite(gen), letters.slot_of(gen), letters.keep_power(gen))
+            slot = letters.slot_of(gen)
+            how = self._dispatch[gen] = (letters.rewrite(gen), slot,
+                                         slot is not None and keeps_square(letters, gen))
         rw, slot, keep = how
         acc: dict = {}
         if rw is not None:
@@ -461,11 +452,3 @@ def _int_times(k: int, s: Scalar) -> Scalar:
         return Scalar.rational(unit * k)
     return s if k == 1 else -s if k == -1 else Scalar.rational(k) * s
 
-
-def supp_deg(v: ModuleVector):
-    """(support, principal-maximal word, doubled weight) of a nonzero vector."""
-    if v.is_zero:
-        raise ValueError("deg(w) is defined only for w != 0")
-    supp = v.supp()
-    deg = max(supp, key=principal_sort_key)
-    return supp, deg, deg.weight2

@@ -2,20 +2,20 @@
 
 A seed describes a module over the positive subalgebra (plus, where the
 family needs it, the degree-0 part) through a basis of opaque labels and
-an exact action oracle.  Every seed has a ``family`` and a charge ``c``,
-and provides ``labels()`` (a finite list, in output order: all of a
-`FiniteSeed`, the box of an `InducedSpec`), ``label_key(label)`` (a sort
-key on every label, in that order on the listed ones), ``act(gen,
-label)`` (a {label: Scalar} map; ValueError for a generator that does not
-act on the seed), ``label_text(label)`` and its inverse
-``parse_label(text)`` (which raises ParseError), ``slice_labels(text)``
-(the listed labels over the seed vector that ``text`` names) and
-``induced()`` (the induced module over the full twisted algebra).
+an exact action oracle.  Every seed has a charge ``c`` and provides
+``labels()`` (a finite list, in output order: all of a `FiniteSeed`, the
+box of an `InducedSpec`), ``label_key(label)`` (a sort key on every label,
+in that order on the listed ones), ``act(gen, label)`` (a {label: Scalar}
+map; ValueError for a generator that does not act on the seed),
+``label_text(label)`` and its inverse ``parse_label(text)`` (which raises
+ParseError), ``slice_labels(text)`` (the listed labels over the seed
+vector that ``text`` names) and ``induced()`` (the induced module over
+the full twisted algebra).
 
-A `FiniteSeed` is an action table.  An infinite-dimensional family is an
-`InducedSpec`: its inner module acts exactly on every word, and its box
-only lists the finite set of labels that the checks over the seed range
-over.
+A `FiniteSeed` is an action table, named in its errors by its ``family``.
+An infinite-dimensional family is an `InducedSpec`: its inner module acts
+exactly on every word, and its box only lists the finite set of labels
+that the checks over the seed range over.
 """
 
 from __future__ import annotations
@@ -115,11 +115,10 @@ class InducedSpec:
 
     induced = FiniteSeed.induced
 
-    def __init__(self, family: str, inner: InducedModule, bounds: tuple[int, int]):
+    def __init__(self, inner: InducedModule, bounds: tuple[int, int]):
         # before the walk, which lists the empty word alone under a negative bound
         if min(bounds) < 0:
             raise ValidationError("the label box must be nonnegative")
-        self.family = family
         self.inner = inner
         self.c = inner.c
         words = inner.letters.enumerate_words(*bounds)
@@ -205,7 +204,7 @@ def module_axiom_rows(module: InducedModule, gens: list[GeneratorId],
                 sign = -ONE if x.parity and y.parity else ONE
                 bracket = TWISTED.bracket(x, y)
                 bad = row(x, y, sign, bracket)
-                if bad is None and j > i and TWISTED.bracket(y, x) == bracket.scaled(-sign):
+                if bad is None and j > i and TWISTED.antisymmetric(x, y):
                     replay.add((y, x))
             yield x, y, bad
 
@@ -272,22 +271,36 @@ def whittaker_spec(lam, c) -> FiniteSeed:
     return FiniteSeed("whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c)
 
 
-def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
-                      c: Scalar) -> FiniteSeed:
-    """Two-dimensional seed v0, v1 where v1 plays the role of G[1/2]v0.
+def _character(s2: int, phi: dict) -> dict[GeneratorId, Scalar]:
+    """phi without its zero values, once s is a positive half-odd integer
+    and phi lives on T^(s)."""
+    if s2 < 1 or s2 % 2 == 0:
+        raise ValidationError("s must be a positive half-odd integer")
+    phi = {g: s for g, value in phi.items() if (s := as_scalar(value))}
+    upper = t_upper(s2)
+    for g in phi:
+        if not upper(g):
+            raise ValidationError(f"{g} lies outside T^({format_half(s2)})")
+    return phi
 
-    The members of the acting subalgebra see v0 through the character
-    phi (a value on an odd generator breaks the parity rule of
-    `check_seed`); the action on v1 is forced by
+
+def derived_pair_spec(s2: int, phi: dict, c, bounds: tuple[int, int]) -> InducedSpec:
+    """The derived pair (v0, v1 = G[1/2]v0) under a character phi of T^(s),
+    induced over the letters G[1/2] and the positive generators outside
+    T^(s), its labels listed in the box ``bounds``.
+
+    T^(s) sees v0 through phi (a value on an odd generator breaks the
+    parity rule of `check_seed`); the action on v1 is forced by
     x.v1 = phi(x) v1 + phi([x, G[1/2]]) v0.  Brackets are homogeneous, so
-    only the keys of phi and the generators one half-degree below them
-    can act by a nonzero map: the table lists exactly those, and every
-    other member acts by zero.
+    only the keys of phi and the generators one half-degree below them can
+    act by a nonzero map: the table lists exactly those, and every other
+    member acts by zero.  The seed must pass `check_seed`.
     """
-    phi = {g: s for g, s in phi.items() if s}
+    phi = _character(s2, phi)
+    upper = t_upper(s2)
     degrees = {g.degree2 for g in phi}
     table: dict = {}
-    for x in TWISTED.generators(max(map(abs, degrees), default=0) + 1):
+    for x in TWISTED.generators(max(degrees, default=0) + 1):
         if x.degree2 in degrees or x.degree2 + 1 in degrees:
             s = phi.get(x, ZERO)
             cross = ZERO
@@ -295,49 +308,13 @@ def derived_pair_seed(phi: dict[GeneratorId, Scalar], member, family: str,
                 cross = cross + coef * phi.get(z, ZERO)
             table[(x, "v0")] = {"v0": s}
             table[(x, "v1")] = {"v1": s, "v0": cross}
-    return FiniteSeed(family, ("v0", "v1"), table, member, c, {"v0": 0, "v1": 1})
-
-
-def _derived_pair_spec(s2: int, phi: dict[GeneratorId, Scalar], c: Scalar, truncation,
-                       seed_family: str, family: str) -> InducedSpec:
-    """The derived pair (v0, v1 = G[1/2]v0) under phi on T^(s), induced over
-    G[1/2] and the positive generators outside T^(s)."""
-    upper = t_upper(s2)
+    seed = FiniteSeed(f"highorder[s={format_half(s2)}]", ("v0", "v1"), table, upper,
+                      as_scalar(c), {"v0": 0, "v1": 1})
     complement = [g for g in TWISTED.generators(s2)
                   if g.degree2 > 0 and g != G(1) and not upper(g)]
     letters = [G(1)] + sorted(complement, key=lambda g: (KIND_RANK[g.kind], -g.index2))
-    seed = derived_pair_seed(phi, upper, seed_family, c)
     check_seed(seed, letters)
-    return InducedSpec(family, InducedModule(FiniteLetters(TWISTED, letters), seed),
-                       tuple(truncation))
-
-
-def generalized_whittaker_spec(phi_l1, phi_t32, c, truncation) -> InducedSpec:
-    """Seed for the two-step induction with free letters G[1/2], T[1/2]
-    over the pair (v0, v1 = G[1/2]v0); phi lives on L[1] and T[3/2].
-    This is the order-1/2 case of `highorder_whittaker_spec`, except that
-    phi may vanish."""
-    phi = {L(1): as_scalar(phi_l1), T(3): as_scalar(phi_t32)}
-    return _derived_pair_spec(1, phi, as_scalar(c), truncation,
-                              "generalized-whittaker", "generalized")
-
-
-def highorder_whittaker_spec(s2: int, phi: dict[GeneratorId, Scalar], c,
-                             truncation) -> InducedSpec:
-    """Seed for the order-s analogue: the character lives on the deep
-    subalgebra T^(s), the derived pair must pass `check_seed`, and the
-    letters are G[1/2] plus the positive generators below the cutoff."""
-    if s2 < 1 or s2 % 2 == 0:
-        raise ValidationError("s must be a positive half-odd integer")
-    phi = {g: as_scalar(value) for g, value in phi.items()}
-    phi = {g: s for g, s in phi.items() if s}
-    for g in phi:
-        if not t_upper(s2)(g):
-            raise ValidationError(f"{g} lies outside T^({format_half(s2)})")
-    if not phi:
-        raise ValidationError("the character must be non-trivial")
-    return _derived_pair_spec(s2, phi, as_scalar(c), truncation,
-                              f"highorder[s={format_half(s2)}]", "highorder")
+    return InducedSpec(InducedModule(FiniteLetters(TWISTED, letters), seed), tuple(bounds))
 
 
 def b_plus_t0_induce(spec: FiniteSeed | InducedSpec, max_k: int) -> InducedSpec:
@@ -347,7 +324,7 @@ def b_plus_t0_induce(spec: FiniteSeed | InducedSpec, max_k: int) -> InducedSpec:
     letters = FiniteLetters(
         TWISTED, [G(0)], rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))}
     )
-    return InducedSpec("b_t0", InducedModule(letters, spec), (0, max_k))
+    return InducedSpec(InducedModule(letters, spec), (0, max_k))
 
 
 def verma_untwisted(c) -> InducedModule:
@@ -435,19 +412,18 @@ def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
     if family == "whittaker":
         return whittaker_spec(read("lambda", parse_scalar), c)
     if family == "generalized":
-        return generalized_whittaker_spec(
-            read("phi.L1", parse_scalar, ZERO), read("phi.T3/2", parse_scalar, ZERO),
-            c, (read("max_weight", parse_half, 4), read("max_length", _int, 3)),
-        )
+        phi = {L(1): read("phi.L1", parse_scalar, ZERO),
+               T(3): read("phi.T3/2", parse_scalar, ZERO)}
+        return derived_pair_spec(
+            1, phi, c, (read("max_weight", parse_half, 4), read("max_length", _int, 3)))
     if family == "highorder":
         s2 = read("s", parse_half)
-        phi = {}
-        for key, value in entries.items():
-            if key.startswith("phi."):
-                phi[_parse_phi_key(key[4:])] = parse_scalar(value)
-        return highorder_whittaker_spec(
-            s2, phi, c, (read("max_weight", parse_half, 4), read("max_length", _int, 3))
-        )
+        phi = {_parse_phi_key(key[4:]): parse_scalar(value)
+               for key, value in entries.items() if key.startswith("phi.")}
+        bounds = (read("max_weight", parse_half, 4), read("max_length", _int, 3))
+        if not _character(s2, phi):
+            raise ValidationError("the character must be non-trivial")
+        return derived_pair_spec(s2, phi, c, bounds)
     if family == "b_t0":
         inner_entries = {
             k[len("inner.") :]: v for k, v in entries.items() if k.startswith("inner.")

@@ -176,13 +176,9 @@ def jacobi_check(
                     acc[g2] = prod if t is None else t + prod
         return any(acc.values())
 
-    def antisymmetric(i: int, j: int) -> bool:
-        x, y = gens[i], gens[j]  # [y, x] == -(-1)^{|x||y|}[x, y]
-        return presentation.bracket(y, x) == presentation.bracket(x, y).scaled(
-            ONE if parity[i] and parity[j] else -ONE)
-
     live = [i for i, g in enumerate(gens) if not g.is_central]
-    anti = {(i, j) for p, i in enumerate(live) for j in live[p + 1:] if antisymmetric(i, j)}
+    anti = {(i, j) for p, i in enumerate(live) for j in live[p + 1:]
+            if presentation.antisymmetric(gens[i], gens[j])}
     bad: list[tuple[int, int, int]] = []
     for p, i in enumerate(live):
         for q, j in enumerate(live[p:], p):
@@ -363,10 +359,9 @@ def suite_deg_lemma(max_weight2: int = 4, max_length: int = 3) -> SuiteReport:
 
 def suite_reduction(seed: int = 0, max_weight2: int = 5,
                     max_length: int = 3) -> SuiteReport:
-    from .engine import supp_deg
     from .modules import whittaker_spec
     from .orders import enumerate_vectors
-    from .theorems import reduce_to_M
+    from .theorems import leading_word, reduce_to_M
 
     report = SuiteReport("reduction")
     module = whittaker_spec(1, 0).induced()
@@ -389,7 +384,7 @@ def suite_reduction(seed: int = 0, max_weight2: int = 5,
         kinds = ",".join(k for k, *_ in trace.steps) or "none"
         report.add(
             f"reduce[{case}]",
-            f"deg={supp_deg(v)[1]} steps={len(trace.steps)} kinds={kinds}",
+            f"deg={leading_word(v)} steps={len(trace.steps)} kinds={kinds}",
             "nonzero terminal in 1(x)M",
             str(trace.terminal),
             trace.succeeded,

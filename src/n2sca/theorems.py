@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .algebra import G, GeneratorId, L, SuiteReport, T, TWISTED, format_half
-from .engine import InducedModule, ModuleVector, supp_deg
+from .engine import InducedModule, ModuleVector
 from .linalg import SpanChecker, kernel_basis
 from .modules import check_conditions, t_upper
 from .orders import (
@@ -18,8 +18,16 @@ from .orders import (
     ZERO_VECTOR,
     enumerate_vectors,
     principal_compare,
+    principal_sort_key,
 )
 from .scalars import ONE, Scalar, ZERO, add_scaled
+
+
+def leading_word(v: ModuleVector) -> ExponentVector:
+    """The principal-maximal word in the support of a nonzero vector."""
+    if v.is_zero:
+        raise ValueError("deg(w) is defined only for w != 0")
+    return max((ev for ev, _ in v.terms), key=principal_sort_key)
 
 
 def _require_conditions(module: InducedModule, u2: int) -> None:
@@ -47,7 +55,7 @@ def _affine_theta(module: InducedModule, v: ModuleVector, u2: int) -> Scalar:
     """The scalar theta with (T_u - theta) killing the leading coefficient
     of v; exists when T_u acts on that seed coefficient as a scalar."""
     spec = module.seed
-    _, deg, _ = supp_deg(v)
+    deg = leading_word(v)
     kappa = v.coefficient(deg)  # label -> Scalar
     image: dict = {}
     for lbl, s in kappa.items():
@@ -130,21 +138,17 @@ def reduce_to_M(
     if v.is_zero:
         raise ValueError("cannot reduce the zero vector")
     trace = ReductionTrace(v)
-    _, deg0, _ = supp_deg(v)
-    if not deg0.is_zero:
+    current, deg = v, leading_word(v)
+    if not deg.is_zero:
         _require_conditions(module, u2)
-    top_len = deg0.length + deg0.weight2
-    current = v
-    while True:
-        _, deg, _ = supp_deg(current)
-        if deg.is_zero:
-            trace.terminal = current
-            return trace
+    top_w2, top_len = deg.weight2, deg.length + deg.weight2
+    while not deg.is_zero:
         if len(trace.steps) == step_budget:
             trace.inconclusive = f"{step_budget}-step budget spent before the seed module"
             return trace
         x = prescribed_generator(deg, u2)
         image = module.act(x, current)
+        kind, op = "corollary", str(x)
         if image.is_zero:
             theta = _affine_theta(module, current, u2)
             image = module.act(T(u2), current) + current.scaled(-theta)
@@ -152,22 +156,22 @@ def reduce_to_M(
             if image.is_zero:
                 trace.failure = f"affine step annihilated the vector at deg {deg}"
                 return trace
-        else:
-            drop = deg.bump(deg.min_nonzero_slot(), -1)
-            kind = "corollary" if supp_deg(image)[1] == drop else "overshoot"
-            op = str(x)
-        _, new_deg, _ = supp_deg(image)
+        new_deg = leading_word(image)
+        if kind == "corollary" and new_deg != deg.bump(deg.min_nonzero_slot(), -1):
+            kind = "overshoot"
         if principal_compare(new_deg, deg) >= 0:
             trace.failure = f"{kind} step failed to descend: {deg} -> {new_deg}"
             return trace
         if new_deg.length > top_len:
             trace.inconclusive = (
-                f"{kind} step {op} left the box (weight <= {format_half(deg0.weight2)}, "
+                f"{kind} step {op} left the box (weight <= {format_half(top_w2)}, "
                 f"length <= {top_len}): {deg} -> {new_deg}"
             )
             return trace
-        current = image
-        trace.steps.append((kind, op, new_deg, new_deg.weight2, new_deg.length))
+        current, deg = image, new_deg
+        trace.steps.append((kind, op, deg, deg.weight2, deg.length))
+    trace.terminal = current
+    return trace
 
 
 def annihilator_Mt(
@@ -284,7 +288,7 @@ def lemma_deg_suite(
             if image.is_zero:
                 ok_a = False
                 break
-            _, deg, _ = supp_deg(image)
+            deg = leading_word(image)
             if deg != target:
                 ok_a = False
                 break

@@ -28,9 +28,8 @@ from n2sca.algebra import (
     parse_combo,
     parse_generator,
 )
-from n2sca.engine import supp_deg
 from n2sca.modules import (
-    generalized_whittaker_spec,
+    derived_pair_spec,
     module_axiom_check,
     verma_untwisted,
     whittaker_spec,
@@ -171,7 +170,7 @@ def test_criterion_06_annihilator_recovery():
 def test_criterion_07_dichotomy():
     verdicts = {}
     for phi_t32 in (0, 1):
-        spec = generalized_whittaker_spec(1, phi_t32, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): phi_t32}, 0, (4, 3))
         module = spec.induced()
         evs = enumerate_vectors(4, 3)
         subspace = [

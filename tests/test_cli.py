@@ -263,6 +263,31 @@ class TestActReduce:
         assert code == USAGE and captured.out == ""
         assert captured.err == "error: unknown family 'verma'\n"
 
+    @pytest.mark.parametrize("config, err", [
+        # the order-s checks in their order: s, where phi lives, phi != 0
+        ("s = 1\n", "s must be a positive half-odd integer"),
+        ("s = -1/2\nphi.T1/2 = 1\n", "s must be a positive half-odd integer"),
+        ("s = 3/2\nphi.T1/2 = 1\n", "T[1/2] lies outside T^(3/2)"),
+        ("s = 3/2\nphi.L2 = 0\nphi.T5/2 = 0\n", "the character must be non-trivial"),
+        # a zero value lies nowhere, and the character comes before the box
+        ("s = 3/2\nphi.T1/2 = 0\nmax_length = -1\n", "the character must be non-trivial"),
+    ])
+    def test_highorder_config_errors_in_order(self, config, err, tmp_path, capsys):
+        path = tmp_path / "highorder.cfg"
+        path.write_text("family = highorder\n" + config)
+        code = main(["act", "T[1/2]", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == USAGE and captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
+    def test_generalized_takes_a_zero_character(self, tmp_path, capsys):
+        path = tmp_path / "generalized.cfg"
+        path.write_text("family = generalized\nphi.L1 = 0\nphi.T3/2 = 0\n")
+        code = main(["act", "T[1/2]", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == PASS and captured.err == ""
+        assert captured.out == "w{}⊗T[1/2].v0\n"
+
     @pytest.mark.parametrize("label, value, expected", [
         ("v0", "(1 + i)*v0", "(1 + i)*w{}⊗v0"),
         ("v1", "v1 - v0", "w{}⊗v1 - w{}⊗v0"),

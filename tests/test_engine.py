@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
-from n2sca.engine import InducedModule, TwistedTemplate, supp_deg
+from n2sca.engine import InducedModule, TwistedTemplate
 from n2sca.modules import (
     FiniteSeed,
     b_plus_t0_induce,
@@ -15,6 +15,7 @@ from n2sca.modules import (
 )
 from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
 from n2sca.scalars import ONE, Scalar, ZERO
+from n2sca.theorems import leading_word
 
 
 def ev(*items):
@@ -165,23 +166,20 @@ class TestAction:
         assert got == m.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(-3, 2))
 
 
-class TestSuppDeg:
+class TestLeadingWord:
     def test_revlex_tiebreak(self, whittaker_module):
         m = whittaker_module
         v = m.basis_vector(eps(1)) + m.basis_vector(eps(4))
-        supp, deg, w2 = supp_deg(v)
-        assert supp == {eps(1), eps(4)}
-        assert deg == eps(1)
-        assert w2 == 1
+        assert leading_word(v) == eps(1)
+        assert leading_word(v).weight2 == 1
 
     def test_zero_word(self, whittaker_module):
         m = whittaker_module
-        supp, deg, w2 = supp_deg(m.basis_vector(ZERO_VECTOR))
-        assert deg == ZERO_VECTOR and w2 == 0
+        assert leading_word(m.basis_vector(ZERO_VECTOR)) == ZERO_VECTOR
 
     def test_zero_vector_raises(self, whittaker_module):
         with pytest.raises(ValueError, match="only for w != 0"):
-            supp_deg(whittaker_module.zero())
+            leading_word(whittaker_module.zero())
 
 
 class TestModuleAxiom:
@@ -200,7 +198,7 @@ class TestModuleAxiom:
                 image = m.act(x, m.basis_vector(ev_))
                 if image.is_zero:
                     continue
-                _, _, w2 = supp_deg(image)
+                w2 = leading_word(image).weight2
                 assert w2 <= ev_.weight2 - x.degree2 + 1  # u = 1/2 slack
 
 

@@ -5,21 +5,23 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from n2sca import modules
 from n2sca.algebra import (
-    C, G, KIND_RANK, L, T, TWISTED, UNTWISTED_PM, Gm, Gp, J, Lu, format_terms,
-    parse_combo,
+    C, G, KIND_RANK, L, T, TWISTED, UNTWISTED_PM, Gm, Gp, J, Lu, format_half,
+    format_terms, parse_combo,
 )
 from n2sca.errors import ParseError, ValidationError
-from n2sca.engine import FiniteLetters, InducedModule
+from n2sca.engine import (
+    FiniteLetters, InducedModule, TwistedTemplate, UntwistedTemplate, keeps_square,
+)
 from n2sca.modules import (
     FiniteSeed,
+    InducedSpec,
     _positive,
     b_plus_t0_induce,
-    derived_pair_seed,
     check_conditions,
     check_seed,
-    generalized_whittaker_spec,
-    highorder_whittaker_spec,
+    derived_pair_spec,
     load_spec_config,
     module_axiom_check,
     t_upper,
@@ -36,6 +38,14 @@ def _frak_t(g):
     if g.kind in ("L", "G"):
         return g.index2 >= 2
     return g.kind == "T" and g.index2 >= 3
+
+
+def unchecked_pair_seed(s2, phi, c=ZERO):
+    """The table seed that `derived_pair_spec` builds for phi on T^(s), with
+    its `check_seed` skipped, so that a seed it rejects can be inspected."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "check_seed", lambda seed, letters: None)
+        return derived_pair_spec(s2, phi, c, (0, 0)).inner.seed
 
 
 def reference_highorder_letters(s2):
@@ -137,7 +147,7 @@ class TestWhittakerSpec:
 
 class TestGeneralizedSpec:
     def test_label_count(self):
-        spec = generalized_whittaker_spec(0, 1, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 0, T(3): 1}, 0, (4, 3))
         labels = spec.labels()
         # words G^eps T^a with eps + a <= 3, eps <= 1, weight eps + a <= 4
         assert len(labels) == 14
@@ -145,7 +155,7 @@ class TestGeneralizedSpec:
 
     def test_bracket_consistency_example(self):
         # act(L1, act(T1/2, v0)) - act(T1/2, act(L1, v0)) = -(phi(T3/2)/2) v0
-        spec = generalized_whittaker_spec(0, 1, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 0, T(3): 1}, 0, (4, 3))
         v0 = spec.parse_label("v0")
         lhs = act_through(spec, L(1), spec.act(T(1), v0))
         for l2, s in act_through(spec, T(1), spec.act(L(1), v0)).items():
@@ -154,16 +164,16 @@ class TestGeneralizedSpec:
         assert lhs == {"v0": Scalar.rational(-1, 2)}
 
     def test_conditions_at_u_three_halves(self):
-        spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
         assert check_conditions(spec, 3) == (True, True)
 
     def test_zero_t32_breaks_injectivity(self):
-        spec = generalized_whittaker_spec(1, 0, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): 0}, 0, (4, 3))
         injective, killed = check_conditions(spec, 3)
         assert killed and not injective
 
     def test_label_past_the_box_parses_if_normal(self):
-        spec = generalized_whittaker_spec(1, 1, 0, (2, 1))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (2, 1))
         label = spec.parse_label("G[1/2]*T[1/2]^5.v1")
         assert label not in spec.labels()
         assert spec.label_text(label) == "G[1/2]*T[1/2]^5.v1"
@@ -175,7 +185,7 @@ class TestGeneralizedSpec:
             spec.parse_label("T[1/2]*G[1/2].v0")
 
     def test_act_past_bounds_is_exact(self):
-        spec = generalized_whittaker_spec(0, 1, 0, (2, 1))
+        spec = derived_pair_spec(1, {L(1): 0, T(3): 1}, 0, (2, 1))
         top = spec.parse_label("T[1/2].v0")
         # T^2 lies past the box of the listed labels (weight 1, length 1)
         assert {spec.label_text(k): s for k, s in spec.act(T(1), top).items()} == {
@@ -184,12 +194,26 @@ class TestGeneralizedSpec:
 
     def test_seed_axiom_window(self):
         ok, witness = spec_axiom_holds(
-            generalized_whittaker_spec(1, 1, 1, (4, 3)), 5
+            derived_pair_spec(1, {L(1): 1, T(3): 1}, 1, (4, 3)), 5
         )
         assert ok, witness
 
+    def test_no_error_names_the_generalized_seed(self):
+        # its check_seed passes for every phi on L[1] and T[3/2], and every
+        # positive generator that is not a letter acts on it, so neither
+        # error that names its family text can fire (notes/decisions.md)
+        values = [ZERO, ONE, -ONE, Scalar.rational(1, 3), I, ONE + SQRT2]
+        for a in values:
+            for b in values:
+                spec = derived_pair_spec(1, {L(1): a, T(3): b}, a, (0, 0))
+                seed, letters = spec.inner.seed, spec.inner.letters.letters_desc
+                assert seed.family == "highorder[s=1/2]" and letters == [G(1), T(1)]
+                for gen in TWISTED.generators(12):
+                    if gen.degree2 > 0 and gen not in letters:
+                        seed.act(gen, "v1")
+
     def test_g_half_layers_are_free(self):
-        spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
         v0 = spec.parse_label("v0")
         image = spec.act(G(1), v0)
         assert {spec.label_text(k): str(s) for k, s in image.items()} == {
@@ -199,14 +223,17 @@ class TestGeneralizedSpec:
 
 class TestHighorderSpec:
     def test_builds_and_checks_conditions(self):
-        spec = highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
+        spec = derived_pair_spec(3, {L(2): ONE, T(5): ONE}, 0, (4, 2))
         assert check_conditions(spec, 5) == (True, True)
         # T[7/2] lies in the commutator subalgebra, so it acts by zero on v0
         assert check_conditions(spec, 7) == (False, True)
 
     def test_trivial_character_rejected(self):
+        # the highorder config asks for a non-trivial character; the builder
+        # takes a zero one too, as the generalized config does
         with pytest.raises(ValidationError, match="non-trivial"):
-            highorder_whittaker_spec(3, {}, 0, (4, 2))
+            load_spec_config("family = highorder\ns = 3/2\nphi.L2 = 0\n")
+        assert derived_pair_spec(3, {}, 0, (4, 2)).inner.seed.table == {}
 
     def test_forced_vanishing_enforced(self):
         # the seed check rejects phi on the commutator subalgebra of T^(3/2),
@@ -217,15 +244,15 @@ class TestHighorderSpec:
                            (L(4), "[L[2],G[3/2]]"), (T(9), "[L[2],T[5/2]]"),
                            (G(3), "[G[3/2],G[3/2]]")):
             with pytest.raises(ValidationError, match=re.escape(witness)):
-                highorder_whittaker_spec(3, {g: ONE}, 0, (4, 2))
+                derived_pair_spec(3, {g: ONE}, 0, (4, 2))
 
     def test_character_outside_t_upper_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
-            highorder_whittaker_spec(3, {T(1): ONE}, 0, (4, 2))
+            derived_pair_spec(3, {T(1): ONE}, 0, (4, 2))
 
     def test_s_half_matches_generalized_shape(self):
-        ho = highorder_whittaker_spec(1, {T(3): ONE}, 0, (4, 3))
-        gw = generalized_whittaker_spec(0, 1, 0, (4, 3))
+        ho = load_spec_config("family = highorder\ns = 1/2\nphi.T3/2 = 1\n")
+        gw = load_spec_config("family = generalized\nphi.T3/2 = 1\n")
         assert ho.inner.letters.letters_desc == gw.inner.letters.letters_desc
         v0 = ho.parse_label("v0")
         for x in (L(1), T(3), G(2), T(1), G(1)):
@@ -235,15 +262,15 @@ class TestHighorderSpec:
 
     @pytest.mark.parametrize("s2", [1, 3, 5, 7])
     def test_letters_match_reference_ranges(self, s2):
-        spec = highorder_whittaker_spec(s2, {L((s2 + 1) // 2): ONE}, 0, (2, 1))
+        spec = derived_pair_spec(s2, {L((s2 + 1) // 2): ONE}, 0, (2, 1))
         assert spec.inner.letters.letters_desc == reference_highorder_letters(s2)
 
     def test_generalized_seed_matches_frak_t_reference(self):
         # T^(1/2) and frak t differ only at the letter G[1/2], which never
         # reaches the seed
         phi = {L(1): Scalar(2), T(3): -ONE}
-        seed = generalized_whittaker_spec(2, -1, 0, (4, 3)).inner.seed
-        want = ReferencePairSeed(phi, _frak_t, "generalized-whittaker")
+        seed = derived_pair_spec(1, phi, 0, (4, 3)).inner.seed
+        want = ReferencePairSeed(phi, _frak_t, "highorder[s=1/2]")
         for gen in TWISTED.generators(8):
             if gen != G(1):
                 for label in ("v0", "v1"):
@@ -254,11 +281,11 @@ class TestHighorderSpec:
 # have: the inner seed's own acting subalgebra rejects every generator
 # below it, on every label.
 INDUCED_SPECS = {
-    "generalized": (lambda: generalized_whittaker_spec(1, 1, 0, (2, 3)), 1),
-    "highorder": (lambda: highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 0, (2, 2)), 1),
+    "generalized": (lambda: derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (2, 3)), 1),
+    "highorder": (lambda: derived_pair_spec(3, {L(2): ONE, T(5): ONE}, 0, (2, 2)), 1),
     "b_t0-over-whittaker": (lambda: b_plus_t0_induce(whittaker_spec(1, 0), 3), 0),
     "b_t0-over-generalized": (
-        lambda: b_plus_t0_induce(generalized_whittaker_spec(1, 1, 0, (2, 3)), 2), 0),
+        lambda: b_plus_t0_induce(derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (2, 3)), 2), 0),
 }
 
 
@@ -383,7 +410,7 @@ class TestVerma:
         # the template's letters of degree at least -3/2 are slots 1..6;
         # slot s has doubled weight ceil(s/2), and an odd letter folds
         letters = verma_untwisted(0).letters
-        slots = [(s, (s + 1) // 2, 3 if letters.keep_power(letters.letter(s)) else 1)
+        slots = [(s, (s + 1) // 2, 3 if keeps_square(letters, letters.letter(s)) else 1)
                  for s in range(1, 7)]
         words = walk_vectors(slots, 3, 3)
         texts = {letters.word_text(w) for w in words}
@@ -440,16 +467,36 @@ class TestVerma:
             assert image.terms == want.terms and str(image) == str(want), (g, v)
 
 
+@pytest.mark.parametrize("c", [ZERO, ONE])
+def test_keeps_square_matches_each_systems_old_answer(c):
+    # the answers each letter system once gave itself: the twisted template
+    # kept every power, the untwisted one folded every odd letter, and
+    # finite letters kept an even letter or one whose square names a
+    # rewritten generator (b_t0's G[0]; no derived-pair letter)
+    twisted, untwisted = TwistedTemplate(c), UntwistedTemplate()
+    for slot in range(1, 41):
+        assert keeps_square(twisted, twisted.letter(slot)), slot
+        g = untwisted.letter(slot)
+        assert keeps_square(untwisted, g) == (g.parity == 0), g
+    b_t0 = b_plus_t0_induce(whittaker_spec(1, c), 3).inner.letters
+    assert b_t0.letters_desc == [G(0)] and keeps_square(b_t0, G(0))
+    for s2, phi in ((1, {L(1): ONE, T(3): ONE}), (3, {L(2): ONE}), (5, {L(3): ONE})):
+        letters = derived_pair_spec(s2, phi, c, (0, 0)).inner.letters
+        for g in letters.letters_desc:
+            assert keeps_square(letters, g) == (g.parity == 0), (s2, g)
+        assert not keeps_square(letters, G(1))
+
+
 def test_square_rule_of_the_finite_letters():
     # G[0].G[0] would fold to L[0] - c/24, which is rewritten back into G[0]^2
     b_t0 = b_plus_t0_induce(whittaker_spec(1, 0), 3)
     g0v0 = b_t0.parse_label("G[0].v0")
-    assert b_t0.inner.letters.keep_power(G(0))
+    assert keeps_square(b_t0.inner.letters, G(0))
     assert b_t0.act(G(0), g0v0) == {b_t0.parse_label("G[0]^2.v0"): ONE}
     # no derived-pair letter is rewritten: G[1/2].G[1/2] folds to -L[1],
     # which acts on v0 by -phi(L[1]) = -1
-    spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
-    assert not spec.inner.letters.keep_power(G(1))
+    spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
+    assert not keeps_square(spec.inner.letters, G(1))
     assert spec.act(G(1), spec.parse_label("G[1/2].v0")) == {spec.parse_label("v0"): -ONE}
     with pytest.raises(ParseError, match="no normal word holds its square"):
         spec.parse_label("G[1/2]^2.v0")
@@ -530,7 +577,7 @@ class TestRepresentationProperty:
     def test_outer_module_axiom_over_generalized_seed(self):
         from n2sca.orders import enumerate_vectors
 
-        spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
         module = spec.induced()
         vectors = [
             module.basis_vector(ev, lbl)
@@ -544,7 +591,7 @@ class TestRepresentationProperty:
         # L2 and T5/2 sit outside the commutator subalgebra of the deep
         # part, so a character supported there is an actual homomorphism
         ok, witness = spec_axiom_holds(
-            highorder_whittaker_spec(3, {L(2): ONE, T(5): ONE}, 1, (6, 2)), 6
+            derived_pair_spec(3, {L(2): ONE, T(5): ONE}, 1, (6, 2)), 6
         )
         assert ok, witness
 
@@ -554,8 +601,8 @@ class TestRepresentationProperty:
         # displayed vanishing list allows it, the seed check does not, and
         # the reference finds the same kind of witness on the bare seed
         with pytest.raises(ValidationError, match=re.escape("[G[3/2],G[2]]")):
-            highorder_whittaker_spec(3, {T(7): ONE}, 1, (6, 2))
-        seed = derived_pair_seed({T(7): ONE}, t_upper(3), "highorder", ONE)
+            derived_pair_spec(3, {T(7): ONE}, 1, (6, 2))
+        seed = unchecked_pair_seed(3, {T(7): ONE}, ONE)
         ok, witness = spec_axiom_holds(seed, 8, t_upper(3))
         assert not ok
         x, y, _, _ = witness
@@ -639,9 +686,6 @@ def _outcome(seed, gen, label):
 
 class TestDerivedPairSeed:
     EVEN_POSITIVE = [L(m) for m in range(1, 9)] + [T(r2) for r2 in range(1, 17, 2)]
-    MEMBERS = [("positive", _positive), ("frakT", _frak_t)] + [
-        (f"T^({u2}/2)", t_upper(u2)) for u2 in (1, 3, 5, 7)
-    ]
 
     def test_table_matches_closed_form(self):
         rng = random.Random(20261018)
@@ -649,12 +693,14 @@ class TestDerivedPairSeed:
         gens = TWISTED.generators(16)
         cases = 0
         for _ in range(300):
-            keys = rng.sample(self.EVEN_POSITIVE, rng.randint(1, 4))
+            s2 = rng.choice((1, 3, 5, 7))
+            upper = t_upper(s2)
+            keys = rng.sample([g for g in self.EVEN_POSITIVE if upper(g)], rng.randint(1, 4))
             phi = {g: rng.choice(values) * Scalar.rational(rng.randint(1, 5))
                    for g in keys}
-            name, member = rng.choice(self.MEMBERS)
-            want = ReferencePairSeed(phi, member, name)
-            got = derived_pair_seed(phi, member, name, ZERO)
+            name = f"highorder[s={format_half(s2)}]"
+            want = ReferencePairSeed(phi, upper, name)
+            got = unchecked_pair_seed(s2, phi)
             for gen in gens:
                 for label in ("v0", "v1"):
                     assert _outcome(got, gen, label) == _outcome(want, gen, label), (
@@ -663,7 +709,7 @@ class TestDerivedPairSeed:
         assert cases == 300 * len(gens) * 2
 
     def test_table_lists_only_generators_that_can_act(self):
-        seed = derived_pair_seed({L(1): ONE, T(3): ONE}, _frak_t, "pair", ZERO)
+        seed = derived_pair_spec(1, {L(1): ONE, T(3): ONE}, ZERO, (0, 0)).inner.seed
         listed = {gen for gen, _ in seed.table}
         assert listed == {gen for gen in TWISTED.generators(4)
                           if gen.degree2 in (1, 2, 3)}
@@ -702,7 +748,7 @@ class TestCheckSeed:
         upper = t_upper(s2)
         keys = [g for g in TWISTED.generators(2 * s2 + 4) if upper(g) and not g.parity]
         phi = {g: rng.choice(self.VALUES) for g in rng.sample(keys, rng.randint(1, 2))}
-        return derived_pair_seed(phi, upper, f"s2={s2}", rng.choice([ZERO, ONE])), (G(1),)
+        return unchecked_pair_seed(s2, phi, rng.choice([ZERO, ONE])), (G(1),)
 
     def random_table_seed(self, rng):
         labels = ("v0", "v1")[:rng.randint(1, 2)]
@@ -729,8 +775,7 @@ class TestCheckSeed:
                                                 (T(1), "v1"): {"v1": Scalar(2)},
                                                 (L(2), "v0"): {"v1": ONE}},
                     _positive, ONE, {"v0": 0, "v1": 1}), (), False),
-        (derived_pair_seed({L(1): ONE, T(3): ONE}, t_upper(1), "generalized", ZERO),
-         (G(1),), True),
+        (derived_pair_spec(1, {L(1): ONE, T(3): ONE}, ZERO, (0, 0)).inner.seed, (G(1),), True),
         (whittaker_spec(1, 0), (), True),
     ]
 
@@ -761,7 +806,7 @@ class TestConfig:
             "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nc = 0\n"
             "max_weight = 2\nmax_length = 3\n"
         )
-        assert spec.family == "generalized"
+        assert spec.inner.seed.family == "highorder[s=1/2]"
         assert len(spec.labels()) == 14
 
     def test_highorder_config(self):
@@ -769,7 +814,7 @@ class TestConfig:
             "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\nc = 0\n"
             "max_weight = 2\nmax_length = 2\n"
         )
-        assert spec.family == "highorder"
+        assert spec.inner.seed.family == "highorder[s=3/2]"
         with pytest.raises(ValidationError, match=re.escape("[G[3/2],G[2]]")):
             load_spec_config("family = highorder\ns = 3/2\nphi.T7/2 = 1\n")
 
@@ -778,7 +823,7 @@ class TestConfig:
             "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n"
             "c = 0\nmax_g0 = 2\n"
         )
-        assert spec.family == "b_t0"
+        assert isinstance(spec, InducedSpec) and spec.inner.letters.letters_desc == [G(0)]
         assert len(spec.labels()) == 3
 
     def test_bad_configs(self):
@@ -843,7 +888,8 @@ def table_seed(value: str):
 TERM_PARSERS = {
     "combo": parse_combo,
     "vector": whittaker_spec(1, 0).induced().parse_vector,
-    "word-label vector": generalized_whittaker_spec(1, 1, 0, (2, 3)).induced().parse_vector,
+    "word-label vector":
+        derived_pair_spec(1, {L(1): ONE, T(3): ONE}, 0, (2, 3)).induced().parse_vector,
     "table action": table_seed,
 }
 # terms built from well-formed and malformed coefficients and bodies, plus

@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from n2sca import modules
 from n2sca.algebra import G, L, SuiteReport, T, TWISTED
-from n2sca.engine import FiniteLetters, InducedModule, supp_deg
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.modules import (
     FiniteSeed,
-    InducedSpec,
     _positive,
-    derived_pair_seed,
-    generalized_whittaker_spec,
+    derived_pair_spec,
     module_axiom_check,
-    t_upper,
     whittaker_spec,
 )
 from n2sca.orders import (
@@ -27,6 +24,7 @@ from n2sca.scalars import I, ONE, Scalar, ZERO, add_scaled
 from n2sca.theorems import (
     annihilator_Mt,
     closure_check,
+    leading_word,
     lemma_deg_suite,
     prescribed_generator,
     reduce_to_M,
@@ -80,7 +78,7 @@ class TestReduceStep:
     def test_mixed_support_drops_exactly_one(self, module):
         v = module.basis_vector(ev((1, 1), (2, 1))) + module.basis_vector(eps(3))
         # deg is {3:1} (weight 3/2); L2 is prescribed and lands in the seed
-        assert prescribed_generator(supp_deg(v)[1], 1) == L(2)
+        assert prescribed_generator(leading_word(v), 1) == L(2)
         assert self.first_step(module, v) == ("corollary", "L[2]", ZERO_VECTOR, 0, 0)
 
     def test_zero_vector_rejected(self, module):
@@ -153,7 +151,7 @@ class TestReduceToM:
             trace = reduce_to_M(module, v, 1, step_budget=budget)
             assert trace.succeeded, case
             # strict principal descent along the trace
-            degs = [supp_deg(v)[1]] + [step[2] for step in trace.steps]
+            degs = [leading_word(v)] + [step[2] for step in trace.steps]
             for a, b in zip(degs, degs[1:]):
                 assert principal_compare(b, a) < 0
 
@@ -316,7 +314,7 @@ class TestAnnihilator:
 class TestClosure:
     @pytest.mark.parametrize("phi_t32,expect_closed", [(0, True), (1, False)])
     def test_odd_slice_dichotomy(self, phi_t32, expect_closed):
-        spec = generalized_whittaker_spec(1, phi_t32, 0, (4, 3))
+        spec = derived_pair_spec(1, {L(1): 1, T(3): phi_t32}, 0, (4, 3))
         mod = spec.induced()
         evs = enumerate_vectors(4, 3)
         subspace = [
@@ -334,7 +332,7 @@ class TestClosure:
         # the submodule generated by the polynomial slice over v0 never
         # reaches v1 labels, whatever phi does
         for phi_t32 in (0, 1):
-            spec = generalized_whittaker_spec(1, phi_t32, 0, (4, 2))
+            spec = derived_pair_spec(1, {L(1): 1, T(3): phi_t32}, 0, (4, 2))
             mod = spec.induced()
             evs = enumerate_vectors(2, 2)
             subspace = [
@@ -379,7 +377,7 @@ def test_module_axiom_image_cache_keeps_boundary_rows():
     # on many pairs, an act takes a label of the generalized seed past the
     # (4, 3) box of its listed labels; the seed acts exactly there, and
     # every row passes
-    spec = generalized_whittaker_spec(1, 1, 0, (4, 3))
+    spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
     module = spec.induced()
     vectors = [module.basis_vector(w, lbl)
                for w in enumerate_vectors(2, 1) for lbl in spec.labels()]
@@ -389,15 +387,14 @@ def test_module_axiom_image_cache_keeps_boundary_rows():
     assert all(row[3] == "ok" for row in rows)
 
 
-def test_module_axiom_rows_match_all_pairs_on_a_failing_module():
+def test_module_axiom_rows_match_all_pairs_on_a_failing_module(monkeypatch):
     # the order-3/2 seed with phi(T[7/2]) = 1, its labels listed in the box
     # (6, 2), fails the axiom on 16 rows at window 4: the mirror of a failing
     # row is evaluated, not replayed.  The seed check rejects that seed, so
-    # it is assembled here from its letters and table
-    letters = [G(1), L(1), T(3), T(1), G(2)]
-    seed = derived_pair_seed({T(7): ONE}, t_upper(3), "highorder[s=3/2]", ONE)
-    spec = InducedSpec("highorder", InducedModule(FiniteLetters(TWISTED, letters), seed),
-                       (6, 2))
+    # the builder runs here without it
+    monkeypatch.setattr(modules, "check_seed", lambda seed, letters: None)
+    spec = derived_pair_spec(3, {T(7): ONE}, ONE, (6, 2))
+    assert spec.inner.letters.letters_desc == [G(1), L(1), T(3), T(1), G(2)]
     module = spec.induced()
     vectors = [module.basis_vector(w, lbl)
                for w in enumerate_vectors(0, 0) for lbl in spec.labels()]

@@ -9,6 +9,7 @@ recursion limit, or memory.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algebra import (
@@ -49,14 +50,15 @@ def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("standard output is closed; name a file with --output")
     else:
         sys.stdout.write(text)
 
 
 def _cmd_bracket(args) -> int:
     pres = PRESENTATIONS[args.algebra]
-    x = parse_combo(args.x)
-    y = parse_combo(args.y)
+    x, y = parse_combo(args.x), parse_combo(args.y)
     for combo in (x, y):
         for g in combo:
             pres.check_member(g)
@@ -340,9 +342,21 @@ def main(argv: list[str] | None = None) -> int:
         reason = "out of memory"
     except RecursionError:
         reason = "recursion limit reached"
-    sys.stderr.write(f"inconclusive: {reason} at this window or truncation\n")
+    sys.stderr.write(f"inconclusive: {reason}\n")
     return INCONCLUSIVE
 
 
+def run() -> None:
+    """The `n2sca` process: `main`, flush stdio, skip finalization (notes/decisions.md)."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError as exc:  # a reader that closed the pipe
+        sys.stderr.write(f"error: {exc}\n")
+        code = USAGE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -587,7 +587,7 @@ def test_recursion_past_the_limit_is_inconclusive(capsys):
                  "--vector", vector])
     captured = capsys.readouterr()
     assert code == INCONCLUSIVE and captured.out == ""
-    assert captured.err == "inconclusive: recursion limit reached at this window or truncation\n"
+    assert captured.err == "inconclusive: recursion limit reached\n"
 
 
 def _suite(name):
@@ -626,9 +626,9 @@ def test_out_of_memory_is_inconclusive():
     # the address-space cap is set in the child only
     cap = 512 << 20
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    # the process path: `cli.run` reports the MemoryError and leaves by os._exit
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from n2sca.cli import main; "
-         "sys.exit(main(['verify', 'jacobi', '--window', '100000000']))"],
+        [sys.executable, "-m", "n2sca.cli", "verify", "jacobi", "--window", "100000000"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
@@ -636,3 +636,4 @@ def test_out_of_memory_is_inconclusive():
     assert proc.returncode == INCONCLUSIVE
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == "inconclusive: out of memory\n"

@@ -197,6 +197,79 @@ def test_cli_golden_under_a_hash_seed(name, hash_seed):
     run_fresh(name, PYTHONHASHSEED=hash_seed)
 
 
+# The process path: `python -m n2sca.cli` runs `cli.run`, which flushes stdout
+# and stderr and leaves by os._exit.  The children write to a pipe with
+# buffered stdout, so a report reaches it only through that flush.  One case
+# per exit code; the exit-3 case has no golden, and its in-process run is the
+# reference.
+PROCESS_CASES = {
+    "act-whittaker-deep400": 0,  # 57,745 bytes
+    "verify-annihilator": 1,
+    "act-highorder-not-module": 2,
+    "reduce-whittaker-budget1": 3,
+}
+PROCESS_ARGV = {**CASES, "reduce-whittaker-budget1": ("reduce", "{1:3}", "--spec", W,
+                                                      "--budget", "1")}
+
+
+def run_process(argv: tuple[str, ...], unbuffered: bool = False, **kwargs):
+    """``argv`` through `python -m n2sca.cli`; ``kwargs`` go to `subprocess.Popen`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.Popen([sys.executable, "-m", "n2sca.cli", *_resolved(argv)],
+                            env=env, **kwargs)
+
+
+def _finished(proc: subprocess.Popen) -> tuple[bytes, bytes]:
+    """Stdout and stderr of ``proc``; its stderr holds at most one line, and no traceback."""
+    out, err = proc.communicate(timeout=120)
+    assert err.count(b"\n") <= 1 and b"Traceback" not in err, err
+    return out, err
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_CASES))
+def test_process_exit_code_and_output(name):
+    if name in CASES:
+        want, code = (GOLDEN / _file_name(name)).read_bytes(), _exit_codes()[name]
+    else:
+        want, code = run_case(PROCESS_ARGV[name])
+    assert code == PROCESS_CASES[name]
+    proc = run_process(PROCESS_ARGV[name])
+    out, err = _finished(proc)
+    assert out == want and proc.returncode == code
+    assert (err == b"") == (code in (0, 1)), err  # exits 2 and 3 say why
+
+
+def test_process_writes_to_output_with_stdout_closed(tmp_path):
+    path = tmp_path / "deep400.out"
+    proc = run_process(CASES["act-whittaker-deep400"] + ("--output", str(path)),
+                       stdout=None, preexec_fn=lambda: os.close(1))
+    assert _finished(proc) == (None, b"") and proc.returncode == 0
+    assert path.read_bytes() == (GOLDEN / "act-whittaker-deep400.out").read_bytes()
+
+
+def test_process_with_stdout_closed_is_an_error():
+    proc = run_process(CASES["verify-jacobi-w4"], stdout=None,
+                       preexec_fn=lambda: os.close(1))
+    _, err = _finished(proc)
+    assert proc.returncode == 2
+    assert err == b"error: standard output is closed; name a file with --output\n"
+
+
+# The short report fails at the final flush when stdout is buffered, and in
+# its write when it is not; the long one fails in its write either way.
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("name", ["bracket-twisted", "act-whittaker-deep400"])
+def test_process_reader_closed_the_pipe(name, unbuffered):
+    proc = run_process(CASES[name], unbuffered)
+    proc.stdout.close()  # long before the child starts writing
+    _, err = _finished(proc)
+    assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
+
+
 def test_bracket_golden():
     want = (GOLDEN / "brackets.tsv").read_bytes()
     got = bracket_table()

@@ -46,6 +46,11 @@ def _load_module(path: str):
     return spec.induced(), spec
 
 
+def _stderr(line: str) -> None:
+    if sys.stderr is not None:  # None when the process started with stderr closed
+        sys.stderr.write(line + "\n")
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -98,10 +103,10 @@ def _cmd_reduce(args) -> int:
     trace = reduce_to_M(module, v, parse_half(args.u), args.budget)
     _emit(args, "\n".join(trace.lines()) + "\n")
     if trace.failure:
-        sys.stderr.write(f"check failed: {trace.failure}\n")
+        _stderr(f"check failed: {trace.failure}")
         return FAIL
     if trace.inconclusive:
-        sys.stderr.write(f"inconclusive: {trace.inconclusive}\n")
+        _stderr(f"inconclusive: {trace.inconclusive}")
         return INCONCLUSIVE
     return PASS if trace.succeeded else FAIL
 
@@ -335,14 +340,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ValidationError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _stderr(f"error: {exc}")
         return USAGE
     # report after the handler, which frees the frames that filled the heap or stack
     except MemoryError:
         reason = "out of memory"
     except RecursionError:
         reason = "recursion limit reached"
-    sys.stderr.write(f"inconclusive: {reason}\n")
+    _stderr(f"inconclusive: {reason}")
     return INCONCLUSIVE
 
 
@@ -353,7 +358,7 @@ def run() -> None:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()
     except OSError as exc:  # a reader that closed the pipe
-        sys.stderr.write(f"error: {exc}\n")
+        _stderr(f"error: {exc}")
         code = USAGE
     os._exit(code)
 

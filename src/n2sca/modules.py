@@ -70,6 +70,9 @@ class FiniteSeed:
         self.family = family
         self.c = c
         self._labels = tuple(labels)
+        for i, label in enumerate(self._labels):
+            if label in self._labels[:i]:
+                raise ParseError(f"label {label!r} is declared twice")
         for (gen, label), out in table.items():
             for name in (label, *out):
                 if name not in self._labels:
@@ -369,23 +372,67 @@ def _int(text: str) -> int:
         raise ParseError(str(exc)) from None
 
 
-def _label_splitter(gen: GeneratorId, labels):
-    """Splits a term `[<scalar>*]<label>` of gen's action into (prefix, label)."""
+def _split_label(term: str) -> tuple[str, str]:
+    """Splits a term `[<scalar>*]<label>` of a table action into (prefix, label)."""
+    prefix, _, label = term.rpartition("*")
+    if not prefix and label.startswith(("+", "-")):
+        prefix, label = label[0], label[1:]
+    return prefix, label.strip()
 
-    def split(term: str) -> tuple[str, str]:
-        prefix, _, label = term.rpartition("*")
-        if not prefix and label.startswith(("+", "-")):
-            prefix, label = label[0], label[1:]
-        label = label.strip()
-        if label not in labels:
-            raise ParseError(f"{gen} action names undeclared label {label!r}")
-        return prefix, label
 
-    return split
+def _read_seed(entries: dict[str, str], prefix: str) -> FiniteSeed | InducedSpec:
+    """The seed of the keys under ``prefix``, popping each key it reads."""
+
+    def read(key, parse, default=None):
+        if prefix + key not in entries:
+            if default is None:
+                raise ParseError(f"config is missing {key}")
+            return default
+        return parse(entries.pop(prefix + key))
+
+    def read_all(*starts):  # (key less prefix, value) in file order
+        keys = [k for k in entries if k.startswith(tuple(prefix + s for s in starts))]
+        return [(k[len(prefix):], entries.pop(k)) for k in keys]
+
+    family = entries.pop(prefix + "family", None)
+    if family is None:
+        raise ParseError("config is missing the family key")
+    if family == "b_t0":
+        return b_plus_t0_induce(_read_seed(entries, prefix + "inner."), read("max_g0", _int, 3))
+    c = read("c", parse_scalar, ZERO)
+    if family == "whittaker":
+        return whittaker_spec(read("lambda", parse_scalar), c)
+    if family in ("generalized", "highorder"):
+        s2 = read("s", parse_half) if family == "highorder" else 1
+        phi = {_parse_phi_key(key[4:]): parse_scalar(value) for key, value in read_all("phi.")}
+        bounds = (read("max_weight", parse_half, 4), read("max_length", _int, 3))
+        if family == "highorder" and not _character(s2, phi):
+            raise ValidationError("the character must be non-trivial")
+        return derived_pair_spec(s2, phi, c, bounds)
+    if family == "table":
+        labels = read("labels", lambda text: [l.strip() for l in text.split(",")], ["v0"])
+        parities, table = {}, {}
+        for key, value in read_all("parity.", "act."):
+            if key.startswith("parity."):
+                parities[key[len("parity.") :]] = _int(value)
+                continue
+            gen_text, dot, label = key[len("act.") :].partition(".")
+            if not dot:
+                raise ParseError(f"bad action key {key!r}")
+            gen_id = _parse_phi_key(gen_text)
+            if not _positive(gen_id):
+                raise ValidationError(f"the table seed lists {gen_id} on {label}, but only "
+                                      "generators of positive degree act on it")
+            table[(gen_id, label)] = parse_terms(value, _split_label)
+        seed = FiniteSeed("table", labels, table, _positive, c, parities)
+        check_seed(seed)
+        return seed
+    raise ParseError(f"unknown family {family!r}")
 
 
 def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
-    """Parse the line-oriented `key = value` module description."""
+    """Parse the line-oriented `key = value` module description.  No key may
+    repeat, and the family must read each (b_t0 its `inner.` keys)."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -393,64 +440,11 @@ def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
             continue
         if "=" not in line:
             raise ParseError(f"bad config line {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        entries[key] = value.strip()
-
-    family = entries.get("family")
-    if family is None:
-        raise ParseError("config is missing the family key")
-
-    def read(key, parse, default=None):
-        if key not in entries:
-            if default is None:
-                raise ParseError(f"config is missing {key}")
-            return default
-        return parse(entries[key])
-
-    c = read("c", parse_scalar, ZERO)
-    if family == "whittaker":
-        return whittaker_spec(read("lambda", parse_scalar), c)
-    if family == "generalized":
-        phi = {L(1): read("phi.L1", parse_scalar, ZERO),
-               T(3): read("phi.T3/2", parse_scalar, ZERO)}
-        return derived_pair_spec(
-            1, phi, c, (read("max_weight", parse_half, 4), read("max_length", _int, 3)))
-    if family == "highorder":
-        s2 = read("s", parse_half)
-        phi = {_parse_phi_key(key[4:]): parse_scalar(value)
-               for key, value in entries.items() if key.startswith("phi.")}
-        bounds = (read("max_weight", parse_half, 4), read("max_length", _int, 3))
-        if not _character(s2, phi):
-            raise ValidationError("the character must be non-trivial")
-        return derived_pair_spec(s2, phi, c, bounds)
-    if family == "b_t0":
-        inner_entries = {
-            k[len("inner.") :]: v for k, v in entries.items() if k.startswith("inner.")
-        }
-        inner_text = "\n".join(f"{k} = {v}" for k, v in inner_entries.items())
-        return b_plus_t0_induce(load_spec_config(inner_text), read("max_g0", _int, 3))
-    if family == "table":
-        labels = [l.strip() for l in entries.get("labels", "v0").split(",")]
-        parities = {}
-        table: dict = {}
-        for key, value in entries.items():
-            if key.startswith("parity."):
-                parities[key[len("parity.") :]] = _int(value)
-            if key.startswith("act."):
-                parts = key.split(".", 2)
-                if len(parts) != 3:
-                    raise ParseError(f"bad action key {key!r}")
-                _, gen_text, label = parts
-                gen_id = _parse_phi_key(gen_text)
-                if not _positive(gen_id):
-                    raise ValidationError(
-                        f"the table seed lists {gen_id} on {label}, but only "
-                        "generators of positive degree act on it"
-                    )
-                split = _label_splitter(gen_id, labels)
-                table[(gen_id, label)] = parse_terms(value, split)
-        seed = FiniteSeed("table", labels, table, _positive, c, parities)
-        check_seed(seed)
-        return seed
-    raise ParseError(f"unknown family {family!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ParseError(f"config repeats the key {key!r}")
+        entries[key] = value
+    spec = _read_seed(entries, "")
+    if entries:  # after the build, so that its errors come first
+        raise ParseError(f"config key {next(iter(entries))!r} is not read by its family")
+    return spec

@@ -396,6 +396,28 @@ def test_table_entry_that_never_reaches_the_seed_exit_code(entry, tmp_path, caps
                             "generators of positive degree act on it\n")
 
 
+# a key that the family does not read, a repeated key and a repeated label
+@pytest.mark.parametrize("config, err", [
+    ("family = whittaker\nlambda = 1\nC = 5\n", "config key 'C' is not read by its family"),
+    # b_t0 takes its charge from its inner seed
+    ("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nc = 5\n",
+     "config key 'c' is not read by its family"),
+    ("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\ninner.C = 5\n",
+     "config key 'inner.C' is not read by its family"),
+    ("family = whittaker\nlambda = 1\nlambda = 2\n", "config repeats the key 'lambda'"),
+    ("family = generalized\nphi.L1 = 1\nphi.T3_2 = 1\n",
+     "'T3_2': '3_2' is not of the form m or p/q"),
+    ("family = table\nlabels = v0,v0\n", "label 'v0' is declared twice"),
+])
+def test_config_key_or_label_read_once_exit_code(config, err, tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text(config)
+    code = main(["act", "T[1/2]", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_help_is_unchanged(capsys):
     code = main(["act", "--help"])
     captured = capsys.readouterr()

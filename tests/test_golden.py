@@ -259,6 +259,15 @@ def test_process_with_stdout_closed_is_an_error():
     assert err == b"error: standard output is closed; name a file with --output\n"
 
 
+@pytest.mark.parametrize("name", ["act-highorder-not-module", "reduce-whittaker-budget1"])
+def test_process_with_stderr_closed_keeps_its_exit_code(name):
+    # the line that says why has nowhere to go; the exit code still says it
+    want, code = run_case(PROCESS_ARGV[name])
+    proc = run_process(PROCESS_ARGV[name], stderr=None, preexec_fn=lambda: os.close(2))
+    out, _ = proc.communicate(timeout=120)
+    assert out == want and proc.returncode == code == PROCESS_CASES[name]
+
+
 # The short report fails at the final flush when stdout is buffered, and in
 # its write when it is not; the long one fails in its write either way.
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -820,11 +820,28 @@ class TestConfig:
 
     def test_b_t0_config(self):
         spec = load_spec_config(
-            "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n"
-            "c = 0\nmax_g0 = 2\n"
+            "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = 2\n"
         )
         assert isinstance(spec, InducedSpec) and spec.inner.letters.letters_desc == [G(0)]
         assert len(spec.labels()) == 3
+
+    @pytest.mark.parametrize("inner", [
+        "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\nc = 1\nmax_length = 1",
+        "family = table\nlabels = v0,v1\nparity.v1 = 1\nact.G1/2.v0 = 1*v1",
+        "family = b_t0\ninner.family = whittaker\ninner.lambda = 2\nmax_g0 = 1",
+    ])
+    def test_b_t0_reads_its_inner_keys(self, inner):
+        # the inner seed comes from the `inner.` keys of the same config
+        prefixed = "".join(f"inner.{line}\n" for line in inner.splitlines())
+        spec = load_spec_config(f"family = b_t0\n{prefixed}max_g0 = 1\n").inner.seed
+        alone = load_spec_config(inner)
+        assert spec.c == alone.c
+        texts = [alone.label_text(lbl) for lbl in alone.labels()]
+        assert [spec.label_text(lbl) for lbl in spec.labels()] == texts
+        for x in (T(1), G(1), L(2)):
+            got = {spec.label_text(k): s for k, s in spec.act(x, spec.labels()[0]).items()}
+            want = {alone.label_text(k): s for k, s in alone.act(x, alone.labels()[0]).items()}
+            assert got == want
 
     def test_bad_configs(self):
         with pytest.raises(ParseError):

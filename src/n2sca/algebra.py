@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
 from .scalars import (
     I, ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
 )
@@ -94,15 +93,15 @@ def parse_half(text: str) -> int:
     before any arithmetic, decimal and exponent forms such as `1e9999`."""
     m = _HALF_RE.fullmatch(text.strip())
     if not m:
-        raise ParseError(f"{text!r} is not of the form m or p/q")
+        raise ValueError(f"{text!r} is not of the form m or p/q")
     try:
         num, den = int(m[1]), int(m[2] or 1)
     except ValueError:  # past the interpreter's digit limit
-        raise ParseError(f"{text.strip()[:20]}... has too many digits") from None
+        raise ValueError(f"{text.strip()[:20]}... has too many digits") from None
     if not den:
-        raise ParseError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {text!r}")
     if 2 * num % den:
-        raise ParseError(f"{text!r} is not a half-integer")
+        raise ValueError(f"{text!r} is not a half-integer")
     return 2 * num // den
 
 
@@ -153,18 +152,15 @@ _GEN_RE = re.compile(r"^(Lu|G\+|G-|G1|G2|Cu|L|T|G|J|C)(?:\[([^\]]+)\])?$")
 def parse_generator(text: str) -> GeneratorId:
     m = _GEN_RE.match(text.strip())
     if not m:
-        raise ParseError(f"bad generator literal {text!r}")
+        raise ValueError(f"bad generator literal {text!r}")
     kind, idx = m.group(1), m.group(2)
     if kind in _CENTRAL_KINDS:
         if idx is not None:
-            raise ParseError("the central element carries no index")
+            raise ValueError("the central element carries no index")
         return GeneratorId(kind, 0)
     if idx is None:
-        raise ParseError(f"generator {kind!r} needs an index, e.g. {kind}[1]")
-    try:
-        return GeneratorId(kind, parse_half(idx))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ValueError(f"generator {kind!r} needs an index, e.g. {kind}[1]")
+    return GeneratorId(kind, parse_half(idx))
 
 
 gen = parse_generator
@@ -273,7 +269,7 @@ def parse_terms(text: str, split_body) -> dict:
         return total
     for sign, chunk in _split_top_level(text):
         if not chunk:
-            raise ParseError(f"empty term in {text!r}")
+            raise ValueError(f"empty term in {text!r}")
         prefix, key = split_body(chunk)
         prefix = prefix.strip().removesuffix("*").strip()
         if prefix in ("", "+"):
@@ -334,7 +330,7 @@ _GEN_TAIL_RE = re.compile(r"(Lu|G\+|G-|G1|G2|Cu|L|T|G|J|C)(\[[^\]]+\])?\s*$")
 def _split_generator(term: str) -> tuple[str, GeneratorId]:
     m = _GEN_TAIL_RE.search(term)
     if not m:
-        raise ParseError(f"no generator literal in term {term!r}")
+        raise ValueError(f"no generator literal in term {term!r}")
     return term[: m.start()], parse_generator(m.group(0))
 
 

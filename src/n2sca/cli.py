@@ -21,7 +21,6 @@ from .algebra import (
     parse_generator,
     parse_half,
 )
-from .errors import ParseError, ValidationError
 from .scalars import ONE
 
 # The engine, module, order, linalg, theorem and suite layers are imported
@@ -162,7 +161,7 @@ def _cmd_closure(args) -> int:
     elif args.subspace.startswith("seed:"):
         subspace, universe = _seed_slice(module, evs, args.subspace[5:])
     else:
-        raise ParseError("subspace must be 'full', 'seed:<label>' or 'file:<path>'")
+        raise ValueError("subspace must be 'full', 'seed:<label>' or 'file:<path>'")
     report = closure_check(module, subspace, args.window, universe=universe)
     _emit(args, str(report) + "\n")
     return PASS if report.closed else FAIL
@@ -184,7 +183,7 @@ def _cmd_verify(args) -> int:
         if value is None:
             continue
         if param not in params:
-            raise ParseError(f"verify {args.suite} takes no {flag}")
+            raise ValueError(f"verify {args.suite} takes no {flag}")
         kwargs[param] = parse_half(value) if param == "max_weight2" else value
     report = fn(**kwargs)
     _emit(args, report.tsv())
@@ -231,7 +230,7 @@ def _demo_lines(which: str) -> list[str]:
         shown = ", ".join(f"{spec.label_text(k)}: {s}" for k, s in image.items())
         out.append(f"T[1/2] . {spec.label_text(g0v0)} = {shown}")
     else:
-        raise ParseError(f"unknown demo {which!r}")
+        raise ValueError(f"unknown demo {which!r}")
     return out
 
 
@@ -339,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         _stderr(f"error: {exc}")
         return USAGE
     # report after the handler, which frees the frames that filled the heap or stack

@@ -47,7 +47,6 @@ from .algebra import (
     parse_generator,
     parse_terms,
 )
-from .errors import ParseError
 from .orders import (
     ExponentVector,
     ZERO_VECTOR,
@@ -188,16 +187,16 @@ class FiniteLetters:
         for chunk in text.split("*"):
             gtext, hat, etext = chunk.strip().partition("^")
             if hat and not (etext.strip().isdecimal() and int(etext)):
-                raise ParseError(f"exponent {etext!r} of {gtext} is not a natural number")
+                raise ValueError(f"exponent {etext!r} of {gtext} is not a natural number")
             gen = parse_generator(gtext)
             slot = self.slot_of(gen)
             if slot is None:
-                raise ParseError(f"{gtext} is not a letter of this spec")
+                raise ValueError(f"{gtext} is not a letter of this spec")
             if items and slot >= items[-1][0]:
-                raise ParseError(f"{gtext} is out of the normal order of the letters")
+                raise ValueError(f"{gtext} is out of the normal order of the letters")
             exp = int(etext) if hat else 1
             if exp > 1 and not keeps_square(self, gen):
-                raise ParseError(f"{gtext} is odd: no normal word holds its square")
+                raise ValueError(f"{gtext} is odd: no normal word holds its square")
             items.append((slot, exp))
         return ExponentVector(items)
 
@@ -434,11 +433,11 @@ class InducedModule:
 
         def split_body(term: str):
             if "⊗" not in term:
-                raise ParseError(f"no ⊗ separator in vector term {term!r}")
+                raise ValueError(f"no ⊗ separator in vector term {term!r}")
             left, lbl_text = term.rsplit("⊗", 1)
             wpos = left.find("w{")
             if wpos < 0:
-                raise ParseError(f"no w{{...}} word in vector term {term!r}")
+                raise ValueError(f"no w{{...}} word in vector term {term!r}")
             word = parse_exponent_vector(left[wpos + 1 :])
             return left[:wpos], (word, self.seed.parse_label(lbl_text.strip()))
 

@@ -8,7 +8,7 @@ box of an `InducedSpec`), ``label_key(label)`` (a sort key on every label,
 in that order on the listed ones), ``act(gen, label)`` (a {label: Scalar}
 map; ValueError for a generator that does not act on the seed),
 ``label_text(label)`` and its inverse ``parse_label(text)`` (which raises
-ParseError), ``slice_labels(text)`` (the listed labels over the seed
+ValueError), ``slice_labels(text)`` (the listed labels over the seed
 vector that ``text`` names) and ``induced()`` (the induced module over
 the full twisted algebra).
 
@@ -39,7 +39,6 @@ from .engine import (
     TwistedTemplate,
     UntwistedTemplate,
 )
-from .errors import ParseError, ValidationError
 from .orders import ZERO_VECTOR
 from .scalars import ONE, Scalar, ZERO, add_scaled, as_scalar, parse_scalar
 
@@ -72,15 +71,18 @@ class FiniteSeed:
         self._labels = tuple(labels)
         for i, label in enumerate(self._labels):
             if label in self._labels[:i]:
-                raise ParseError(f"label {label!r} is declared twice")
+                raise ValueError(f"label {label!r} is declared twice")
         for (gen, label), out in table.items():
             for name in (label, *out):
                 if name not in self._labels:
-                    raise ParseError(f"{gen} action names undeclared label {name!r}")
+                    raise ValueError(f"{gen} action names undeclared label {name!r}")
         self.table = {key: {l: s for l, s in out.items() if s}
                       for key, out in table.items()}
         self.acts = acts
         self._parities = parities or {}
+        for label, p in self._parities.items():
+            if label not in self._labels or p not in (0, 1):
+                raise ValueError(f"parity {p} on {label!r} is not 0 or 1 on a declared label")
         self.label_key = {lbl: i for i, lbl in enumerate(self._labels)}.__getitem__
 
     def induced(self) -> InducedModule:
@@ -102,7 +104,7 @@ class FiniteSeed:
 
     def parse_label(self, text):
         if text not in self._labels:
-            raise ParseError(f"unknown label {text!r}")
+            raise ValueError(f"unknown label {text!r}")
         return text
 
     def slice_labels(self, text) -> list:
@@ -121,7 +123,7 @@ class InducedSpec:
     def __init__(self, inner: InducedModule, bounds: tuple[int, int]):
         # before the walk, which lists the empty word alone under a negative bound
         if min(bounds) < 0:
-            raise ValidationError("the label box must be nonnegative")
+            raise ValueError("the label box must be nonnegative")
         self.inner = inner
         self.c = inner.c
         words = inner.letters.enumerate_words(*bounds)
@@ -150,8 +152,8 @@ class InducedSpec:
             word, stext = text.rsplit(".", 1)
             try:
                 ev = self.inner.letters.parse_word(word)
-            except ParseError as exc:
-                raise ParseError(f"label {text!r}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"label {text!r}: {exc}") from None
         else:
             ev, stext = ZERO_VECTOR, text
         return (ev, self.inner.seed.parse_label(stext))
@@ -229,7 +231,7 @@ def module_axiom_check(
 
 
 def check_seed(seed: FiniteSeed, letters=()) -> None:
-    """Raise ValidationError, naming the first failure, unless the table
+    """Raise ValueError, naming the first failure, unless the table
     seed is a module over the generators that reach it: those that
     ``seed.acts`` admits, of positive degree and not ``letters`` of the
     induction around it.
@@ -253,14 +255,14 @@ def check_seed(seed: FiniteSeed, letters=()) -> None:
     gens = [g for g in TWISTED.generators(top2) if reaches(g)]
     for x, y, bad in module_axiom_rows(module, gens, vectors):
         if bad is not None:
-            raise ValidationError(
+            raise ValueError(
                 f"the {seed.family} seed is not a module: [{x},{y}] breaks "
                 f"the module axiom on {seed.label_text(labels[bad])}"
             )
     for (x, lbl), out in seed.table.items():
         for target in out:
             if (seed.parity(target) or 0) != ((seed.parity(lbl) or 0) + x.parity) % 2:
-                raise ValidationError(
+                raise ValueError(
                     f"the {seed.family} seed breaks the parity rule: {x} maps "
                     f"{seed.label_text(lbl)} to {seed.label_text(target)}"
                 )
@@ -278,12 +280,12 @@ def _character(s2: int, phi: dict) -> dict[GeneratorId, Scalar]:
     """phi without its zero values, once s is a positive half-odd integer
     and phi lives on T^(s)."""
     if s2 < 1 or s2 % 2 == 0:
-        raise ValidationError("s must be a positive half-odd integer")
+        raise ValueError("s must be a positive half-odd integer")
     phi = {g: s for g, value in phi.items() if (s := as_scalar(value))}
     upper = t_upper(s2)
     for g in phi:
         if not upper(g):
-            raise ValidationError(f"{g} lies outside T^({format_half(s2)})")
+            raise ValueError(f"{g} lies outside T^({format_half(s2)})")
     return phi
 
 
@@ -358,18 +360,11 @@ def check_conditions(spec: FiniteSeed | InducedSpec, u2: int) -> tuple[bool, boo
 def _parse_phi_key(key: str) -> GeneratorId:
     """`L1`, `T3/2`, `G2` -> generator ids."""
     if key[:1] not in ("L", "T", "G"):
-        raise ParseError(f"bad character key {key!r}")
+        raise ValueError(f"bad character key {key!r}")
     try:
         return GeneratorId(key[0], parse_half(key[1:]))
     except ValueError as exc:
-        raise ParseError(f"{key!r}: {exc}") from None
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ValueError(f"{key!r}: {exc}") from None
 
 
 def _split_label(term: str) -> tuple[str, str]:
@@ -386,7 +381,7 @@ def _read_seed(entries: dict[str, str], prefix: str) -> FiniteSeed | InducedSpec
     def read(key, parse, default=None):
         if prefix + key not in entries:
             if default is None:
-                raise ParseError(f"config is missing {key}")
+                raise ValueError(f"config is missing {key}")
             return default
         return parse(entries.pop(prefix + key))
 
@@ -396,38 +391,45 @@ def _read_seed(entries: dict[str, str], prefix: str) -> FiniteSeed | InducedSpec
 
     family = entries.pop(prefix + "family", None)
     if family is None:
-        raise ParseError("config is missing the family key")
+        raise ValueError("config is missing the family key")
     if family == "b_t0":
-        return b_plus_t0_induce(_read_seed(entries, prefix + "inner."), read("max_g0", _int, 3))
+        return b_plus_t0_induce(_read_seed(entries, prefix + "inner."), read("max_g0", int, 3))
     c = read("c", parse_scalar, ZERO)
     if family == "whittaker":
         return whittaker_spec(read("lambda", parse_scalar), c)
     if family in ("generalized", "highorder"):
         s2 = read("s", parse_half) if family == "highorder" else 1
-        phi = {_parse_phi_key(key[4:]): parse_scalar(value) for key, value in read_all("phi.")}
-        bounds = (read("max_weight", parse_half, 4), read("max_length", _int, 3))
+        phi = {}
+        for key, value in read_all("phi."):
+            gen_id = _parse_phi_key(key[4:])
+            if gen_id in phi:
+                raise ValueError(f"config key {prefix + key!r} gives {gen_id} again")
+            phi[gen_id] = parse_scalar(value)
+        bounds = (read("max_weight", parse_half, 4), read("max_length", int, 3))
         if family == "highorder" and not _character(s2, phi):
-            raise ValidationError("the character must be non-trivial")
+            raise ValueError("the character must be non-trivial")
         return derived_pair_spec(s2, phi, c, bounds)
     if family == "table":
         labels = read("labels", lambda text: [l.strip() for l in text.split(",")], ["v0"])
         parities, table = {}, {}
         for key, value in read_all("parity.", "act."):
             if key.startswith("parity."):
-                parities[key[len("parity.") :]] = _int(value)
+                parities[key[len("parity.") :]] = int(value)
                 continue
             gen_text, dot, label = key[len("act.") :].partition(".")
             if not dot:
-                raise ParseError(f"bad action key {key!r}")
+                raise ValueError(f"bad action key {key!r}")
             gen_id = _parse_phi_key(gen_text)
             if not _positive(gen_id):
-                raise ValidationError(f"the table seed lists {gen_id} on {label}, but only "
-                                      "generators of positive degree act on it")
+                raise ValueError(f"the table seed lists {gen_id} on {label}, but only "
+                                 "generators of positive degree act on it")
+            if (gen_id, label) in table:
+                raise ValueError(f"config key {prefix + key!r} gives {gen_id} on {label} again")
             table[(gen_id, label)] = parse_terms(value, _split_label)
         seed = FiniteSeed("table", labels, table, _positive, c, parities)
         check_seed(seed)
         return seed
-    raise ParseError(f"unknown family {family!r}")
+    raise ValueError(f"unknown family {family!r}")
 
 
 def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
@@ -439,12 +441,12 @@ def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"bad config line {line!r}")
+            raise ValueError(f"bad config line {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in entries:
-            raise ParseError(f"config repeats the key {key!r}")
+            raise ValueError(f"config repeats the key {key!r}")
         entries[key] = value
     spec = _read_seed(entries, "")
     if entries:  # after the build, so that its errors come first
-        raise ParseError(f"config key {next(iter(entries))!r} is not read by its family")
+        raise ValueError(f"config key {next(iter(entries))!r} is not read by its family")
     return spec

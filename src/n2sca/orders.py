@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
 
 LT, EQ, GT = -1, 0, 1
 
@@ -183,7 +182,7 @@ _EV_RE = re.compile(r"^\{([^{}]*)\}$")
 def parse_exponent_vector(text: str) -> ExponentVector:
     m = _EV_RE.match(text.strip())
     if not m:
-        raise ParseError(f"bad exponent vector {text!r}; expected {{slot:exp,...}}")
+        raise ValueError(f"bad exponent vector {text!r}; expected {{slot:exp,...}}")
     body = m.group(1).strip()
     if not body:
         return ZERO_VECTOR
@@ -193,8 +192,5 @@ def parse_exponent_vector(text: str) -> ExponentVector:
             s, e = chunk.split(":")
             items.append((int(s), int(e)))
         except ValueError as exc:
-            raise ParseError(f"bad exponent entry {chunk!r}") from exc
-    try:
-        return ExponentVector(items)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+            raise ValueError(f"bad exponent entry {chunk!r}") from exc
+    return ExponentVector(items)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import ParseError
 
 
 def _coerce(x) -> tuple[int, int]:
@@ -145,16 +144,6 @@ class Scalar:
         return _add_scaled(self, other, 1)
 
     def __sub__(self, other) -> "Scalar":
-        q1 = self._q
-        q2 = other._q
-        if q1 == q2:
-            a = self._a - other._a
-            b = self._b - other._b
-            c = self._c - other._c
-            d = self._d - other._d
-            if q1 == 1:
-                return _new(a, b, c, d, 1)
-            return _reduced(a, b, c, d, q1)
         return _add_scaled(self, other, -1)
 
     def __mul__(self, other) -> "Scalar":
@@ -210,7 +199,7 @@ class Scalar:
 
 
 def _add_scaled(x: Scalar, y: Scalar, sign: int) -> Scalar:
-    """x + sign*y for unequal denominators, scaled to their least common one.
+    """x + sign*y over the least common denominator, in lowest terms.
 
     As in `Fraction` addition, with g = gcd(q1, q2) the sum over
     lcm(q1, q2) can share a factor with its numerators only inside g.
@@ -319,10 +308,10 @@ def _scalar_atom(text: str, pos: int) -> tuple[Scalar, int]:
         return I, pos + 1
     if ch == "r":
         if text[pos : pos + 2] != "r2":
-            raise ParseError(f"unknown symbol at {text[pos:]!r}")
+            raise ValueError(f"unknown symbol at {text[pos:]!r}")
         return SQRT2, pos + 2
     if not ch.isdecimal():
-        raise ParseError(f"unexpected character {ch!r} in scalar {text!r}")
+        raise ValueError(f"unexpected character {ch!r} in scalar {text!r}")
     end = _skip(text, pos, str.isdecimal)
     num = int(text[pos:end])
     slash = _skip(text, end, str.isspace)
@@ -332,7 +321,7 @@ def _scalar_atom(text: str, pos: int) -> tuple[Scalar, int]:
         if stop > start:
             den = int(text[start:stop])
             if not den:
-                raise ParseError(f"zero denominator in scalar {text!r}")
+                raise ValueError(f"zero denominator in scalar {text!r}")
             return Scalar.rational(num, den), stop
     return Scalar.rational(num), end
 
@@ -349,7 +338,7 @@ def parse_scalar(text: str) -> Scalar:
 
     One left-to-right pass keeps an explicit stack with one entry per open
     parenthesis, so no input depends on the interpreter's recursion limit;
-    nesting deeper than MAX_SCALAR_NESTING is a ParseError.
+    nesting deeper than MAX_SCALAR_NESTING is a ValueError.
     """
     stack = []  # (total, product, negate) outside each open parenthesis
     total, product, negate = ZERO, None, False
@@ -365,7 +354,7 @@ def parse_scalar(text: str) -> Scalar:
                 continue
             if ch == "(":
                 if len(stack) == MAX_SCALAR_NESTING:
-                    raise ParseError(
+                    raise ValueError(
                         f"scalar nests parentheses deeper than {MAX_SCALAR_NESTING}"
                     )
                 stack.append((total, product, negate))
@@ -382,9 +371,9 @@ def parse_scalar(text: str) -> Scalar:
             value = total + product
             total, product, negate = stack.pop()
         elif stack:
-            raise ParseError(f"missing ')' in scalar {text!r}")
+            raise ValueError(f"missing ')' in scalar {text!r}")
         elif ch:
-            raise ParseError(f"trailing input in scalar {text!r}: {text[pos - 1:]!r}")
+            raise ValueError(f"trailing input in scalar {text!r}: {text[pos - 1:]!r}")
         else:
             return total + product
         if negate:

@@ -396,7 +396,8 @@ def test_table_entry_that_never_reaches_the_seed_exit_code(entry, tmp_path, caps
                             "generators of positive degree act on it\n")
 
 
-# a key that the family does not read, a repeated key and a repeated label
+# a key that the family does not read, a repeated key or generator, a
+# repeated label, and a parity off the labels or off 0 and 1
 @pytest.mark.parametrize("config, err", [
     ("family = whittaker\nlambda = 1\nC = 5\n", "config key 'C' is not read by its family"),
     # b_t0 takes its charge from its inner seed
@@ -408,6 +409,14 @@ def test_table_entry_that_never_reaches_the_seed_exit_code(entry, tmp_path, caps
     ("family = generalized\nphi.L1 = 1\nphi.T3_2 = 1\n",
      "'T3_2': '3_2' is not of the form m or p/q"),
     ("family = table\nlabels = v0,v0\n", "label 'v0' is declared twice"),
+    # T1/2 and T2/4 spell one generator, as L2 and L4/2 do
+    ("family = table\nact.T1/2.v0 = 2*v0\nact.T2/4.v0 = 3*v0\n",
+     "config key 'act.T2/4.v0' gives T[1/2] on v0 again"),
+    ("family = generalized\nphi.L2 = 1\nphi.L4/2 = 0\n", "config key 'phi.L4/2' gives L[2] again"),
+    ("family = table\nlabels = v0,v1\nparity.w1 = 1\n",
+     "parity 1 on 'w1' is not 0 or 1 on a declared label"),
+    ("family = table\nlabels = v0,v1\nparity.v1 = 7\n",
+     "parity 7 on 'v1' is not 0 or 1 on a declared label"),
 ])
 def test_config_key_or_label_read_once_exit_code(config, err, tmp_path, capsys):
     path = tmp_path / "typo.cfg"

@@ -9,6 +9,8 @@ recursion limit, or memory.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import os
 import sys
 
@@ -26,15 +28,16 @@ from .scalars import ONE
 # The engine, module, order, linalg, theorem and suite layers are imported
 # by the commands that run them, so a command compiles and loads only what
 # it reaches: `act` loads no theorems, linalg or suites, and `verify` loads
-# the suites and the layers of the one suite it runs.
+# the module that holds the one suite it runs, and that suite's layers.
 
 PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
-# the names `verify` accepts; `verify x-y` runs `suites.suite_x_y`
-SUITE_NAMES = (
+# the names `verify` accepts, each with the module that holds its suite;
+# `verify x-y` imports only that module and runs its `suite_x_y`
+SUITE_NAMES = dict.fromkeys((
     "annihilator", "deg-lemma", "jacobi", "module-axiom", "orders", "psi", "reduction",
     "scalars", "substitution", "verma-singular", "whittaker-identity",
-)
+), "suites") | {"module-axiom": "modules"}
 
 
 def _load_module(path: str):
@@ -51,7 +54,7 @@ def _stderr(line: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     elif sys.stdout is None:
@@ -85,7 +88,7 @@ def _cmd_act(args) -> int:
     module, spec = _load_module(args.spec)
     word = [parse_generator(tok) for tok in args.word.replace("*", " ").split()]
     ev = parse_exponent_vector(args.vector)
-    label = spec.parse_label(args.label) if args.label else spec.labels()[0]
+    label = spec.labels()[0] if args.label is None else spec.parse_label(args.label)
     result = module.act_word(word, module.basis_vector(ev, label))
     _emit(args, str(result) + "\n")
     return PASS
@@ -97,7 +100,7 @@ def _cmd_reduce(args) -> int:
 
     module, spec = _load_module(args.spec)
     ev = parse_exponent_vector(args.vector)
-    label = spec.parse_label(args.label) if args.label else spec.labels()[0]
+    label = spec.labels()[0] if args.label is None else spec.parse_label(args.label)
     v = module.basis_vector(ev, label)
     trace = reduce_to_M(module, v, parse_half(args.u), args.budget)
     _emit(args, "\n".join(trace.lines()) + "\n")
@@ -168,9 +171,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import suites
-
-    fn = getattr(suites, "suite_" + args.suite.replace("-", "_"))
+    home = importlib.import_module("." + SUITE_NAMES[args.suite], __package__)
+    fn = getattr(home, "suite_" + args.suite.replace("-", "_"))
     params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
     kwargs = {}
     for flag, param, value in (
@@ -351,7 +353,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The `n2sca` process: `main`, flush stdio, skip finalization (notes/decisions.md)."""
+    """The `n2sca` process: `main` without the cyclic garbage collector, flush
+    stdio, skip finalization (notes/decisions.md)."""
+    gc.disable()
     code = main()
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):

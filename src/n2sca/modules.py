@@ -39,7 +39,7 @@ from .engine import (
     TwistedTemplate,
     UntwistedTemplate,
 )
-from .orders import ZERO_VECTOR
+from .orders import ZERO_VECTOR, enumerate_vectors
 from .scalars import ONE, Scalar, ZERO, add_scaled, as_scalar, parse_scalar
 
 
@@ -228,6 +228,14 @@ def module_axiom_check(
         got = "ok" if bad is None else f"mismatch at {vectors[bad]}"
         report.add(f"axiom[{x},{y}]", inputs, "exact equality", got, bad is None)
     return report
+
+
+def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
+                       max_length: int = 4) -> SuiteReport:
+    module = whittaker_spec(1, 0).induced()
+    vectors = [module.basis_vector(ev)
+               for ev in enumerate_vectors(max_weight2, max_length)]
+    return module_axiom_check(module, window2, vectors)
 
 
 def check_seed(seed: FiniteSeed, letters=()) -> None:

@@ -1,4 +1,5 @@
-"""Named verification suites behind `verify <name>`.
+"""Named verification suites behind `verify <name>`, all but `module-axiom`,
+whose suite lives in `modules.py` beside the check it runs.
 
 Every suite returns a SuiteReport whose TSV rendering is byte-stable for
 a fixed seed and flags, so reports can be diffed across runs.
@@ -313,22 +314,13 @@ def suite_orders(seed: int = 0) -> SuiteReport:
     report.add("additivity", f"{cases} pairs", "0", str(bad_add), bad_add == 0)
 
     def brute_count(max_w2, max_len):
-        top = 2 * max_w2 + 2
-        count = 0
-
-        def walk(slot, w2, ln):
-            nonlocal count
-            if slot > top:
-                count += 1
-                return
+        # (doubled weight, length) of every choice of one exponent per slot
+        reached = [(0, 0)]
+        for slot in range(1, 2 * max_w2 + 3):
             sw = slot_weight2(slot)
-            e = 0
-            while ln + e <= max_len and w2 + sw * e <= max_w2:
-                walk(slot + 1, w2 + sw * e, ln + e)
-                e += 1
-
-        walk(1, 0, 0)
-        return count
+            reached = [(w2 + sw * e, ln + e) for w2, ln in reached
+                       for e in range(max_len - ln + 1) if w2 + sw * e <= max_w2]
+        return len(reached)
 
     for bounds in ((1, 2), (0, 3), (4, 3), (5, 3), (6, 4)):
         got = len(enumerate_vectors(*bounds))
@@ -336,17 +328,6 @@ def suite_orders(seed: int = 0) -> SuiteReport:
         report.add(f"enumeration{bounds}", "count vs brute force", str(want),
                    str(got), got == want)
     return report
-
-
-def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
-                       max_length: int = 4) -> SuiteReport:
-    from .modules import module_axiom_check, whittaker_spec
-    from .orders import enumerate_vectors
-
-    module = whittaker_spec(1, 0).induced()
-    vectors = [module.basis_vector(ev)
-               for ev in enumerate_vectors(max_weight2, max_length)]
-    return module_axiom_check(module, window2, vectors)
 
 
 def suite_deg_lemma(max_weight2: int = 4, max_length: int = 3) -> SuiteReport:

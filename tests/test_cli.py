@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
@@ -11,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca import modules, suites
+from n2sca import cli, modules, suites
 from n2sca.cli import FAIL, INCONCLUSIVE, PASS, SUITE_NAMES, USAGE, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -427,6 +428,35 @@ def test_config_key_or_label_read_once_exit_code(config, err, tmp_path, capsys):
     assert captured.err == f"error: {err}\n"
 
 
+# an empty value given on purpose is a value: an empty label names no label
+# (each seed here has more than one, so a fall back to the first would show;
+# reduce takes generalized.cfg, whose conditions hold at u = 3/2) and an empty
+# --output names no file
+TABLE = os.path.join(GOLDEN, "table-module.cfg")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["act", "T[1/2]", "--spec", TABLE, "--label", ""], "unknown label ''"),
+    (["reduce", "{1:1}", "--spec", os.path.join(GOLDEN, "generalized.cfg"), "--u", "3/2",
+      "--label", ""], "unknown label ''"),
+] + [(argv + ["--output", ""], "[Errno 2] No such file or directory: ''") for argv in (
+    ["bracket", "L[1]", "L[-1]"],
+    ["jacobi", "--window", "1"],
+    ["act", "T[1/2]", "--spec", TABLE],
+    ["reduce", "{1:1}", "--spec", os.path.join(GOLDEN, "whittaker.cfg")],
+    ["annihilator", "--spec", TABLE, "--max-weight", "0", "--max-length", "0"],
+    ["enumerate", "--max-weight", "0", "--max-length", "0"],
+    ["closure", "--spec", TABLE, "--window", "1", "--max-weight", "0", "--max-length", "0"],
+    ["verify", "psi", "--window", "1"],
+    ["demo", "b-t0"],
+)])
+def test_empty_value_is_not_absent(argv, err, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == USAGE and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_help_is_unchanged(capsys):
     code = main(["act", "--help"])
     captured = capsys.readouterr()
@@ -623,14 +653,15 @@ def test_recursion_past_the_limit_is_inconclusive(capsys):
 
 def _suite(name):
     """The suite function `verify <name>` runs."""
-    return getattr(suites, "suite_" + name.replace("-", "_"), None)
+    home = {"suites": suites, "modules": modules}[SUITE_NAMES[name]]
+    return getattr(home, "suite_" + name.replace("-", "_"), None)
 
 
 def test_every_verify_name_has_a_suite_and_every_suite_a_name():
     assert list(SUITE_NAMES) == sorted(SUITE_NAMES)
     named = {_suite(name) for name in SUITE_NAMES}
     assert None not in named and len(named) == len(SUITE_NAMES)
-    defined = {fn for attr, fn in vars(suites).items()
+    defined = {fn for home in (suites, modules) for attr, fn in vars(home).items()
                if attr.startswith("suite_") and callable(fn)}
     assert named == defined
 
@@ -650,6 +681,23 @@ def test_verify_rejects_a_flag_its_suite_does_not_take(suite, flag, capsys):
     captured = capsys.readouterr()
     assert code == USAGE and captured.out == ""
     assert captured.err == f"error: verify {suite} takes no {flag}\n"
+
+
+def test_run_turns_the_collector_off_and_main_keeps_the_callers_state(monkeypatch):
+    was = gc.isenabled()
+    seen, exits = [], []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or PASS)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    try:
+        gc.enable()
+        cli.run()
+        assert seen == [False] and exits == [PASS]
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["enumerate", "--max-weight", "0", "--max-length", "0"]) == PASS
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_out_of_memory_is_inconclusive():

@@ -15,6 +15,7 @@ intended behaviour change, rerun from the repository root:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import os
 import shlex
@@ -151,7 +152,9 @@ def test_cli_golden(name):
 LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg")}
 FRESH_CASES = {
     "verify-jacobi-w4": LAYERS | {"inspect", "fractions"},
-    "verify-module-axiom-w4": {"inspect", "n2sca.theorems", "n2sca.linalg", "fractions"},
+    # its suite lives in `modules`, beside the check it runs
+    "verify-module-axiom-w4": {"inspect", "n2sca.theorems", "n2sca.linalg", "n2sca.suites",
+                               "fractions"},
     "jacobi-twisted": LAYERS | {"inspect", "fractions"},
     "act-whittaker": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "fractions"},
     "reduce-whittaker": set(),
@@ -277,6 +280,27 @@ def test_process_reader_closed_the_pipe(name, unbuffered):
     proc.stdout.close()  # long before the child starts writing
     _, err = _finished(proc)
     assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
+
+
+# No command makes a reference cycle, which is why `cli.run` turns the cyclic
+# collector off: with it off, the garbage that `gc.collect()` finds after a
+# command is only that of a trivial one (the argument parser's).
+def _cyclic_garbage(argv: tuple[str, ...]) -> int:
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_case(argv)
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
+def test_command_makes_no_reference_cycle(name):
+    trivial = _cyclic_garbage(("enumerate", "--max-weight", "0", "--max-length", "0"))
+    assert _cyclic_garbage(PROCESS_ARGV[name]) == trivial
 
 
 def test_bracket_golden():

@@ -8,11 +8,11 @@ recursion limit, or memory.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib
 import os
 import sys
+import types
 
 from .algebra import (
     L,
@@ -241,103 +241,119 @@ def _cmd_demo(args) -> int:
     return PASS
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one stderr line, like every other error;
-    the subcommand parsers inherit it."""
+# Every subcommand once: its help line, its handler and its arguments, each
+# as argparse's `add_argument` takes it.  `_fast_parse` reads the table for a
+# plain command line; `build_parser` makes it into the argparse parser, which
+# parses everything else and prints help and usage errors.
+ALGEBRA = {"default": "twisted", "choices": sorted(PRESENTATIONS)}
+WINDOW = {"type": int, "default": 6}
+MAX_WEIGHT = {"default": "2"}
+MAX_LENGTH = {"type": int, "default": 3}
+SPEC = {"required": True}
+OUTPUT = ("--output", {"help": "write the report to a file"})
+COMMANDS = {
+    "bracket": ("bracket of two linear combinations", _cmd_bracket, [
+        ("x", {}), ("y", {}), ("--algebra", ALGEBRA), OUTPUT]),
+    "jacobi": ("exhaustive graded Jacobi check", _cmd_jacobi, [
+        ("--algebra", ALGEBRA), ("--window", WINDOW), OUTPUT]),
+    "act": ("act by a generator word on a basis vector", _cmd_act, [
+        ("word", {"help": "e.g. 'L[1] T[-1/2]'"}), ("--spec", SPEC),
+        ("--vector", {"default": "{}"}), ("--label", {}), OUTPUT]),
+    "reduce": ("reduce a vector into the seed module", _cmd_reduce, [
+        ("vector", {"help": "exponent vector, e.g. '{1:1}'"}), ("--spec", SPEC),
+        ("--u", {"default": "1/2"}), ("--label", {}), ("--budget", {"type": int}), OUTPUT]),
+    "annihilator": ("annihilator space at threshold t", _cmd_annihilator, [
+        ("--spec", SPEC), ("--t", {"default": "1/2"}), ("--max-weight", MAX_WEIGHT),
+        ("--max-length", MAX_LENGTH), OUTPUT]),
+    "enumerate": ("list exponent vectors in a box", _cmd_enumerate, [
+        ("--max-weight", MAX_WEIGHT), ("--max-length", MAX_LENGTH), OUTPUT]),
+    "closure": ("is a subspace closed under the window?", _cmd_closure, [
+        ("--spec", SPEC),
+        ("--subspace", {"default": "full", "help": "'full', 'seed:<label>' or 'file:<path>'"}),
+        ("--window", WINDOW), ("--max-weight", MAX_WEIGHT), ("--max-length", MAX_LENGTH),
+        OUTPUT]),
+    "verify": ("run a named verification suite", _cmd_verify, [
+        ("suite", {"choices": SUITE_NAMES}), ("--seed", {"type": int}),
+        ("--window", {"type": int}), ("--max-weight", {}), ("--max-length", {"type": int}),
+        ("--algebra", {"choices": sorted(PRESENTATIONS)}), OUTPUT]),
+    "demo": ("narrated worked example", _cmd_demo, [
+        ("which", {"choices": ["whittaker", "generalized", "highorder", "b-t0"]}), OUTPUT]),
+}
 
-    def error(self, message):
-        self.exit(USAGE, f"error: {message}\n")
+
+def _fast_parse(argv: list[str]):
+    """The namespace argparse gives a plain command line: a known command,
+    its positionals in number, and exact long options, each once and each
+    followed by a value that does not start with '-', every `int` and choice
+    valid, no required option missing.  None for anything else, which
+    argparse then parses, answers with help or rejects."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, arguments = COMMANDS[argv[0]]
+    specs = dict(arguments)
+    positionals = [flag for flag in specs if not flag.startswith("-")]
+    given, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        value = next(tokens, "-")  # no value left reads as an option: declined
+        if token not in specs or token in given or value.startswith("-"):
+            return None
+        given[token] = value
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    values = {"command": argv[0], "fn": fn}
+    for flag, kw in specs.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag not in given:
+            if kw.get("required"):
+                return None
+            values[dest] = kw.get("default")
+            continue
+        try:
+            values[dest] = kw.get("type", str)(given[flag])
+        except ValueError:
+            return None
+        if "choices" in kw and values[dest] not in kw["choices"]:
+            return None
+    return types.SimpleNamespace(**values)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def build_parser():
+    """The argparse parser of `COMMANDS`; it reports a usage error in one
+    stderr line, like every other error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(USAGE, f"error: {message}\n")
+
+    parser = Parser(
         prog="n2sca",
         description="Exact computations in the twisted/untwisted N=2 "
         "superconformal algebras and their induced modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", help="write the report to a file")
-
-    p = sub.add_parser("bracket", help="bracket of two linear combinations")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--algebra", default="twisted", choices=sorted(PRESENTATIONS))
-    add_output(p)
-    p.set_defaults(fn=_cmd_bracket)
-
-    p = sub.add_parser("jacobi", help="exhaustive graded Jacobi check")
-    p.add_argument("--algebra", default="twisted", choices=sorted(PRESENTATIONS))
-    p.add_argument("--window", type=int, default=6)
-    add_output(p)
-    p.set_defaults(fn=_cmd_jacobi)
-
-    p = sub.add_parser("act", help="act by a generator word on a basis vector")
-    p.add_argument("word", help="e.g. 'L[1] T[-1/2]'")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--vector", default="{}")
-    p.add_argument("--label", default=None)
-    add_output(p)
-    p.set_defaults(fn=_cmd_act)
-
-    p = sub.add_parser("reduce", help="reduce a vector into the seed module")
-    p.add_argument("vector", help="exponent vector, e.g. '{1:1}'")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--u", default="1/2")
-    p.add_argument("--label", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    add_output(p)
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("annihilator", help="annihilator space at threshold t")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--t", default="1/2")
-    p.add_argument("--max-weight", default="2")
-    p.add_argument("--max-length", type=int, default=3)
-    add_output(p)
-    p.set_defaults(fn=_cmd_annihilator)
-
-    p = sub.add_parser("enumerate", help="list exponent vectors in a box")
-    p.add_argument("--max-weight", default="2")
-    p.add_argument("--max-length", type=int, default=3)
-    add_output(p)
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("closure", help="is a subspace closed under the window?")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--subspace", default="full",
-                   help="'full', 'seed:<label>' or 'file:<path>'")
-    p.add_argument("--window", type=int, default=6)
-    p.add_argument("--max-weight", default="2")
-    p.add_argument("--max-length", type=int, default=3)
-    add_output(p)
-    p.set_defaults(fn=_cmd_closure)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--max-weight", default=None)
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--algebra", default=None, choices=sorted(PRESENTATIONS))
-    add_output(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("demo", help="narrated worked example")
-    p.add_argument("which", choices=["whittaker", "generalized", "highorder", "b-t0"])
-    add_output(p)
-    p.set_defaults(fn=_cmd_demo)
-
+    for name, (help_text, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -41,7 +42,7 @@ def run(argv, capsys):
     return code, out
 
 
-@pytest.mark.parametrize("argv", [
+OUT_OF_RANGE_ARGV = [
     # a negative window holds no indexed generator, so no verdict at all
     ["jacobi", "--window", "-3"],
     ["verify", "jacobi", "--window", "-1"],
@@ -54,7 +55,10 @@ def run(argv, capsys):
     ["act", "C", "--spec", "{cfg}", "--label", "-x"],
     ["verify", "nosuch"],
     ["act", "C"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV)
 def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
     captured = capsys.readouterr()
@@ -62,7 +66,7 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, names", [
+INVALID_ARGUMENTS = [
     # the annihilator threshold t must be positive and half-odd; an integer is no input
     (["annihilator", "--spec", "{cfg}", "--t", "1"],
      "t must be a positive half-odd integer"),
@@ -80,7 +84,10 @@ def test_out_of_range_input_exit_code(argv, whittaker_cfg, capsys):
     (["verify", "reduction", "--max-length", "0"], "holds only the empty word"),
     # a trailing sign leaves an empty term, which is not read as no term
     (["bracket", "L[1] -", "T[1/2]"], "empty term"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, names", INVALID_ARGUMENTS)
 def test_invalid_argument_exit_code(argv, names, whittaker_cfg, capsys):
     code = main([a.replace("{cfg}", whittaker_cfg) for a in argv])
     captured = capsys.readouterr()
@@ -95,11 +102,14 @@ def test_whittaker_identity_at_the_smallest_window_passes(capsys):
     assert code == PASS and "x=G[1/2]" in out and "x=T[1/2]" in out
 
 
-@pytest.mark.parametrize("argv", [
+DIRECTORY_PATH_ARGV = [
     ["act", "G[0]", "--spec", "{dir}"],
     ["enumerate", "--output", "{dir}"],
     ["closure", "--spec", "{cfg}", "--subspace", "file:{dir}"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_PATH_ARGV)
 def test_directory_path_exit_code(argv, whittaker_cfg, tmp_path, capsys):
     # a directory where a file is expected is an input error, not a crash
     code = main([a.replace("{cfg}", whittaker_cfg).replace("{dir}", str(tmp_path))
@@ -372,11 +382,14 @@ NOT_MODULES = {
 }
 
 
-@pytest.mark.parametrize("config", sorted(NOT_MODULES))
-@pytest.mark.parametrize("argv", [
+NOT_A_MODULE_ARGV = [
     ["act", "T[1/2]"], ["reduce", "{1:1}"], ["reduce", "{3:1}"], ["annihilator"],
     ["closure", "--window", "2"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("config", sorted(NOT_MODULES))
+@pytest.mark.parametrize("argv", NOT_A_MODULE_ARGV, ids=" ".join)
 def test_seed_that_is_not_a_module_exit_code(argv, config, capsys):
     code = main(argv + ["--spec", os.path.join(GOLDEN, config)])
     captured = capsys.readouterr()
@@ -435,7 +448,7 @@ def test_config_key_or_label_read_once_exit_code(config, err, tmp_path, capsys):
 TABLE = os.path.join(GOLDEN, "table-module.cfg")
 
 
-@pytest.mark.parametrize("argv, err", [
+EMPTY_VALUES = [
     (["act", "T[1/2]", "--spec", TABLE, "--label", ""], "unknown label ''"),
     (["reduce", "{1:1}", "--spec", os.path.join(GOLDEN, "generalized.cfg"), "--u", "3/2",
       "--label", ""], "unknown label ''"),
@@ -449,7 +462,10 @@ TABLE = os.path.join(GOLDEN, "table-module.cfg")
     ["closure", "--spec", TABLE, "--window", "1", "--max-weight", "0", "--max-length", "0"],
     ["verify", "psi", "--window", "1"],
     ["demo", "b-t0"],
-)])
+)]
+
+
+@pytest.mark.parametrize("argv, err", EMPTY_VALUES)
 def test_empty_value_is_not_absent(argv, err, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -477,6 +493,18 @@ def test_step_that_fails_to_descend_exit_code(monkeypatch, tmp_path, capsys):
     assert code == FAIL
     assert captured.out == "start\tw{3:1}⊗v0\n"
     assert captured.err == "check failed: overshoot step failed to descend: {3:1} -> {3:1}\n"
+
+
+def test_affine_step_that_annihilates_exit_code(monkeypatch, capsys):
+    from test_theorems import annihilating_affine_module
+
+    module = annihilating_affine_module()
+    monkeypatch.setattr(cli, "_load_module", lambda path: (module, module.seed))
+    code = main(["reduce", "{2:2}", "--spec", "unused.cfg"])
+    captured = capsys.readouterr()
+    assert code == FAIL
+    assert captured.out == "start\tw{2:2}⊗v0\n"
+    assert captured.err == "check failed: affine step annihilated the vector at deg {2:2}\n"
 
 
 @pytest.mark.parametrize("label, expected", [
@@ -716,3 +744,87 @@ def test_out_of_memory_is_inconclusive():
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr == "inconclusive: out of memory\n"
+
+
+# The fast parser against argparse.  For every command line of these tests
+# and of tests/test_golden.py, and for seeded mutations of each, `_fast_parse`
+# must decline (None) or give the namespace argparse gives, and it must
+# decline wherever argparse exits.
+def _argparse_vars(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _tested_argv():
+    from test_golden import HELP_CASES, PROCESS_ARGV, USAGE_ERRORS
+
+    lists = [*PROCESS_ARGV.values(), *HELP_CASES.values(), *USAGE_ERRORS.values(),
+             *OUT_OF_RANGE_ARGV, *DIRECTORY_PATH_ARGV, *NOT_A_MODULE_ARGV,
+             *(argv for argv, _ in INVALID_ARGUMENTS + EMPTY_VALUES),
+             *(["verify", suite, flag, value] for suite in SUITE_NAMES
+               for flag, (_, value) in VERIFY_FLAGS.items()),
+             ["bracket", "--", "---L[1]", "L[-1]"], ["act", "C", "--spec", "w.cfg", "--label=v0"]]
+    return [[a.replace("{cfg}", "w.cfg").replace("{dir}", "d") for a in argv]
+            for argv in lists]
+
+
+def _mutation(argv, rng):
+    """``argv`` with one seeded edit: an abbreviated, `=`-joined, repeated,
+    missing or unknown option, `--`, `-h`, a negative or empty or malformed
+    value, a token dropped, added or moved."""
+    argv = list(argv)
+    options = [i for i, a in enumerate(argv) if a.startswith("--") and len(a) > 3]
+    spot = rng.randrange(min(1, len(argv)), len(argv) + 1)  # after the command
+    pick = rng.randrange(12)
+    if pick == 0 and options:
+        i = rng.choice(options)
+        argv[i] = argv[i][:rng.randrange(3, len(argv[i]))]
+    elif pick == 1 and options and options[-1] + 1 < len(argv):
+        i = rng.choice([i for i in options if i + 1 < len(argv)])
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif pick == 2 and options:
+        i = rng.choice(options)
+        argv[spot:spot] = argv[i:i + 2]
+    elif pick == 3 and options:
+        i = rng.choice(options)
+        del argv[i:i + 2]
+    elif pick == 4:
+        argv.insert(rng.randrange(len(argv) + 1),
+                    rng.choice(["--", "-h", "--help", "-", "--bogus", "-x", "--bogus=1"]))
+    elif pick in (5, 6) and len(argv) > 1:
+        argv[rng.randrange(1, len(argv))] = rng.choice(
+            ["-1", "-3", "-1/2", "", "x", "nosuch", "0", "+4", " 7 ", "٣", "1_0"])
+    elif pick == 7 and argv:
+        del argv[rng.randrange(len(argv))]
+    elif pick == 8:
+        argv.insert(spot, rng.choice(["extra", "act", "", "{1:1}"]))
+    elif pick == 9 and len(argv) > 1:
+        argv.append(argv.pop(rng.randrange(1, len(argv))))
+    elif pick == 10 and argv:
+        argv[0] = rng.choice(["ver", "VERIFY", "", "--help", "act", "verify", argv[0][:-1]])
+    else:
+        argv[spot:spot] = rng.choice(
+            [["--window", "2"], ["--algebra", "twisted-pm"], ["--algebra", "nosuch"],
+             ["--max-length", "x"], ["--spec", "w.cfg"], ["--output", "-"]])
+    return argv
+
+
+@pytest.mark.parametrize("argv", _tested_argv(), ids=" ".join)
+def test_fast_parser_agrees_with_argparse(argv):
+    rng = random.Random(" ".join(argv))
+    cases = [argv]
+    for _ in range(12):
+        cases.append(_mutation(rng.choice(cases), rng))
+    for case in cases:
+        fast, want = cli._fast_parse(case), _argparse_vars(case)
+        assert fast is None or (want is not None and vars(fast) == want), case
+
+
+def test_fast_parser_takes_every_golden_command_line():
+    from test_golden import PROCESS_ARGV
+
+    for argv in PROCESS_ARGV.values():
+        assert vars(cli._fast_parse(list(argv))) == _argparse_vars(list(argv)), argv

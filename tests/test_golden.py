@@ -22,6 +22,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -92,6 +93,28 @@ for _family in ("highorder", "table"):
                                           f"tests/golden/{_family}.cfg", "--vector", "{1:1}")
 
 
+# argparse's own text, which only a malformed command line or a request for
+# help prints: the help of `n2sca` and of each subcommand (stdout, exit 0,
+# `tests/golden/help/<name>.out`) and one usage error of each kind (exit 2 and
+# one stderr line, `tests/golden/usage_errors.tsv`).  argparse wraps its help
+# at the terminal width, so these run at COLUMNS=80, the width it takes when
+# no terminal is attached.
+SUBCOMMANDS = ("bracket", "jacobi", "act", "reduce", "annihilator", "enumerate", "closure",
+            "verify", "demo")
+HELP_CASES: dict[str, tuple[str, ...]] = {
+    "n2sca": ("--help",), **{cmd: (cmd, "--help") for cmd in SUBCOMMANDS}}
+USAGE_ERRORS: dict[str, tuple[str, ...]] = {
+    "unknown-command": ("nosuch",),
+    "verify-nosuch": ("verify", "nosuch"),
+    "act-no-spec": ("act", "C"),
+    "jacobi-window-x": ("jacobi", "--window", "x"),
+    "verify-jacobi-bogus": ("verify", "jacobi", "--bogus", "1"),
+    # `-1/2` reads as an option, so `--u` has no value
+    "reduce-u-expects-one-argument": ("reduce", "{1:1}", "--spec", W, "--u", "-1/2"),
+}
+HELP_WIDTH = {"COLUMNS": "80"}
+
+
 def _file_name(name: str) -> str:
     return name.replace("/", "_") + ".out"
 
@@ -106,6 +129,30 @@ def run_case(argv: tuple[str, ...]) -> tuple[bytes, int]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(_resolved(argv))
     return out.getvalue().encode("utf-8"), code
+
+
+def run_usage_case(argv: tuple[str, ...]) -> tuple[bytes, bytes, int]:
+    """Stdout bytes, stderr bytes and exit code of one in-process `n2sca`
+    run at the help width."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, HELP_WIDTH), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(_resolved(argv))
+    return out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"), code
+
+
+def _usage_errors() -> dict[str, tuple[int, bytes]]:
+    text = (GOLDEN / "usage_errors.tsv").read_text(encoding="utf-8")
+    return {name: (int(code), (line + "\n").encode("utf-8")) for name, code, line in
+            (row.split("\t") for row in text.splitlines()[1:])}
+
+
+def usage_error_table() -> bytes:
+    rows = ["case\texit\tstderr"]
+    for name in sorted(USAGE_ERRORS):
+        _, err, code = run_usage_case(USAGE_ERRORS[name])
+        rows.append(f"{name}\t{code}\t{err.decode('utf-8').rstrip()}")
+    return ("\n".join(rows) + "\n").encode("utf-8")
 
 
 def bracket_table() -> bytes:
@@ -145,12 +192,31 @@ def test_cli_golden(name):
     assert code == _exit_codes()[name], f"{name}: exit code {code}\n{rerun}"
 
 
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_golden(name):
+    out, err, code = run_usage_case(HELP_CASES[name])
+    want = (GOLDEN / "help" / f"{name}.out").read_bytes()
+    assert out == want, f"help of {name}: {_first_difference(want, out)}"
+    assert err == b"" and code == 0
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_golden(name):
+    out, err, code = run_usage_case(USAGE_ERRORS[name])
+    assert out == b"" and err.count(b"\n") == 1 and code == 2
+    assert (code, err) == _usage_errors()[name]
+    assert sorted(_usage_errors()) == sorted(USAGE_ERRORS)
+
+
 # One case per subcommand, each run in a fresh interpreter, with the modules
 # that command must not load.  In-process runs cannot catch a missed local
 # import, because earlier tests have already loaded every layer.  Only a
-# `Fraction` passed into or read back from a scalar loads `fractions`.
+# `Fraction` passed into or read back from a scalar loads `fractions`, and
+# only help or a malformed command line loads argparse (which loads `gettext`,
+# and `gettext` `locale`).
 LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg")}
-FRESH_CASES = {
+ARGPARSE = {"argparse", "gettext", "locale"}
+FRESH_CASES = {name: ARGPARSE | forbidden for name, forbidden in {
     "verify-jacobi-w4": LAYERS | {"inspect", "fractions"},
     # its suite lives in `modules`, beside the check it runs
     "verify-module-axiom-w4": {"inspect", "n2sca.theorems", "n2sca.linalg", "n2sca.suites",
@@ -161,7 +227,7 @@ FRESH_CASES = {
     "annihilator-whittaker": {"n2sca.suites", "fractions"},
     "closure-full": set(),
     "demo-b-t0": set(),
-}
+}.items()}
 CHILD = ("import sys; from n2sca.cli import main; code = main(sys.argv[1:]); "
          "sys.stdout.flush(); sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
          "sys.exit(code)")
@@ -185,6 +251,21 @@ def test_cli_golden_in_a_fresh_interpreter(name):
     loaded = set(proc.stderr.decode("utf-8").splitlines()[-1].split())
     assert "n2sca.cli" in loaded
     assert not loaded & FRESH_CASES[name], f"{name} loads {sorted(loaded & FRESH_CASES[name])}"
+
+
+# help and a usage error take the argparse parser, and print in a fresh
+# interpreter what they print in-process, which the tests above pin
+@pytest.mark.parametrize("argv", [HELP_CASES["act"], USAGE_ERRORS["verify-nosuch"]],
+                         ids=" ".join)
+def test_argparse_fallback_in_a_fresh_interpreter(argv):
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                                   PYTHONIOENCODING="utf-8", **HELP_WIDTH),
+                          capture_output=True, timeout=120)
+    *lines, loaded = proc.stderr.decode("utf-8").splitlines(keepends=True)
+    err = "".join(lines).encode("utf-8")
+    assert (proc.stdout, err, proc.returncode) == run_usage_case(argv)
+    assert ARGPARSE <= set(loaded.split())
 
 
 # The iteration order of a set of strings follows the string hash seed, and
@@ -318,6 +399,10 @@ def regenerate() -> None:
         codes.append(f"{name}\t{code}")
     (GOLDEN / "exit_codes.tsv").write_bytes(("\n".join(codes) + "\n").encode("utf-8"))
     (GOLDEN / "brackets.tsv").write_bytes(bracket_table())
+    (GOLDEN / "help").mkdir(exist_ok=True)
+    for name, argv in HELP_CASES.items():
+        (GOLDEN / "help" / f"{name}.out").write_bytes(run_usage_case(argv)[0])
+    (GOLDEN / "usage_errors.tsv").write_bytes(usage_error_table())
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 
 from n2sca import modules
 from n2sca.algebra import G, L, SuiteReport, T, TWISTED
+from n2sca.engine import InducedModule
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.modules import (
     FiniteSeed,
@@ -165,6 +166,28 @@ class TestReduceToM:
         assert trace.failure == "overshoot step failed to descend: {3:1} -> {3:1}"
         assert trace.terminal is None and not trace.succeeded
         assert trace.lines() == ["start\tw{3:1}⊗v0"]
+
+    def test_affine_step_that_annihilates_is_a_failed_check(self):
+        # no seed is known to reach it: a module where T[1/2] acts by the
+        # seed's lambda = 1 on every vector makes (T[1/2] - 1) kill w{2:2}
+        module = annihilating_affine_module()
+        trace = reduce_to_M(module, module.basis_vector(ev((2, 2))), 1)
+        assert trace.failure == "affine step annihilated the vector at deg {2:2}"
+        assert trace.terminal is None and not trace.succeeded
+        assert trace.lines() == ["start\tw{2:2}⊗v0"]
+
+
+def annihilating_affine_module():
+    """The lambda = 1 Whittaker module with every generator but T[1/2]
+    acting by zero and T[1/2] by 1: the prescribed generator kills every
+    vector, and so does the affine step (T[1/2] - theta), theta = 1."""
+
+    class Annihilating(InducedModule):
+        def act(self, gen, v):
+            return v if gen == T(1) else self.zero()
+
+    spec = whittaker_spec(1, 0)
+    return Annihilating(spec.induced().letters, spec)
 
 
 def table_cfg_seed():

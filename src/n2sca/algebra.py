@@ -64,10 +64,6 @@ class GeneratorId:
     def degree2(self) -> int:
         return self.index2
 
-    @property
-    def twisted(self) -> bool:
-        return self.kind in TWISTED_KINDS
-
     def sort_key(self) -> tuple[int, int]:
         return (KIND_RANK[self.kind], self.index2)
 

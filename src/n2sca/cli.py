@@ -193,12 +193,7 @@ def _cmd_verify(args) -> int:
 
 
 def _demo_lines(which: str) -> list[str]:
-    from .modules import (
-        b_plus_t0_induce,
-        check_conditions,
-        derived_pair_spec,
-        whittaker_spec,
-    )
+    from .modules import check_conditions, derived_pair_spec, whittaker_spec
     from .orders import enumerate_vectors, parse_exponent_vector
     from .theorems import closure_check, reduce_to_M
 
@@ -224,15 +219,6 @@ def _demo_lines(which: str) -> list[str]:
         out.append(f"labels: {len(spec.labels())}")
         for u2 in (5, 7):
             out.append(f"conditions at u={format_half(u2)}: {check_conditions(spec, u2)}")
-    elif which == "b-t0":
-        spec = b_plus_t0_induce(whittaker_spec(1, 0), 3)
-        out.append(f"labels: {', '.join(spec.label_text(l) for l in spec.labels())}")
-        g0v0 = spec.labels()[1]
-        image = spec.act(T(1), g0v0)
-        shown = ", ".join(f"{spec.label_text(k)}: {s}" for k, s in image.items())
-        out.append(f"T[1/2] . {spec.label_text(g0v0)} = {shown}")
-    else:
-        raise ValueError(f"unknown demo {which!r}")
     return out
 
 
@@ -277,7 +263,7 @@ COMMANDS = {
         ("--window", {"type": int}), ("--max-weight", {}), ("--max-length", {"type": int}),
         ("--algebra", {"choices": sorted(PRESENTATIONS)}), OUTPUT]),
     "demo": ("narrated worked example", _cmd_demo, [
-        ("which", {"choices": ["whittaker", "generalized", "highorder", "b-t0"]}), OUTPUT]),
+        ("which", {"choices": ["whittaker", "generalized", "highorder"]}), OUTPUT]),
 }
 
 

@@ -140,20 +140,14 @@ def keeps_square(letters, g: GeneratorId) -> bool:
 
 
 class FiniteLetters:
-    """Finitely many registered letters, leftmost first."""
+    """Finitely many registered letters, leftmost first; nothing is rewritten."""
 
-    def __init__(
-        self,
-        presentation: AlgebraPresentation,
-        letters_desc: list[GeneratorId],
-        rewrites: dict[GeneratorId, Rewrite] | None = None,
-    ):
+    def __init__(self, presentation: AlgebraPresentation, letters_desc: list[GeneratorId]):
         self.presentation = presentation
         self.letters_desc = list(letters_desc)
         n = len(self.letters_desc)
         self._slot = {g: n - i for i, g in enumerate(self.letters_desc)}
         self._by_slot = {n - i: g for i, g in enumerate(self.letters_desc)}
-        self._rewrites = rewrites or {}
         self._w2 = {s: abs(g.degree2) for s, g in self._by_slot.items()}
 
     def slot_of(self, gen):
@@ -163,7 +157,7 @@ class FiniteLetters:
         return self._by_slot[slot]
 
     def rewrite(self, gen):
-        return self._rewrites.get(gen)
+        return None
 
     def word_key(self, ev: ExponentVector) -> tuple:
         """The order of `enumerate_words`: (weight, length, entries)."""

@@ -1,16 +1,15 @@
 """The seed modules of the induction: their two classes, builders and checks.
 
-A seed describes a module over the positive subalgebra (plus, where the
-family needs it, the degree-0 part) through a basis of opaque labels and
-an exact action oracle.  Every seed has a charge ``c`` and provides
-``labels()`` (a finite list, in output order: all of a `FiniteSeed`, the
-box of an `InducedSpec`), ``label_key(label)`` (a sort key on every label,
-in that order on the listed ones), ``act(gen, label)`` (a {label: Scalar}
-map; ValueError for a generator that does not act on the seed),
-``label_text(label)`` and its inverse ``parse_label(text)`` (which raises
-ValueError), ``slice_labels(text)`` (the listed labels over the seed
-vector that ``text`` names) and ``induced()`` (the induced module over
-the full twisted algebra).
+A seed describes a module over the positive subalgebra through a basis of
+opaque labels and an exact action oracle.  Every seed has a charge ``c``
+and provides ``labels()`` (a finite list, in output order: all of a
+`FiniteSeed`, the box of an `InducedSpec`), ``label_key(label)`` (a sort
+key on every label, in that order on the listed ones), ``act(gen,
+label)`` (a {label: Scalar} map; ValueError for a generator that does not
+act on the seed), ``label_text(label)`` and its inverse
+``parse_label(text)`` (which raises ValueError), ``slice_labels(text)``
+(the listed labels over the seed vector that ``text`` names) and
+``induced()`` (the induced module over the full twisted algebra).
 
 A `FiniteSeed` is an action table, named in its errors by its ``family``.
 An infinite-dimensional family is an `InducedSpec`: its inner module acts
@@ -24,7 +23,6 @@ from .algebra import (
     G,
     GeneratorId,
     KIND_RANK,
-    L,
     SuiteReport,
     T,
     TWISTED,
@@ -114,9 +112,9 @@ class FiniteSeed:
 class InducedSpec:
     """A seed realised as an induced module over a small letter system; the
     outer engine sees its (word, seed label) pairs as opaque labels.  The
-    inner module acts exactly on every word.  The box ``bounds`` = (doubled
-    weight, length) of the normal words only lists `labels`, the finite
-    set that the checks over the seed range over."""
+    inner module, over a `FiniteSeed`, acts exactly on every word.  The box
+    ``bounds`` = (doubled weight, length) of the normal words only lists
+    `labels`, the finite set that the checks over the seed range over."""
 
     induced = FiniteSeed.induced
 
@@ -330,16 +328,6 @@ def derived_pair_spec(s2: int, phi: dict, c, bounds: tuple[int, int]) -> Induced
     return InducedSpec(InducedModule(FiniteLetters(TWISTED, letters), seed), tuple(bounds))
 
 
-def b_plus_t0_induce(spec: FiniteSeed | InducedSpec, max_k: int) -> InducedSpec:
-    """Extend a positive-part seed to the degree-0 part by a free G[0]
-    letter (with L[0] -> G[0]^2 + c/24); its labels are listed up to
-    G[0]^max_k."""
-    letters = FiniteLetters(
-        TWISTED, [G(0)], rewrites={L(0): TwistedTemplate(spec.c).rewrite(L(0))}
-    )
-    return InducedSpec(InducedModule(letters, spec), (0, max_k))
-
-
 def verma_untwisted(c) -> InducedModule:
     """Verma module over the untwisted algebra: every negative-degree
     generator is a letter, acting freely on a vacuum killed by the
@@ -383,41 +371,50 @@ def _split_label(term: str) -> tuple[str, str]:
     return prefix, label.strip()
 
 
-def _read_seed(entries: dict[str, str], prefix: str) -> FiniteSeed | InducedSpec:
-    """The seed of the keys under ``prefix``, popping each key it reads."""
+def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
+    """Parse the line-oriented `key = value` module description.  No key may
+    repeat, and the family must read each."""
+    entries: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ValueError(f"config repeats the key {key!r}")
+        entries[key] = value
 
     def read(key, parse, default=None):
-        if prefix + key not in entries:
+        if key not in entries:
             if default is None:
                 raise ValueError(f"config is missing {key}")
             return default
-        return parse(entries.pop(prefix + key))
+        return parse(entries.pop(key))
 
-    def read_all(*starts):  # (key less prefix, value) in file order
-        keys = [k for k in entries if k.startswith(tuple(prefix + s for s in starts))]
-        return [(k[len(prefix):], entries.pop(k)) for k in keys]
+    def read_all(*starts):  # (key, value) in file order
+        return [(k, entries.pop(k)) for k in [k for k in entries if k.startswith(starts)]]
 
-    family = entries.pop(prefix + "family", None)
+    family = entries.pop("family", None)
     if family is None:
         raise ValueError("config is missing the family key")
-    if family == "b_t0":
-        return b_plus_t0_induce(_read_seed(entries, prefix + "inner."), read("max_g0", int, 3))
     c = read("c", parse_scalar, ZERO)
     if family == "whittaker":
-        return whittaker_spec(read("lambda", parse_scalar), c)
-    if family in ("generalized", "highorder"):
+        spec = whittaker_spec(read("lambda", parse_scalar), c)
+    elif family in ("generalized", "highorder"):
         s2 = read("s", parse_half) if family == "highorder" else 1
         phi = {}
         for key, value in read_all("phi."):
             gen_id = _parse_phi_key(key[4:])
             if gen_id in phi:
-                raise ValueError(f"config key {prefix + key!r} gives {gen_id} again")
+                raise ValueError(f"config key {key!r} gives {gen_id} again")
             phi[gen_id] = parse_scalar(value)
         bounds = (read("max_weight", parse_half, 4), read("max_length", int, 3))
         if family == "highorder" and not _character(s2, phi):
             raise ValueError("the character must be non-trivial")
-        return derived_pair_spec(s2, phi, c, bounds)
-    if family == "table":
+        spec = derived_pair_spec(s2, phi, c, bounds)
+    elif family == "table":
         labels = read("labels", lambda text: [l.strip() for l in text.split(",")], ["v0"])
         parities, table = {}, {}
         for key, value in read_all("parity.", "act."):
@@ -432,29 +429,12 @@ def _read_seed(entries: dict[str, str], prefix: str) -> FiniteSeed | InducedSpec
                 raise ValueError(f"the table seed lists {gen_id} on {label}, but only "
                                  "generators of positive degree act on it")
             if (gen_id, label) in table:
-                raise ValueError(f"config key {prefix + key!r} gives {gen_id} on {label} again")
+                raise ValueError(f"config key {key!r} gives {gen_id} on {label} again")
             table[(gen_id, label)] = parse_terms(value, _split_label)
-        seed = FiniteSeed("table", labels, table, _positive, c, parities)
-        check_seed(seed)
-        return seed
-    raise ValueError(f"unknown family {family!r}")
-
-
-def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
-    """Parse the line-oriented `key = value` module description.  No key may
-    repeat, and the family must read each (b_t0 its `inner.` keys)."""
-    entries: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in entries:
-            raise ValueError(f"config repeats the key {key!r}")
-        entries[key] = value
-    spec = _read_seed(entries, "")
+        spec = FiniteSeed("table", labels, table, _positive, c, parities)
+        check_seed(spec)
+    else:
+        raise ValueError(f"unknown family {family!r}")
     if entries:  # after the build, so that its errors come first
         raise ValueError(f"config key {next(iter(entries))!r} is not read by its family")
     return spec

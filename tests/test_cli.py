@@ -84,6 +84,8 @@ INVALID_ARGUMENTS = [
     (["verify", "reduction", "--max-length", "0"], "holds only the empty word"),
     # a trailing sign leaves an empty term, which is not read as no term
     (["bracket", "L[1] -", "T[1/2]"], "empty term"),
+    # the retired demo
+    (["demo", "b-t0"], "argument which: invalid choice: 'b-t0'"),
 ]
 
 
@@ -315,14 +317,15 @@ class TestActReduce:
 
     @pytest.mark.parametrize("exponent", ["x", "-1", "", "0"])
     def test_label_exponent_must_be_a_natural_number(self, exponent, tmp_path, capsys):
-        path = tmp_path / "b_t0.cfg"
-        path.write_text("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n")
-        label = f"G[0]^{exponent}.v0"
+        # T[1/2] is an even letter of the generalized seed
+        path = tmp_path / "generalized.cfg"
+        path.write_text("family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\n")
+        label = f"T[1/2]^{exponent}.v0"
         code = main(["act", "T[1/2]", "--spec", str(path), "--label", label])
         captured = capsys.readouterr()
         assert code == USAGE and captured.out == ""
         assert captured.err == (f"error: label {label!r}: exponent {exponent!r} "
-                                "of G[0] is not a natural number\n")
+                                "of T[1/2] is not a natural number\n")
 
     @staticmethod
     def fresh_act_digest(cfg, vector):
@@ -347,10 +350,10 @@ class TestActReduce:
             "9703494168e438832eea83e2589b6d5ae14f604595c2782e70c138bc9c0cb146")
 
     def test_deep_act_over_an_induced_seed(self):
-        # the b_t0 seed is an induced seed, which acts exactly, so G[0] passes
-        # 200 letters by the power rule too; the digest is that of the
+        # the generalized seed is an induced seed, which acts exactly, so G[0]
+        # passes 200 letters by the power rule too; the digest is that of the
         # one-step recursion, which filled the memo for every lower power first
-        assert self.fresh_act_digest("b_t0.cfg", "{4:200}") == (
+        assert self.fresh_act_digest("generalized.cfg", "{4:200}") == (
             "cf81486ed0bf3adf83bcc42f3eb64c77727f28574dac7520f47cc53b446fde1d")
 
     def test_truncation_exit_code(self, generalized_cfg, capsys):
@@ -414,11 +417,9 @@ def test_table_entry_that_never_reaches_the_seed_exit_code(entry, tmp_path, caps
 # repeated label, and a parity off the labels or off 0 and 1
 @pytest.mark.parametrize("config, err", [
     ("family = whittaker\nlambda = 1\nC = 5\n", "config key 'C' is not read by its family"),
-    # b_t0 takes its charge from its inner seed
-    ("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nc = 5\n",
-     "config key 'c' is not read by its family"),
-    ("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\ninner.C = 5\n",
-     "config key 'inner.C' is not read by its family"),
+    # the retired family, whose module the config of its inner seed builds
+    ("family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = 3\n",
+     "unknown family 'b_t0'"),
     ("family = whittaker\nlambda = 1\nlambda = 2\n", "config repeats the key 'lambda'"),
     ("family = generalized\nphi.L1 = 1\nphi.T3_2 = 1\n",
      "'T3_2': '3_2' is not of the form m or p/q"),
@@ -461,7 +462,7 @@ EMPTY_VALUES = [
     ["enumerate", "--max-weight", "0", "--max-length", "0"],
     ["closure", "--spec", TABLE, "--window", "1", "--max-weight", "0", "--max-length", "0"],
     ["verify", "psi", "--window", "1"],
-    ["demo", "b-t0"],
+    ["demo", "whittaker"],
 )]
 
 
@@ -528,8 +529,8 @@ def test_closure_over_an_unknown_seed_label_exit_code(config, capsys):
 
 
 @pytest.mark.parametrize("config", [
-    "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = -1\n",
     "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nmax_length = -1\n",
+    "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\nmax_weight = -1\n",
 ])
 def test_negative_label_box_exit_code(config, tmp_path, capsys):
     # a negative bound would list the empty word alone; every induced seed
@@ -547,7 +548,6 @@ FAMILY_CONFIGS = {
     "whittaker": "family = whittaker\nlambda = 1\n",
     "generalized": "family = generalized\nphi.L1 = 1\nphi.T3/2 = 1\nmax_weight = 2\n",
     "highorder": "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\n",
-    "b_t0": "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\n",
     "table": "family = table\nlabels = v0,v1\nparity.v1 = 1\nact.G1/2.v0 = 1*v1\n",
 }
 LABEL_TEXTS = st.one_of(
@@ -634,7 +634,7 @@ class TestVerifyAndDemo:
         assert code == FAIL  # the criterion's expected span is too small
         assert "w{2:2}⊗v0" in out
 
-    @pytest.mark.parametrize("which", ["whittaker", "generalized", "highorder", "b-t0"])
+    @pytest.mark.parametrize("which", ["whittaker", "generalized", "highorder"])
     def test_demos_run(self, which, capsys):
         code, out = run(["demo", which], capsys)
         assert code == PASS and out.startswith(f"demo: {which}")

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca.algebra import C, G, L, T, TWISTED, parse_combo
+from n2sca.algebra import C, G, L, T, TWISTED, TWISTED_KINDS, parse_combo
 from n2sca.engine import InducedModule, TwistedTemplate
 from n2sca.modules import (
     FiniteSeed,
-    b_plus_t0_induce,
+    derived_pair_spec,
     load_spec_config,
     module_axiom_check,
     whittaker_spec,
@@ -34,7 +34,7 @@ def straighten_negative(word, c: Scalar | int = 0) -> dict[ExponentVector, Scala
     c = sc(c)
     gens = list(word)
     for g in gens:
-        if not g.twisted:
+        if g.kind not in TWISTED_KINDS:
             raise ValueError(f"{g} is not a twisted generator")
         if g.degree2 > 0:
             raise ValueError(f"{g} has positive degree; straightening needs degree <= 0")
@@ -242,11 +242,11 @@ def test_memo_values_never_leak(whittaker_module):
     fresh maps, never the shared memo entries behind them."""
     m = whittaker_module
     v = m.basis_vector(ev((1, 1), (4, 2)))
-    b_t0 = b_plus_t0_induce(whittaker_spec(1, 2), 3)
-    label = (ev((1, 2)), "v0")
+    pair = derived_pair_spec(1, {L(1): 1, T(3): 1}, 2, (2, 3))
+    label = pair.parse_label("T[1/2]^2.v0")
     calls = [
         lambda: m.act(G(1), v).terms,
-        lambda: b_t0.act(T(1), label),
+        lambda: pair.act(L(1), label),
         lambda: straighten_negative([T(-1), G(-1), L(0)], c=2),
     ]
     for call in calls:
@@ -298,27 +298,23 @@ def test_power_rule_matches_the_one_step_recursion(gen, slot, e, lower):
     assert got == slow.act(gen, slow.basis_vector(word)).terms
 
 
-# the induced seed of tests/golden/b_t0.cfg: 2 memo entries at e = 80,
-# where the one-step rule and its warm-up fill kept 6,639
-B_T0 = b_plus_t0_induce(whittaker_spec(1, 0), 3)
-
-
-@pytest.mark.parametrize("e, spec", [
-    pytest.param(80, whittaker_spec(1, 0), id="80"),
-    pytest.param(400, whittaker_spec(1, 0), id="400"),
-    pytest.param(80, B_T0, id="b_t0-80"),
-    pytest.param(400, B_T0, id="b_t0-400"),
+# G[0] past a power of the odd letter G[-1/2], and T[1/2] past a power of
+# G[0], the letter whose square the L[0] rewrite keeps: 2 memo entries each
+@pytest.mark.parametrize("gen, slot, e", [
+    pytest.param(G(0), 4, 80, id="80"),
+    pytest.param(G(0), 4, 400, id="400"),
+    pytest.param(T(1), 2, 80, id="rewritten-square-80"),
+    pytest.param(T(1), 2, 400, id="rewritten-square-400"),
 ])
-def test_deep_act_memo_is_linear_in_the_exponent(e, spec):
-    module = spec.induced()
-    image = module.act(G(0), module.basis_vector(ev((4, e))))
+def test_deep_act_memo_is_linear_in_the_exponent(gen, slot, e):
+    module = whittaker_spec(1, 0).induced()
+    image = module.act(gen, module.basis_vector(ev((slot, e))))
     assert len(image.terms) == e // 2 + 1
     assert len(module._memo) <= 2 * e
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WHITTAKER_CFG = (GOLDEN / "whittaker.cfg").read_text()
-B_T0_CFG = (GOLDEN / "b_t0.cfg").read_text()
 
 
 def rewrite_reference(module, g, v):
@@ -339,11 +335,6 @@ REWRITE_CASES = {
                   [(w, "v0") for w in enumerate_vectors(2, 3)]),
     "whittaker-c": (lambda: _whittaker("1/3 + r2"), [L(0), L(-1), L(-2)],
                     [(w, "v0") for w in enumerate_vectors(2, 3)]),
-    "b_t0": (lambda: load_spec_config(B_T0_CFG).induced(), [L(0), L(-1), L(-2)],
-             [(ZERO_VECTOR, lbl) for lbl in load_spec_config(B_T0_CFG).labels()]),
-    # the module inside the b_t0 seed rewrites L[0] over its one letter G[0]
-    "b_t0-inner": (lambda: load_spec_config(B_T0_CFG).inner, [L(0)],
-                   list(load_spec_config(B_T0_CFG).labels())),
 }
 
 

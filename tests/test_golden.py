@@ -33,8 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 
-W, B, H, TB = (f"tests/golden/{n}.cfg"
-               for n in ("whittaker", "b_t0", "highorder-module", "table-module"))
+W, H, TB = (f"tests/golden/{n}.cfg" for n in ("whittaker", "highorder-module", "table-module"))
 GEN = "tests/golden/generalized.cfg"
 
 CASES: dict[str, tuple[str, ...]] = {
@@ -54,7 +53,6 @@ CASES: dict[str, tuple[str, ...]] = {
     "demo-whittaker": ("demo", "whittaker"),
     "demo-generalized": ("demo", "generalized"),
     "demo-highorder": ("demo", "highorder"),
-    "demo-b-t0": ("demo", "b-t0"),
     "jacobi-twisted": ("jacobi", "--algebra", "twisted", "--window", "4"),
     "jacobi-twisted-pm": ("jacobi", "--algebra", "twisted-pm", "--window", "4"),
     "jacobi-untwisted-pm": ("jacobi", "--algebra", "untwisted-pm", "--window", "4"),
@@ -68,7 +66,6 @@ CASES: dict[str, tuple[str, ...]] = {
                         "--window", "4", "--max-weight", "2", "--max-length", "3"),
     "closure-full": ("closure", "--spec", GEN, "--subspace", "full",
                      "--window", "4", "--max-weight", "2", "--max-length", "3"),
-    "act-b_t0-label": ("act", "T[1/2] L[0]", "--spec", B, "--label", "G[0].v0"),
     "act-table-label": ("act", "T[1/2] G[-1/2]", "--spec", TB, "--label", "v1"),
     "reduce-highorder-u7/2": ("reduce", "{1:1,2:1}", "--spec", H, "--u", "7/2"),
     # a long descent, bounded by the box of its starting degree
@@ -81,7 +78,7 @@ CASES: dict[str, tuple[str, ...]] = {
                                          "--t", "3/2", "--max-weight", "2",
                                          "--max-length", "4"),
 }
-for _family, _cfg in (("whittaker", W), ("b_t0", B), ("highorder", H), ("table", TB)):
+for _family, _cfg in (("whittaker", W), ("highorder", H), ("table", TB)):
     CASES[f"act-{_family}"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec", _cfg,
                                "--vector", "{1:1}")
     CASES[f"reduce-{_family}"] = ("reduce", "{1:1,2:1}", "--spec", _cfg)
@@ -226,7 +223,7 @@ FRESH_CASES = {name: ARGPARSE | forbidden for name, forbidden in {
     "reduce-whittaker": set(),
     "annihilator-whittaker": {"n2sca.suites", "fractions"},
     "closure-full": set(),
-    "demo-b-t0": set(),
+    "demo-generalized": set(),
 }.items()}
 CHILD = ("import sys; from n2sca.cli import main; code = main(sys.argv[1:]); "
          "sys.stdout.flush(); sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
@@ -274,7 +271,7 @@ def test_argparse_fallback_in_a_fresh_interpreter(argv):
 # labels, words or slices of an induced seed; the reduction's support sets and
 # the annihilator's elimination run over many words.
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
-@pytest.mark.parametrize("name", ["closure-seed-v1", "annihilator-b_t0", "demo-b-t0",
+@pytest.mark.parametrize("name", ["closure-seed-v1", "annihilator-highorder", "demo-generalized",
                                   "reduce-whittaker-1_12",
                                   "annihilator-whittaker-irrational"])
 def test_cli_golden_under_a_hash_seed(name, hash_seed):

@@ -7,17 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from n2sca import modules
 from n2sca.algebra import (
-    C, G, KIND_RANK, L, T, TWISTED, UNTWISTED_PM, Gm, Gp, J, Lu, format_half,
-    format_terms, parse_combo,
+    C, G, KIND_RANK, L, T, TWISTED, TWISTED_KINDS, UNTWISTED_PM, Gm, Gp, J, Lu,
+    format_half, format_terms, parse_combo,
 )
 from n2sca.engine import (
     FiniteLetters, InducedModule, TwistedTemplate, UntwistedTemplate, keeps_square,
 )
 from n2sca.modules import (
     FiniteSeed,
-    InducedSpec,
     _positive,
-    b_plus_t0_induce,
     check_conditions,
     check_seed,
     derived_pair_spec,
@@ -282,9 +280,6 @@ class TestHighorderSpec:
 INDUCED_SPECS = {
     "generalized": (lambda: derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (2, 3)), 1),
     "highorder": (lambda: derived_pair_spec(3, {L(2): ONE, T(5): ONE}, 0, (2, 2)), 1),
-    "b_t0-over-whittaker": (lambda: b_plus_t0_induce(whittaker_spec(1, 0), 3), 0),
-    "b_t0-over-generalized": (
-        lambda: b_plus_t0_induce(derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (2, 3)), 2), 0),
 }
 
 
@@ -300,42 +295,9 @@ def test_generators_below_an_induced_spec_do_not_act(name):
                 spec.act(gen, label)
 
 
-class TestBT0Spec:
-    def test_label_count(self):
-        spec = b_plus_t0_induce(whittaker_spec(1, 0), 3)
-        assert len(spec.labels()) == 4  # 4 * dim(M)
-
-    def test_t_half_action(self):
-        spec = b_plus_t0_induce(whittaker_spec(1, 0), 3)
-        g0v0 = spec.parse_label("G[0].v0")
-        assert {spec.label_text(k): s for k, s in spec.act(T(1), g0v0).items()} == {
-            "G[0].v0": ONE
-        }
-
-    def test_free_shift_below_truncation(self):
-        spec = b_plus_t0_induce(whittaker_spec(1, 0), 4)
-        g0_3 = spec.parse_label("G[0]^3.v0")
-        assert {spec.label_text(k): s for k, s in spec.act(G(0), g0_3).items()} == {
-            "G[0]^4.v0": ONE
-        }
-        # G[0]^5 lies past the listed labels, and the seed acts exactly
-        g0_4 = spec.parse_label("G[0]^4.v0")
-        assert {spec.label_text(k): s for k, s in spec.act(G(0), g0_4).items()} == {
-            "G[0]^5.v0": ONE
-        }
-
-    def test_l0_rewrites_through_g0_square(self):
-        spec = b_plus_t0_induce(whittaker_spec(1, Scalar(24)), 3)
-        v0 = spec.parse_label("v0")
-        got = {spec.label_text(k): s for k, s in spec.act(L(0), v0).items()}
-        assert got == {"G[0]^2.v0": ONE, "v0": ONE}  # G0^2 + c/24 with c = 24
-
-
 @pytest.mark.parametrize("config, inside, outside", [
     ("generalized.cfg", 162, 6),
     ("highorder-module.cfg", 284, 100),
-    # a positive generator never raises the power of the G[0] letter
-    ("b_t0.cfg", 48, 0),
 ])
 def test_induced_seed_acts_exactly_past_its_box(config, inside, outside):
     # the inner module acts exactly, past the box of the seed's listed
@@ -367,9 +329,6 @@ def test_induced_seed_acts_exactly_past_its_box(config, inside, outside):
     ("highorder-module.cfg", 1, (True, False)),
     ("highorder-module.cfg", 3, (True, False)),
     ("highorder-module.cfg", 5, (True, True)),
-    ("b_t0.cfg", 1, (True, False)),
-    ("b_t0.cfg", 3, (False, True)),
-    ("b_t0.cfg", 5, (False, True)),
 ])
 def test_conditions_on_the_induced_seeds(config, u2, want):
     # the images of T_u and G_u on the listed labels are exact, and may name
@@ -470,15 +429,12 @@ class TestVerma:
 def test_keeps_square_matches_each_systems_old_answer(c):
     # the answers each letter system once gave itself: the twisted template
     # kept every power, the untwisted one folded every odd letter, and
-    # finite letters kept an even letter or one whose square names a
-    # rewritten generator (b_t0's G[0]; no derived-pair letter)
+    # finite letters, which rewrite nothing, keep an even letter only
     twisted, untwisted = TwistedTemplate(c), UntwistedTemplate()
     for slot in range(1, 41):
         assert keeps_square(twisted, twisted.letter(slot)), slot
         g = untwisted.letter(slot)
         assert keeps_square(untwisted, g) == (g.parity == 0), g
-    b_t0 = b_plus_t0_induce(whittaker_spec(1, c), 3).inner.letters
-    assert b_t0.letters_desc == [G(0)] and keeps_square(b_t0, G(0))
     for s2, phi in ((1, {L(1): ONE, T(3): ONE}), (3, {L(2): ONE}), (5, {L(3): ONE})):
         letters = derived_pair_spec(s2, phi, c, (0, 0)).inner.letters
         for g in letters.letters_desc:
@@ -487,14 +443,10 @@ def test_keeps_square_matches_each_systems_old_answer(c):
 
 
 def test_square_rule_of_the_finite_letters():
-    # G[0].G[0] would fold to L[0] - c/24, which is rewritten back into G[0]^2
-    b_t0 = b_plus_t0_induce(whittaker_spec(1, 0), 3)
-    g0v0 = b_t0.parse_label("G[0].v0")
-    assert keeps_square(b_t0.inner.letters, G(0))
-    assert b_t0.act(G(0), g0v0) == {b_t0.parse_label("G[0]^2.v0"): ONE}
-    # no derived-pair letter is rewritten: G[1/2].G[1/2] folds to -L[1],
-    # which acts on v0 by -phi(L[1]) = -1
+    # no finite letter is rewritten: G[1/2].G[1/2] folds to -L[1], which
+    # acts on v0 by -phi(L[1]) = -1
     spec = derived_pair_spec(1, {L(1): 1, T(3): 1}, 0, (4, 3))
+    assert spec.inner.letters.rewrite(L(0)) is None
     assert not keeps_square(spec.inner.letters, G(1))
     assert spec.act(G(1), spec.parse_label("G[1/2].v0")) == {spec.parse_label("v0"): -ONE}
     with pytest.raises(ValueError, match="no normal word holds its square"):
@@ -532,47 +484,6 @@ act.L2.v0 = 1*v1
 
 
 class TestRepresentationProperty:
-    def test_b_t0_axiom_with_degree_zero_pairs(self):
-        spec = b_plus_t0_induce(whittaker_spec(1, Scalar(3)), 6)
-        gens = [g for g in TWISTED.generators(4) if g.degree2 >= 0
-                and g.kind != "C" and g.kind != "T" or
-                (g.kind == "T" and g.degree2 > 0)]
-        gens = [g for g in gens if g.degree2 >= 0 and not g.is_central]
-        for x in gens:
-            for y in gens:
-                sign = -1 if x.parity and y.parity else 1
-                bracket = TWISTED.bracket(x, y)
-                for lbl in spec.labels():
-                    lhs = act_through(spec, x, spec.act(y, lbl))
-                    sub = act_through(spec, y, spec.act(x, lbl))
-                    rhs = {}
-                    for z, coef in bracket.items():
-                        pieces = (
-                            {lbl: coef * spec.c}
-                            if z.is_central
-                            else {l2: coef * s for l2, s in spec.act(z, lbl).items()}
-                        )
-                        for l2, s in pieces.items():
-                            t = rhs.get(l2, ZERO) + s
-                            if t:
-                                rhs[l2] = t
-                            else:
-                                rhs.pop(l2, None)
-                    diff = dict(lhs)
-                    for l2, s in sub.items():
-                        t = diff.get(l2, ZERO) - (s if sign == 1 else -s)
-                        if t:
-                            diff[l2] = t
-                        else:
-                            diff.pop(l2, None)
-                    for l2, s in rhs.items():
-                        t = diff.get(l2, ZERO) - s
-                        if t:
-                            diff[l2] = t
-                        else:
-                            diff.pop(l2, None)
-                    assert not diff, (x, y, spec.label_text(lbl), diff)
-
     def test_outer_module_axiom_over_generalized_seed(self):
         from n2sca.orders import enumerate_vectors
 
@@ -619,10 +530,10 @@ def closed_under_bracket(member, window2):
 # the standard subalgebras of the twisted algebra, as membership tests
 SUBALGEBRAS = {
     "T+": lambda g: g.degree2 > 0,
-    "T0": lambda g: g.twisted and g.degree2 == 0,
+    "T0": lambda g: g.kind in TWISTED_KINDS and g.degree2 == 0,
     "T-": lambda g: g.degree2 < 0,
     "b": lambda g: g.degree2 > 0,
-    "B": lambda g: g.twisted and g.degree2 >= 0,
+    "B": lambda g: g.kind in TWISTED_KINDS and g.degree2 >= 0,
     "p": lambda g: g.kind == "C" or g.index2 >= {"L": 2, "T": 1, "G": 2}[g.kind],
     "frakT": lambda g: g.kind == "C" or _frak_t(g),
 }
@@ -818,29 +729,13 @@ class TestConfig:
             load_spec_config("family = highorder\ns = 3/2\nphi.T7/2 = 1\n")
 
     def test_b_t0_config(self):
-        spec = load_spec_config(
-            "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = 2\n"
-        )
-        assert isinstance(spec, InducedSpec) and spec.inner.letters.letters_desc == [G(0)]
-        assert len(spec.labels()) == 3
-
-    @pytest.mark.parametrize("inner", [
-        "family = highorder\ns = 3/2\nphi.L2 = 1\nphi.T5/2 = 1\nc = 1\nmax_length = 1",
-        "family = table\nlabels = v0,v1\nparity.v1 = 1\nact.G1/2.v0 = 1*v1",
-        "family = b_t0\ninner.family = whittaker\ninner.lambda = 2\nmax_g0 = 1",
-    ])
-    def test_b_t0_reads_its_inner_keys(self, inner):
-        # the inner seed comes from the `inner.` keys of the same config
-        prefixed = "".join(f"inner.{line}\n" for line in inner.splitlines())
-        spec = load_spec_config(f"family = b_t0\n{prefixed}max_g0 = 1\n").inner.seed
-        alone = load_spec_config(inner)
-        assert spec.c == alone.c
-        texts = [alone.label_text(lbl) for lbl in alone.labels()]
-        assert [spec.label_text(lbl) for lbl in spec.labels()] == texts
-        for x in (T(1), G(1), L(2)):
-            got = {spec.label_text(k): s for k, s in spec.act(x, spec.labels()[0]).items()}
-            want = {alone.label_text(k): s for k, s in alone.act(x, alone.labels()[0]).items()}
-            assert got == want
+        # the retired family: by transitivity of induction, the module its
+        # name promised is the one that its inner seed's own config induces
+        # (notes/decisions.md, "b_t0 retired")
+        with pytest.raises(ValueError, match="unknown family 'b_t0'"):
+            load_spec_config(
+                "family = b_t0\ninner.family = whittaker\ninner.lambda = 1\nmax_g0 = 2\n"
+            )
 
     def test_bad_configs(self):
         with pytest.raises(ValueError, match="unknown family 'unknown'"):
@@ -854,13 +749,12 @@ class TestConfig:
             load_spec_config("family = table\nlabels = v0\nact.T1/2.v0 = 2*v0 -\n")
 
 
-SIZE_KEYS = ("max_weight", "max_length", "max_g0", "s")
+SIZE_KEYS = ("max_weight", "max_length", "s")
 FAMILY_KEYS = {
     "whittaker": ("lambda", "c"),
     "generalized": ("phi.L1", "phi.T3/2", "c", "max_weight", "max_length"),
     "highorder": ("s", "phi.T5/2", "phi.T7/2", "phi.L2", "phi.G1", "phi.T1",
                   "phi.", "phi.X1", "c", "max_weight", "max_length"),
-    "b_t0": ("inner.family", "inner.lambda", "inner.c", "max_g0", "c"),
     "table": ("labels", "parity.v0", "parity.v1", "act.T1/2.v0", "act.T1/2.v1",
               "act.L2.v0", "act.G1/2.v1", "act.T-1/2.v0", "act..v0",
               "act.T1/2", "c", "u"),
@@ -871,7 +765,7 @@ SIZE_VALUES = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "3/2", "5/2",
 VALUES = st.one_of(
     st.sampled_from(["0", "1", "-1", "1/2", "1/0", "i", "r2", "x", "", "v0",
                      "v0,v1", "1*v0", "1*v1 + 2*v0", "1*v7", "-1*v1",
-                     "whittaker", "table", "verma", "b_t0"]),
+                     "whittaker", "table", "verma"]),
     st.text(alphabet="0123456789/-+*()iv2r,. ", max_size=6),
 )
 

@@ -1,11 +1,11 @@
 """Generators, linear combinations and the bracket calculus.
 
-Two algebras are provided, each in the bases that matter:
-
-* the twisted algebra with generators ``L[m]``, ``T[r]``, ``G[p]``, ``C``
-  (and a rescaled +/- convention of the same generators), and
-* the untwisted algebra with ``Lu[m]``, ``J[n]``, ``Cu`` plus fermions in
-  either the ``G+``/``G-`` basis or the ``G1``/``G2`` basis.
+Two algebras are provided, each in the bases that matter: the twisted
+algebra with generators ``L[m]``, ``T[r]``, ``G[p]``, ``C``, in its defining
+basis (`TWISTED`, here) and a rescaled +/- convention, and the untwisted
+algebra with ``Lu[m]``, ``J[n]``, ``Cu`` plus fermions in either the
+``G+``/``G-`` basis or the ``G1``/``G2`` basis.  All but `TWISTED` are
+defined in `suites`, so that no command on the twisted algebra compiles them.
 
 All half-integer indices are stored doubled, so ``T[3/2]`` has
 ``index2 == 3``.  The doubled index of a generator equals its doubled
@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .scalars import (
-    I, ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
+    ONE, Scalar, add_scaled, as_scalar, join_signed, parse_scalar, signed_term,
 )
 
 TWISTED_KINDS = ("L", "T", "G", "C")
@@ -115,32 +115,6 @@ def G(p2: int) -> GeneratorId:
 
 C = GeneratorId("C", 0)
 
-
-def Lu(m: int) -> GeneratorId:
-    return GeneratorId("Lu", 2 * m)
-
-
-def J(n: int) -> GeneratorId:
-    return GeneratorId("J", 2 * n)
-
-
-def Gp(p2: int) -> GeneratorId:
-    return GeneratorId("G+", p2)
-
-
-def Gm(p2: int) -> GeneratorId:
-    return GeneratorId("G-", p2)
-
-
-def G1(p2: int) -> GeneratorId:
-    return GeneratorId("G1", p2)
-
-
-def G2(p2: int) -> GeneratorId:
-    return GeneratorId("G2", p2)
-
-
-Cu = GeneratorId("Cu", 0)
 
 _GEN_RE = re.compile(r"^(Lu|G\+|G-|G1|G2|Cu|L|T|G|J|C)(?:\[([^\]]+)\])?$")
 
@@ -452,97 +426,18 @@ class _Twisted(AlgebraPresentation):
         return None
 
 
-class _TwistedPM(_Twisted):
-    """The same twisted algebra in the rescaled convention where the
-    integer-indexed fermions are `G+` and the half-odd ones are `i*G`;
-    only the fermion rules differ from the defining basis."""
-
-    def _pair(self, x, y):
-        kx, ky = x.kind, y.kind
-        if kx == "T" and ky == "G":
-            coef = -I if y.index2 % 2 == 0 else I
-            return LinearCombo.single(G(x.index2 + y.index2), coef)
-        if kx == "G" and ky == "G":
-            p2, q2 = x.index2, y.index2
-            if (p2 + q2) % 2 == 0:
-                out = LinearCombo.single(L((p2 + q2) // 2), Scalar.rational(2))
-                if p2 + q2 == 0:
-                    out = out + LinearCombo.single(C, Scalar.rational(p2 * p2 - 1, 12))
-                return out
-            plus2, minus2 = (p2, q2) if p2 % 2 == 0 else (q2, p2)
-            return LinearCombo.single(
-                T(p2 + q2), -I * Scalar.rational(plus2 - minus2, 2)
-            )
-        return super()._pair(x, y)
+TWISTED = _Twisted("twisted", TWISTED_KINDS)
 
 
-class _UntwistedPM(AlgebraPresentation):
-    def _pair(self, x, y):
-        kx, ky = x.kind, y.kind
-        if kx == "Lu" and ky == "Lu":
-            return _virasoro(x.index2, y.index2, "Lu", "Cu")
-        if kx == "Lu" and ky == "J":
-            return LinearCombo.single(
-                J((x.index2 + y.index2) // 2), Scalar.rational(-y.index2, 2)
-            )
-        if kx == "J" and ky == "J":
-            if x.index2 + y.index2 == 0:
-                return LinearCombo.single(Cu, Scalar.rational(x.index2, 6))
-            return ZERO_COMBO
-        if kx == "Lu" and y.parity:
-            return LinearCombo.single(
-                GeneratorId(ky, x.index2 + y.index2),
-                Scalar.rational(x.index2 - 2 * y.index2, 4),
-            )
-        if kx == "J" and ky in ("G+", "G-"):
-            coef = ONE if ky == "G+" else -ONE
-            return LinearCombo.single(GeneratorId(ky, x.index2 + y.index2), coef)
-        if kx == ky and kx in ("G+", "G-"):
-            return ZERO_COMBO
-        if kx == "G+" and ky == "G-":
-            p2, q2 = x.index2, y.index2
-            out = LinearCombo.of(
-                (Lu((p2 + q2) // 2), Scalar.rational(2)),
-                (J((p2 + q2) // 2), Scalar.rational(p2 - q2, 2)),
-            )
-            if p2 + q2 == 0:
-                out = out + LinearCombo.single(Cu, Scalar.rational(p2 * p2 - 1, 12))
-            return out
-        return None
+def __getattr__(name: str):
+    """`PRESENTATIONS`, all four by name, from `suites`, which defines the
+    three besides `TWISTED`; callers outside the package (the benchmark's
+    traced runner) read it here, so it resolves on first use."""
+    if name != "PRESENTATIONS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .suites import PRESENTATIONS
 
-
-class _Untwisted12(_UntwistedPM):
-    """The untwisted algebra in the (1,2) fermion basis; the Lu/J rules
-    are those of the +/- basis."""
-
-    def _pair(self, x, y):
-        kx, ky = x.kind, y.kind
-        if kx == "J" and ky == "G1":
-            return LinearCombo.single(G2(x.index2 + y.index2), -I)
-        if kx == "J" and ky == "G2":
-            return LinearCombo.single(G1(x.index2 + y.index2), I)
-        if kx == ky and kx in ("G1", "G2"):
-            p2, q2 = x.index2, y.index2
-            out = LinearCombo.single(Lu((p2 + q2) // 2), Scalar.rational(2))
-            if p2 + q2 == 0:
-                out = out + LinearCombo.single(Cu, Scalar.rational(p2 * p2 - 1, 12))
-            return out
-        if kx == "G1" and ky == "G2":
-            return LinearCombo.single(
-                J((x.index2 + y.index2) // 2),
-                -I * Scalar.rational(x.index2 - y.index2, 2),
-            )
-        return super()._pair(x, y)
-
-
-TWISTED = _Twisted("twisted", ("L", "T", "G", "C"))
-TWISTED_PM = _TwistedPM("twisted-pm", ("L", "T", "G", "C"))
-UNTWISTED_PM = _UntwistedPM("untwisted-pm", ("Lu", "J", "G+", "G-", "Cu"))
-UNTWISTED_12 = _Untwisted12("untwisted-12", ("Lu", "J", "G1", "G2", "Cu"))
-
-PRESENTATIONS = {
-    p.name: p for p in (TWISTED, TWISTED_PM, UNTWISTED_PM, UNTWISTED_12)
-}
+    return PRESENTATIONS
 
 
 class SuiteReport:

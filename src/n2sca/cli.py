@@ -14,10 +14,11 @@ import os
 import sys
 import types
 
+from . import algebra
 from .algebra import (
     L,
-    PRESENTATIONS,
     T,
+    TWISTED,
     format_half,
     parse_combo,
     parse_generator,
@@ -37,7 +38,10 @@ PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 SUITE_NAMES = dict.fromkeys((
     "annihilator", "deg-lemma", "jacobi", "module-axiom", "orders", "psi", "reduction",
     "scalars", "substitution", "verma-singular", "whittaker-identity",
-), "suites") | {"module-axiom": "modules"}
+), "suites") | {"module-axiom": "modules", "psi": "transport", "substitution": "transport"}
+# the names `--algebra` accepts, those of `suites.PRESENTATIONS`, which only
+# a non-default name loads
+ALGEBRAS = ("twisted", "twisted-pm", "untwisted-12", "untwisted-pm")
 
 
 def _load_module(path: str):
@@ -64,7 +68,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_bracket(args) -> int:
-    pres = PRESENTATIONS[args.algebra]
+    pres = TWISTED if args.algebra == TWISTED.name else algebra.PRESENTATIONS[args.algebra]
     x, y = parse_combo(args.x), parse_combo(args.y)
     for combo in (x, y):
         for g in combo:
@@ -74,10 +78,9 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    from .suites import jacobi_check
+    from .suites import PRESENTATIONS, jacobi_check
 
-    pres = PRESENTATIONS[args.algebra]
-    report = jacobi_check(pres, args.window)
+    report = jacobi_check(PRESENTATIONS[args.algebra], args.window)
     _emit(args, str(report) + "\n")
     return PASS if report.ok else FAIL
 
@@ -193,7 +196,8 @@ def _cmd_verify(args) -> int:
 
 
 def _demo_lines(which: str) -> list[str]:
-    from .modules import check_conditions, derived_pair_spec, whittaker_spec
+    from .families import derived_pair_spec
+    from .modules import check_conditions, whittaker_spec
     from .orders import enumerate_vectors, parse_exponent_vector
     from .theorems import closure_check, reduce_to_M
 
@@ -231,7 +235,7 @@ def _cmd_demo(args) -> int:
 # as argparse's `add_argument` takes it.  `_fast_parse` reads the table for a
 # plain command line; `build_parser` makes it into the argparse parser, which
 # parses everything else and prints help and usage errors.
-ALGEBRA = {"default": "twisted", "choices": sorted(PRESENTATIONS)}
+ALGEBRA = {"default": "twisted", "choices": ALGEBRAS}
 WINDOW = {"type": int, "default": 6}
 MAX_WEIGHT = {"default": "2"}
 MAX_LENGTH = {"type": int, "default": 3}
@@ -261,7 +265,7 @@ COMMANDS = {
     "verify": ("run a named verification suite", _cmd_verify, [
         ("suite", {"choices": SUITE_NAMES}), ("--seed", {"type": int}),
         ("--window", {"type": int}), ("--max-weight", {}), ("--max-length", {"type": int}),
-        ("--algebra", {"choices": sorted(PRESENTATIONS)}), OUTPUT]),
+        ("--algebra", {"choices": ALGEBRAS}), OUTPUT]),
     "demo": ("narrated worked example", _cmd_demo, [
         ("which", {"choices": ["whittaker", "generalized", "highorder"]}), OUTPUT]),
 }

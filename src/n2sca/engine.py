@@ -28,32 +28,16 @@ for ``G[-(n-1)/2]``, `L`-generators of nonpositive degree are eliminated
 through ``G``-squares (with ``L[0] -> G[0]^2 + c/24``), and the central
 element acts by the charge ``c``.  The untwisted template, behind the
 Verma module, has every negative generator as a letter.  Finite letter
-systems reuse the same recursion for the inductions of the module zoo.
+systems (`families.FiniteLetters`) reuse the same recursion for the
+inductions of the other seed families.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .algebra import (
-    AlgebraPresentation,
-    G,
-    GeneratorId,
-    LinearCombo,
-    T,
-    TWISTED,
-    TermMap,
-    UNTWISTED_PM,
-    parse_generator,
-    parse_terms,
-)
-from .orders import (
-    ExponentVector,
-    ZERO_VECTOR,
-    parse_exponent_vector,
-    principal_sort_key,
-    walk_vectors,
-)
+from .algebra import G, GeneratorId, LinearCombo, T, TWISTED, TermMap, parse_terms
+from .orders import ExponentVector, ZERO_VECTOR, parse_exponent_vector, principal_sort_key
 from .scalars import HALF, ONE, Scalar, add_scaled
 
 Rewrite = list[tuple[Scalar, tuple[GeneratorId, ...]]]
@@ -108,9 +92,14 @@ class UntwistedTemplate:
     every generator of doubled degree -k < 0 is a letter, ``Lu[-k/2]`` or
     ``G+[-k/2]`` in slot 2k and ``J[-k/2]`` or ``G-[-k/2]`` in slot 2k-1.
     Nothing is rewritten, and an odd letter folds: [G+, G+] = [G-, G-] = 0.
+    Its presentation, defined in `suites`, is imported when the template
+    is built, so no command on the twisted algebra loads it.
     """
 
-    presentation = UNTWISTED_PM
+    def __init__(self):
+        from .suites import UNTWISTED_PM
+
+        self.presentation = UNTWISTED_PM
 
     def slot_of(self, gen):
         k = -gen.index2
@@ -137,62 +126,6 @@ def keeps_square(letters, g: GeneratorId) -> bool:
     folds to (1/2)[g, g]."""
     return g.parity == 0 or any(
         letters.rewrite(z) is not None for z in letters.presentation.bracket(g, g).terms)
-
-
-class FiniteLetters:
-    """Finitely many registered letters, leftmost first; nothing is rewritten."""
-
-    def __init__(self, presentation: AlgebraPresentation, letters_desc: list[GeneratorId]):
-        self.presentation = presentation
-        self.letters_desc = list(letters_desc)
-        n = len(self.letters_desc)
-        self._slot = {g: n - i for i, g in enumerate(self.letters_desc)}
-        self._by_slot = {n - i: g for i, g in enumerate(self.letters_desc)}
-        self._w2 = {s: abs(g.degree2) for s, g in self._by_slot.items()}
-
-    def slot_of(self, gen):
-        return self._slot.get(gen)
-
-    def letter(self, slot):
-        return self._by_slot[slot]
-
-    def rewrite(self, gen):
-        return None
-
-    def word_key(self, ev: ExponentVector) -> tuple:
-        """The order of `enumerate_words`: (weight, length, entries)."""
-        w2 = self._w2
-        return (sum(w2[s] * e for s, e in ev.entries), ev.length, ev.dense_key())
-
-    def enumerate_words(self, max_w2: int, max_len: int) -> list[ExponentVector]:
-        """All normal words of doubled weight <= max_w2 and length <= max_len,
-        by `word_key`."""
-        slots = [(s, self._w2[s], max_len if keeps_square(self, g) else 1)
-                 for s, g in sorted(self._by_slot.items())]
-        return sorted(walk_vectors(slots, max_w2, max_len), key=self.word_key)
-
-    def word_text(self, ev):
-        return word_text(ev, self._by_slot.__getitem__)
-
-    def parse_word(self, text: str) -> ExponentVector:
-        """Inverse of `word_text`: a normal word of one or more letters, each
-        letter once and leftmost first, an odd letter that folds unsquared."""
-        items: list[tuple[int, int]] = []
-        for chunk in text.split("*"):
-            gtext, hat, etext = chunk.strip().partition("^")
-            if hat and not (etext.strip().isdecimal() and int(etext)):
-                raise ValueError(f"exponent {etext!r} of {gtext} is not a natural number")
-            gen = parse_generator(gtext)
-            slot = self.slot_of(gen)
-            if slot is None:
-                raise ValueError(f"{gtext} is not a letter of this spec")
-            if items and slot >= items[-1][0]:
-                raise ValueError(f"{gtext} is out of the normal order of the letters")
-            exp = int(etext) if hat else 1
-            if exp > 1 and not keeps_square(self, gen):
-                raise ValueError(f"{gtext} is odd: no normal word holds its square")
-            items.append((slot, exp))
-        return ExponentVector(items)
 
 
 class ModuleVector(TermMap):
@@ -229,11 +162,11 @@ class InducedModule:
     """An induced module realised over a letter system and a seed.
 
     A letter system (`TwistedTemplate`, `UntwistedTemplate` or
-    `FiniteLetters`) has a ``presentation``, ``slot_of(gen)`` (None for a
-    mover), ``letter(slot)``, ``rewrite(gen)`` (a Rewrite or None) and
-    ``word_text(ev)``; `keeps_square` derives from these whether a letter
-    stacks or folds.  The seed follows the protocol stated in the `modules`
-    docstring.
+    `families.FiniteLetters`) has a ``presentation``, ``slot_of(gen)``
+    (None for a mover), ``letter(slot)``, ``rewrite(gen)`` (a Rewrite or
+    None) and ``word_text(ev)``; `keeps_square` derives from these whether
+    a letter stacks or folds.  The seed follows the protocol stated in the
+    `modules` docstring.
     """
 
     def __init__(self, letters, seed):

@@ -1,4 +1,5 @@
-"""The seed modules of the induction: their two classes, builders and checks.
+"""The seed modules of the induction: the table seed, the Whittaker and
+vacuum builders, the module-axiom check and the config reader.
 
 A seed describes a module over the positive subalgebra through a basis of
 opaque labels and an exact action oracle.  Every seed has a charge ``c``
@@ -14,30 +15,16 @@ act on the seed), ``label_text(label)`` and its inverse
 A `FiniteSeed` is an action table, named in its errors by its ``family``.
 An infinite-dimensional family is an `InducedSpec`: its inner module acts
 exactly on every word, and its box only lists the finite set of labels
-that the checks over the seed range over.
+that the checks over the seed range over.  `InducedSpec`, the families
+built on it and the check of a table seed live in `families`, which only
+those configs load.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    G,
-    GeneratorId,
-    KIND_RANK,
-    SuiteReport,
-    T,
-    TWISTED,
-    format_half,
-    parse_half,
-    parse_terms,
-)
-from .engine import (
-    FiniteLetters,
-    InducedModule,
-    ModuleVector,
-    TwistedTemplate,
-    UntwistedTemplate,
-)
-from .orders import ZERO_VECTOR, enumerate_vectors
+from .algebra import G, GeneratorId, SuiteReport, T, TWISTED
+from .engine import InducedModule, ModuleVector, TwistedTemplate, UntwistedTemplate
+from .orders import enumerate_vectors
 from .scalars import ONE, Scalar, ZERO, add_scaled, as_scalar, parse_scalar
 
 
@@ -58,8 +45,8 @@ class FiniteSeed:
     ``table`` maps (generator, label) to {label: Scalar}.  A generator
     that ``acts`` admits but the table omits acts by zero; any other
     generator raises ValueError naming the ``family``.  ``parity(label)``,
-    for `check_seed`'s parity rule, is 0 or 1, or None for a label
-    missing from ``parities`` (ungraded).
+    for the parity rule of `families.check_seed`, is 0 or 1, or None for a
+    label missing from ``parities`` (ungraded).
     """
 
     def __init__(self, family: str, labels, table: dict, acts, c: Scalar = ZERO,
@@ -107,59 +94,6 @@ class FiniteSeed:
 
     def slice_labels(self, text) -> list:
         return [self.parse_label(text)]
-
-
-class InducedSpec:
-    """A seed realised as an induced module over a small letter system; the
-    outer engine sees its (word, seed label) pairs as opaque labels.  The
-    inner module, over a `FiniteSeed`, acts exactly on every word.  The box
-    ``bounds`` = (doubled weight, length) of the normal words only lists
-    `labels`, the finite set that the checks over the seed range over."""
-
-    induced = FiniteSeed.induced
-
-    def __init__(self, inner: InducedModule, bounds: tuple[int, int]):
-        # before the walk, which lists the empty word alone under a negative bound
-        if min(bounds) < 0:
-            raise ValueError("the label box must be nonnegative")
-        self.inner = inner
-        self.c = inner.c
-        words = inner.letters.enumerate_words(*bounds)
-        self._labels = tuple((ev, slabel) for slabel in inner.seed.labels() for ev in words)
-
-    def labels(self):
-        return self._labels
-
-    def label_key(self, label):
-        ev, slabel = label
-        return (self.inner.label_rank(slabel), self.inner.letters.word_key(ev))
-
-    def act(self, gen, label):
-        ev, slabel = label
-        return self.inner.act(gen, self.inner.basis_vector(ev, slabel)).terms
-
-    def label_text(self, label):
-        ev, slabel = label
-        stext = self.inner.seed.label_text(slabel)
-        if ev.is_zero:
-            return stext
-        return f"{self.inner.letters.word_text(ev)}.{stext}"
-
-    def parse_label(self, text: str):
-        if "." in text:
-            word, stext = text.rsplit(".", 1)
-            try:
-                ev = self.inner.letters.parse_word(word)
-            except ValueError as exc:
-                raise ValueError(f"label {text!r}: {exc}") from None
-        else:
-            ev, stext = ZERO_VECTOR, text
-        return (ev, self.inner.seed.parse_label(stext))
-
-    def slice_labels(self, text) -> list:
-        """All listed labels over one seed vector (the U(b)-saturated slice)."""
-        seed_label = self.inner.seed.parse_label(text)
-        return [lbl for lbl in self._labels if lbl[1] == seed_label]
 
 
 def module_axiom_rows(module: InducedModule, gens: list[GeneratorId],
@@ -236,96 +170,12 @@ def suite_module_axiom(window2: int = 6, max_weight2: int = 6,
     return module_axiom_check(module, window2, vectors)
 
 
-def check_seed(seed: FiniteSeed, letters=()) -> None:
-    """Raise ValueError, naming the first failure, unless the table
-    seed is a module over the generators that reach it: those that
-    ``seed.acts`` admits, of positive degree and not ``letters`` of the
-    induction around it.
-
-    It runs `module_axiom_rows` on a letterless module over the seed, for
-    the reaching generators up to the largest degree the table lists (one
-    above it acts by zero, and so does the bracket of any pair that holds
-    one, brackets being homogeneous), then the parity rule: an entry
-    x: l -> l' needs parity(l') = parity(l) + |x| (mod 2), an undeclared
-    parity counting as even.
-    """
-
-    def reaches(g):
-        return g.degree2 > 0 and seed.acts(g) and g not in letters
-
-    top2 = max((x.degree2 for (x, _), out in seed.table.items() if out and reaches(x)),
-               default=0)
-    module = InducedModule(FiniteLetters(TWISTED, []), seed)
-    labels = seed.labels()
-    vectors = [module.basis_vector(ZERO_VECTOR, lbl) for lbl in labels]
-    gens = [g for g in TWISTED.generators(top2) if reaches(g)]
-    for x, y, bad in module_axiom_rows(module, gens, vectors):
-        if bad is not None:
-            raise ValueError(
-                f"the {seed.family} seed is not a module: [{x},{y}] breaks "
-                f"the module axiom on {seed.label_text(labels[bad])}"
-            )
-    for (x, lbl), out in seed.table.items():
-        for target in out:
-            if (seed.parity(target) or 0) != ((seed.parity(lbl) or 0) + x.parity) % 2:
-                raise ValueError(
-                    f"the {seed.family} seed breaks the parity rule: {x} maps "
-                    f"{seed.label_text(lbl)} to {seed.label_text(target)}"
-                )
-
-
 def whittaker_spec(lam, c) -> FiniteSeed:
     """The one-dimensional seed with T[1/2] acting by lam and every other
     positive generator by zero (the non-graded Whittaker seed).  It is a
     module for every lam and c: [T[1/2], T[1/2]] = 0."""
     lam, c = as_scalar(lam), as_scalar(c)
     return FiniteSeed("whittaker", ("v0",), {(T(1), "v0"): {"v0": lam}}, _positive, c)
-
-
-def _character(s2: int, phi: dict) -> dict[GeneratorId, Scalar]:
-    """phi without its zero values, once s is a positive half-odd integer
-    and phi lives on T^(s)."""
-    if s2 < 1 or s2 % 2 == 0:
-        raise ValueError("s must be a positive half-odd integer")
-    phi = {g: s for g, value in phi.items() if (s := as_scalar(value))}
-    upper = t_upper(s2)
-    for g in phi:
-        if not upper(g):
-            raise ValueError(f"{g} lies outside T^({format_half(s2)})")
-    return phi
-
-
-def derived_pair_spec(s2: int, phi: dict, c, bounds: tuple[int, int]) -> InducedSpec:
-    """The derived pair (v0, v1 = G[1/2]v0) under a character phi of T^(s),
-    induced over the letters G[1/2] and the positive generators outside
-    T^(s), its labels listed in the box ``bounds``.
-
-    T^(s) sees v0 through phi (a value on an odd generator breaks the
-    parity rule of `check_seed`); the action on v1 is forced by
-    x.v1 = phi(x) v1 + phi([x, G[1/2]]) v0.  Brackets are homogeneous, so
-    only the keys of phi and the generators one half-degree below them can
-    act by a nonzero map: the table lists exactly those, and every other
-    member acts by zero.  The seed must pass `check_seed`.
-    """
-    phi = _character(s2, phi)
-    upper = t_upper(s2)
-    degrees = {g.degree2 for g in phi}
-    table: dict = {}
-    for x in TWISTED.generators(max(degrees, default=0) + 1):
-        if x.degree2 in degrees or x.degree2 + 1 in degrees:
-            s = phi.get(x, ZERO)
-            cross = ZERO
-            for z, coef in TWISTED.bracket(x, G(1)).items():
-                cross = cross + coef * phi.get(z, ZERO)
-            table[(x, "v0")] = {"v0": s}
-            table[(x, "v1")] = {"v1": s, "v0": cross}
-    seed = FiniteSeed(f"highorder[s={format_half(s2)}]", ("v0", "v1"), table, upper,
-                      as_scalar(c), {"v0": 0, "v1": 1})
-    complement = [g for g in TWISTED.generators(s2)
-                  if g.degree2 > 0 and g != G(1) and not upper(g)]
-    letters = [G(1)] + sorted(complement, key=lambda g: (KIND_RANK[g.kind], -g.index2))
-    check_seed(seed, letters)
-    return InducedSpec(InducedModule(FiniteLetters(TWISTED, letters), seed), tuple(bounds))
 
 
 def verma_untwisted(c) -> InducedModule:
@@ -338,7 +188,7 @@ def verma_untwisted(c) -> InducedModule:
     return InducedModule(UntwistedTemplate(), seed)
 
 
-def check_conditions(spec: FiniteSeed | InducedSpec, u2: int) -> tuple[bool, bool]:
+def check_conditions(spec, u2: int) -> tuple[bool, bool]:
     """(T_u injective on the listed labels, G_u kills every listed label).
     The images are exact: they may name labels outside the list.  T_u is
     injective when each image is independent of the ones before it."""
@@ -353,27 +203,10 @@ def check_conditions(spec: FiniteSeed | InducedSpec, u2: int) -> tuple[bool, boo
     return (all(span.add(image) for image in images), killed)
 
 
-def _parse_phi_key(key: str) -> GeneratorId:
-    """`L1`, `T3/2`, `G2` -> generator ids."""
-    if key[:1] not in ("L", "T", "G"):
-        raise ValueError(f"bad character key {key!r}")
-    try:
-        return GeneratorId(key[0], parse_half(key[1:]))
-    except ValueError as exc:
-        raise ValueError(f"{key!r}: {exc}") from None
-
-
-def _split_label(term: str) -> tuple[str, str]:
-    """Splits a term `[<scalar>*]<label>` of a table action into (prefix, label)."""
-    prefix, _, label = term.rpartition("*")
-    if not prefix and label.startswith(("+", "-")):
-        prefix, label = label[0], label[1:]
-    return prefix, label.strip()
-
-
-def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
-    """Parse the line-oriented `key = value` module description.  No key may
-    repeat, and the family must read each."""
+def load_spec_config(text: str):
+    """Parse the line-oriented `key = value` module description into a
+    `FiniteSeed` or an `InducedSpec`.  No key may repeat, and the family
+    must read each."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -402,37 +235,10 @@ def load_spec_config(text: str) -> FiniteSeed | InducedSpec:
     c = read("c", parse_scalar, ZERO)
     if family == "whittaker":
         spec = whittaker_spec(read("lambda", parse_scalar), c)
-    elif family in ("generalized", "highorder"):
-        s2 = read("s", parse_half) if family == "highorder" else 1
-        phi = {}
-        for key, value in read_all("phi."):
-            gen_id = _parse_phi_key(key[4:])
-            if gen_id in phi:
-                raise ValueError(f"config key {key!r} gives {gen_id} again")
-            phi[gen_id] = parse_scalar(value)
-        bounds = (read("max_weight", parse_half, 4), read("max_length", int, 3))
-        if family == "highorder" and not _character(s2, phi):
-            raise ValueError("the character must be non-trivial")
-        spec = derived_pair_spec(s2, phi, c, bounds)
-    elif family == "table":
-        labels = read("labels", lambda text: [l.strip() for l in text.split(",")], ["v0"])
-        parities, table = {}, {}
-        for key, value in read_all("parity.", "act."):
-            if key.startswith("parity."):
-                parities[key[len("parity.") :]] = int(value)
-                continue
-            gen_text, dot, label = key[len("act.") :].partition(".")
-            if not dot:
-                raise ValueError(f"bad action key {key!r}")
-            gen_id = _parse_phi_key(gen_text)
-            if not _positive(gen_id):
-                raise ValueError(f"the table seed lists {gen_id} on {label}, but only "
-                                 "generators of positive degree act on it")
-            if (gen_id, label) in table:
-                raise ValueError(f"config key {key!r} gives {gen_id} on {label} again")
-            table[(gen_id, label)] = parse_terms(value, _split_label)
-        spec = FiniteSeed("table", labels, table, _positive, c, parities)
-        check_seed(spec)
+    elif family in ("generalized", "highorder", "table"):
+        from .families import load_family
+
+        spec = load_family(family, c, read, read_all)
     else:
         raise ValueError(f"unknown family {family!r}")
     if entries:  # after the build, so that its errors come first

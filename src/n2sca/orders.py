@@ -114,11 +114,6 @@ class ExponentVector:
 ZERO_VECTOR = ExponentVector(())
 
 
-def eps(slot: int) -> ExponentVector:
-    """The unit vector with a single 1 in the given slot."""
-    return ExponentVector(((slot, 1),))
-
-
 def revlex_compare(i: ExponentVector, j: ExponentVector) -> int:
     """Reverse lexicographic order: first differing slot (from slot 1 up)
     decides; the zero vector is the minimum."""

@@ -1,5 +1,8 @@
 """Named verification suites behind `verify <name>`, all but `module-axiom`,
-whose suite lives in `modules.py` beside the check it runs.
+whose suite lives in `modules.py` beside the check it runs, and `psi` and
+`substitution`, whose suites live in `transport.py` beside the maps they
+check; and the presentations besides the twisted one, with
+`PRESENTATIONS`, all four by name.
 
 Every suite returns a SuiteReport whose TSV rendering is byte-stable for
 a fixed seed and flags, so reports can be diffed across runs.
@@ -10,104 +13,134 @@ from __future__ import annotations
 import random
 
 from .algebra import (
-    PRESENTATIONS,
-    AlgebraPresentation,
-    G1,
-    G2,
-    GeneratorId,
-    J,
-    LinearCombo,
-    Lu,
-    TWISTED,
-    TWISTED_PM,
-    UNTWISTED_12,
-    UNTWISTED_PM,
-    Gp,
-    Gm,
-    SuiteReport,
-    format_half,
+    AlgebraPresentation, C, G, GeneratorId, L, LinearCombo, SuiteReport, T, TWISTED,
+    ZERO_COMBO, _Twisted, _virasoro, format_half,
 )
-from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO
+from .scalars import I, ONE, Scalar, ZERO
 
 # Each suite imports the engine, module, order and theorem names it uses,
-# so `verify <suite>` loads only the layers that suite runs.  The basis maps
-# below are checked by the substitution and psi suites alone, so they live
-# here and the other commands never compile them.
-
-_PSI_FLIP = {"G+": "G-", "G-": "G+"}
+# so `verify <suite>` loads only the layers that suite runs.  The three
+# presentations below are run by the suites and by a non-default
+# `--algebra` alone, so the other commands never compile them.
 
 
-def psi(combo: LinearCombo) -> LinearCombo:
-    """The order-2 automorphism Lu -> Lu, J -> -J, G+ <-> G-, Cu -> Cu."""
-
-    def image(g: GeneratorId) -> LinearCombo:
-        if g.kind in ("Lu", "Cu"):
-            return LinearCombo.single(g)
-        if g.kind == "J":
-            return LinearCombo.single(g, -ONE)
-        if g.kind in _PSI_FLIP:
-            return LinearCombo.single(GeneratorId(_PSI_FLIP[g.kind], g.index2))
-        raise ValueError(f"psi is defined on the untwisted +/- basis, not on {g}")
-
-    return combo.map_generators(image)
+def Lu(m: int) -> GeneratorId:
+    return GeneratorId("Lu", 2 * m)
 
 
-_MINUS_I_INV_SQRT2 = -I * INV_SQRT2
-_I_INV_SQRT2 = I * INV_SQRT2
+def J(n: int) -> GeneratorId:
+    return GeneratorId("J", 2 * n)
 
 
-def substitute_basis(combo: LinearCombo, direction: str) -> LinearCombo:
-    """Exact change of basis.
+def Gp(p2: int) -> GeneratorId:
+    return GeneratorId("G+", p2)
 
-    ``pm_to_12``   G+- of the untwisted algebra -> G1/G2 coordinates.
-    ``12_to_pm``   the inverse substitution.
-    ``twisted_pm`` reinterpret a twisted combo written in the rescaled
-                   +/- convention in the defining basis (half-odd
-                   fermions pick up a factor of i).
-    """
 
-    def pm_to_12(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G+":
-            return LinearCombo.of(
-                (G1(g.index2), INV_SQRT2), (G2(g.index2), _MINUS_I_INV_SQRT2)
+def Gm(p2: int) -> GeneratorId:
+    return GeneratorId("G-", p2)
+
+
+def G1(p2: int) -> GeneratorId:
+    return GeneratorId("G1", p2)
+
+
+def G2(p2: int) -> GeneratorId:
+    return GeneratorId("G2", p2)
+
+
+Cu = GeneratorId("Cu", 0)
+
+
+class _TwistedPM(_Twisted):
+    """The same twisted algebra in the rescaled convention where the
+    integer-indexed fermions are `G+` and the half-odd ones are `i*G`;
+    only the fermion rules differ from the defining basis."""
+
+    def _pair(self, x, y):
+        kx, ky = x.kind, y.kind
+        if kx == "T" and ky == "G":
+            coef = -I if y.index2 % 2 == 0 else I
+            return LinearCombo.single(G(x.index2 + y.index2), coef)
+        if kx == "G" and ky == "G":
+            p2, q2 = x.index2, y.index2
+            if (p2 + q2) % 2 == 0:
+                out = LinearCombo.single(L((p2 + q2) // 2), Scalar.rational(2))
+                if p2 + q2 == 0:
+                    out = out + LinearCombo.single(C, Scalar.rational(p2 * p2 - 1, 12))
+                return out
+            plus2, minus2 = (p2, q2) if p2 % 2 == 0 else (q2, p2)
+            return LinearCombo.single(
+                T(p2 + q2), -I * Scalar.rational(plus2 - minus2, 2)
             )
-        if g.kind == "G-":
-            return LinearCombo.of(
-                (G1(g.index2), INV_SQRT2), (G2(g.index2), _I_INV_SQRT2)
+        return super()._pair(x, y)
+
+
+class _UntwistedPM(AlgebraPresentation):
+    def _pair(self, x, y):
+        kx, ky = x.kind, y.kind
+        if kx == "Lu" and ky == "Lu":
+            return _virasoro(x.index2, y.index2, "Lu", "Cu")
+        if kx == "Lu" and ky == "J":
+            return LinearCombo.single(
+                J((x.index2 + y.index2) // 2), Scalar.rational(-y.index2, 2)
             )
-        if g.kind in ("G1", "G2"):
-            raise ValueError(f"{g} is already in the (1,2) basis")
-        if g.kind in ("Lu", "J", "Cu"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not an untwisted generator")
-
-    def to_pm(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G1":
-            return LinearCombo.of(
-                (Gp(g.index2), INV_SQRT2), (Gm(g.index2), INV_SQRT2)
+        if kx == "J" and ky == "J":
+            if x.index2 + y.index2 == 0:
+                return LinearCombo.single(Cu, Scalar.rational(x.index2, 6))
+            return ZERO_COMBO
+        if kx == "Lu" and y.parity:
+            return LinearCombo.single(
+                GeneratorId(ky, x.index2 + y.index2),
+                Scalar.rational(x.index2 - 2 * y.index2, 4),
             )
-        if g.kind == "G2":
-            return LinearCombo.of(
-                (Gp(g.index2), _I_INV_SQRT2), (Gm(g.index2), -_I_INV_SQRT2)
+        if kx == "J" and ky in ("G+", "G-"):
+            coef = ONE if ky == "G+" else -ONE
+            return LinearCombo.single(GeneratorId(ky, x.index2 + y.index2), coef)
+        if kx == ky and kx in ("G+", "G-"):
+            return ZERO_COMBO
+        if kx == "G+" and ky == "G-":
+            p2, q2 = x.index2, y.index2
+            out = LinearCombo.of(
+                (Lu((p2 + q2) // 2), Scalar.rational(2)),
+                (J((p2 + q2) // 2), Scalar.rational(p2 - q2, 2)),
             )
-        if g.kind in ("G+", "G-"):
-            raise ValueError(f"{g} is already in the +/- basis")
-        if g.kind in ("Lu", "J", "Cu"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not an untwisted generator")
+            if p2 + q2 == 0:
+                out = out + LinearCombo.single(Cu, Scalar.rational(p2 * p2 - 1, 12))
+            return out
+        return None
 
-    def twisted_pm(g: GeneratorId) -> LinearCombo:
-        if g.kind == "G":
-            return LinearCombo.single(g, ONE if g.index2 % 2 == 0 else I)
-        if g.kind in ("L", "T", "C"):
-            return LinearCombo.single(g)
-        raise ValueError(f"{g} is not a twisted generator")
 
-    table = {"pm_to_12": pm_to_12, "12_to_pm": to_pm, "twisted_pm": twisted_pm}
-    if direction not in table:
-        raise ValueError(f"unknown substitution direction {direction!r}")
-    return combo.map_generators(table[direction])
+class _Untwisted12(_UntwistedPM):
+    """The untwisted algebra in the (1,2) fermion basis; the Lu/J rules
+    are those of the +/- basis."""
 
+    def _pair(self, x, y):
+        kx, ky = x.kind, y.kind
+        if kx == "J" and ky == "G1":
+            return LinearCombo.single(G2(x.index2 + y.index2), -I)
+        if kx == "J" and ky == "G2":
+            return LinearCombo.single(G1(x.index2 + y.index2), I)
+        if kx == ky and kx in ("G1", "G2"):
+            p2, q2 = x.index2, y.index2
+            out = LinearCombo.single(Lu((p2 + q2) // 2), Scalar.rational(2))
+            if p2 + q2 == 0:
+                out = out + LinearCombo.single(Cu, Scalar.rational(p2 * p2 - 1, 12))
+            return out
+        if kx == "G1" and ky == "G2":
+            return LinearCombo.single(
+                J((x.index2 + y.index2) // 2),
+                -I * Scalar.rational(x.index2 - y.index2, 2),
+            )
+        return super()._pair(x, y)
+
+
+TWISTED_PM = _TwistedPM("twisted-pm", ("L", "T", "G", "C"))
+UNTWISTED_PM = _UntwistedPM("untwisted-pm", ("Lu", "J", "G+", "G-", "Cu"))
+UNTWISTED_12 = _Untwisted12("untwisted-12", ("Lu", "J", "G1", "G2", "Cu"))
+
+PRESENTATIONS = {
+    p.name: p for p in (TWISTED, TWISTED_PM, UNTWISTED_PM, UNTWISTED_12)
+}
 
 class CheckReport:
     """Outcome of an exhaustive window check."""
@@ -202,27 +235,7 @@ def jacobi_check(
     return report
 
 
-def verify_automorphism(map_fn, presentation: AlgebraPresentation, window2: int,
-                        target: AlgebraPresentation | None = None) -> CheckReport:
-    """Check map([x,y]) == [map(x), map(y)] for all pairs in the window;
-    the right-hand bracket is taken in ``target`` (default: the source)."""
-    target = target or presentation
-    report = CheckReport(f"automorphism[{presentation.name}]", window2)
-    gens = presentation.generators(window2)
-    for x in gens:
-        mx = map_fn(LinearCombo.single(x))
-        for y in gens:
-            report.checked += 1
-            lhs = map_fn(presentation.bracket(x, y))
-            rhs = target.bracket_combo(mx, map_fn(LinearCombo.single(y)))
-            if lhs != rhs:
-                report.violations.append((x, y))
-                if len(report.violations) >= 16:
-                    return report
-    return report
-
-
-def _random_scalar(rng: random.Random) -> Scalar:
+def random_scalar(rng: random.Random) -> Scalar:
     from fractions import Fraction
 
     def coord():
@@ -238,7 +251,7 @@ def suite_scalars(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     bad = {"assoc": 0, "comm": 0, "dist": 0, "inv": 0, "zero": 0}
     for _ in range(cases):
-        x, y, z = (_random_scalar(rng) for _ in range(3))
+        x, y, z = (random_scalar(rng) for _ in range(3))
         if (x * y) * z != x * (y * z):
             bad["assoc"] += 1
         if x * y != y * x or x + y != y + x:
@@ -402,56 +415,6 @@ def suite_whittaker_identity(seed: int = 0, window2: int = 4) -> SuiteReport:
 
     module = whittaker_spec(1, 0).induced()
     return whittaker_identity_check(module, 200, window2, seed)
-
-
-def suite_substitution(window2: int = 8, seed: int = 0) -> SuiteReport:
-    """Basis transport: +/- <-> (1,2) commutes with brackets, the two
-    substitutions invert each other, and the twisted +/- convention
-    agrees with the defining basis under G- = i G."""
-    report = SuiteReport("substitution")
-
-    def transport(name, source, target, direction):
-        r = verify_automorphism(lambda x: substitute_basis(x, direction), source,
-                                window2, target)
-        report.add(f"transport[{name}]", f"window2={window2}", "0 mismatches",
-                   str(len(r.violations)), r.ok)
-
-    transport("pm->12", UNTWISTED_PM, UNTWISTED_12, "pm_to_12")
-
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(100):
-        terms = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(["Lu", "J", "G+", "G-", "Cu"])
-            if kind == "Cu":
-                i2 = 0
-            elif kind in ("Lu", "J"):
-                i2 = 2 * rng.randint(-4, 4)
-            else:
-                i2 = 2 * rng.randint(-4, 3) + 1
-            terms.append((GeneratorId(kind, i2), _random_scalar(rng)))
-        combo = LinearCombo.of(*terms)
-        back = substitute_basis(substitute_basis(combo, "pm_to_12"), "12_to_pm")
-        if back != combo:
-            bad += 1
-    report.add("inverse-pair", "100 random combos", "identity", str(bad), bad == 0)
-
-    transport("twisted-pm", TWISTED_PM, TWISTED, "twisted_pm")
-    return report
-
-
-def suite_psi(window2: int = 10) -> SuiteReport:
-    report = SuiteReport("psi")
-    r = verify_automorphism(psi, UNTWISTED_PM, window2)
-    report.add("bracket-preservation", f"window2={window2}", "0 violations",
-               str(len(r.violations)), r.ok)
-    bad = 0
-    for g in UNTWISTED_PM.generators(window2):
-        if psi(psi(LinearCombo.single(g))) != LinearCombo.single(g):
-            bad += 1
-    report.add("involution", f"window2={window2}", "psi^2 = id", str(bad), bad == 0)
-    return report
 
 
 def suite_verma_singular() -> SuiteReport:

@@ -14,29 +14,20 @@ import pytest
 
 from n2sca.algebra import (
     G,
-    Gm,
-    Gp,
-    J,
     L,
     LinearCombo,
-    Lu,
     PRESENTATIONS,
     T,
     TWISTED,
-    UNTWISTED_12,
-    UNTWISTED_PM,
     parse_combo,
     parse_generator,
 )
-from n2sca.modules import (
-    derived_pair_spec,
-    module_axiom_check,
-    verma_untwisted,
-    whittaker_spec,
-)
+from n2sca.families import derived_pair_spec
+from n2sca.modules import module_axiom_check, verma_untwisted, whittaker_spec
 from n2sca.orders import ZERO_VECTOR, enumerate_vectors, parse_exponent_vector
 from n2sca.scalars import Scalar, ZERO
-from n2sca.suites import jacobi_check, psi, substitute_basis, verify_automorphism
+from n2sca.suites import UNTWISTED_12, UNTWISTED_PM, Gm, Gp, J, Lu, jacobi_check
+from n2sca.transport import psi, substitute_basis, verify_automorphism
 from n2sca.theorems import (
     annihilator_Mt,
     closure_check,

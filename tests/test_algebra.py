@@ -8,28 +8,21 @@ from n2sca.algebra import (
     AlgebraPresentation,
     C,
     G,
-    G1,
-    G2,
     GeneratorId,
-    Gm,
-    Gp,
-    J,
     L,
     LinearCombo,
     PRESENTATIONS,
     T,
     TWISTED,
-    TWISTED_PM,
-    UNTWISTED_12,
-    UNTWISTED_PM,
     gen,
     parse_combo,
     parse_generator,
 )
 from n2sca.scalars import I, ONE, Scalar, add_scaled, parse_scalar
 from n2sca.suites import (
-    CheckReport, jacobi_check, psi, substitute_basis, verify_automorphism,
+    G1, G2, Gm, Gp, J, TWISTED_PM, UNTWISTED_12, UNTWISTED_PM, CheckReport, jacobi_check,
 )
+from n2sca.transport import psi, substitute_basis, verify_automorphism
 
 HERE = os.path.dirname(__file__)
 

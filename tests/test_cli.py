@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca import cli, modules, suites
+from n2sca import cli, modules, suites, transport
 from n2sca.cli import FAIL, INCONCLUSIVE, PASS, SUITE_NAMES, USAGE, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -681,7 +681,7 @@ def test_recursion_past_the_limit_is_inconclusive(capsys):
 
 def _suite(name):
     """The suite function `verify <name>` runs."""
-    home = {"suites": suites, "modules": modules}[SUITE_NAMES[name]]
+    home = {"suites": suites, "modules": modules, "transport": transport}[SUITE_NAMES[name]]
     return getattr(home, "suite_" + name.replace("-", "_"), None)
 
 
@@ -689,7 +689,7 @@ def test_every_verify_name_has_a_suite_and_every_suite_a_name():
     assert list(SUITE_NAMES) == sorted(SUITE_NAMES)
     named = {_suite(name) for name in SUITE_NAMES}
     assert None not in named and len(named) == len(SUITE_NAMES)
-    defined = {fn for home in (suites, modules) for attr, fn in vars(home).items()
+    defined = {fn for home in (suites, modules, transport) for attr, fn in vars(home).items()
                if attr.startswith("suite_") and callable(fn)}
     assert named == defined
 

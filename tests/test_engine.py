@@ -6,14 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from n2sca.algebra import C, G, L, T, TWISTED, TWISTED_KINDS, parse_combo
 from n2sca.engine import InducedModule, TwistedTemplate
-from n2sca.modules import (
-    FiniteSeed,
-    derived_pair_spec,
-    load_spec_config,
-    module_axiom_check,
-    whittaker_spec,
-)
-from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors, eps
+from n2sca.families import derived_pair_spec
+from n2sca.modules import FiniteSeed, load_spec_config, module_axiom_check, whittaker_spec
+from n2sca.orders import ExponentVector, ZERO_VECTOR, enumerate_vectors
 from n2sca.scalars import ONE, Scalar, ZERO
 from n2sca.theorems import leading_word
 
@@ -52,7 +47,7 @@ def whittaker_module():
 class TestStraightening:
     def test_single_super_swap(self):
         got = straighten_negative([T(-1), G(-1)])
-        assert got == {ev((1, 1), (4, 1)): ONE, eps(6): ONE}
+        assert got == {ev((1, 1), (4, 1)): ONE, ev((6, 1)): ONE}
 
     def test_l_minus_one_is_minus_square(self):
         assert straighten_negative([L(-1)]) == {ev((4, 2)): -ONE}
@@ -125,17 +120,17 @@ def _letter(slot):
 class TestAction:
     def test_l1_on_t_letter(self, whittaker_module):
         m = whittaker_module
-        got = m.act(L(1), m.basis_vector(eps(1)))
+        got = m.act(L(1), m.basis_vector(ev((1, 1))))
         assert got == m.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(1, 2))
 
     def test_t_half_on_g_zero(self, whittaker_module):
         m = whittaker_module
-        v = m.basis_vector(eps(2))
+        v = m.basis_vector(ev((2, 1)))
         assert m.act(T(1), v) == v  # lambda = 1
 
     def test_g_half_on_g_zero(self, whittaker_module):
         m = whittaker_module
-        got = m.act(G(1), m.basis_vector(eps(2)))
+        got = m.act(G(1), m.basis_vector(ev((2, 1))))
         assert got == m.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(1, 2))
 
     def test_central_acts_by_charge(self, whittaker_module):
@@ -143,7 +138,7 @@ class TestAction:
         v = m.basis_vector(ev((1, 1), (4, 1)))
         assert m.act(C, v).is_zero  # c = 0
         m1 = whittaker_spec(1, 2).induced()
-        v1 = m1.basis_vector(eps(1))
+        v1 = m1.basis_vector(ev((1, 1)))
         assert m1.act(C, v1) == v1.scaled(Scalar(2))
 
     def test_act_word_identity_and_composition(self, whittaker_module):
@@ -155,22 +150,22 @@ class TestAction:
 
     def test_act_combo_linear(self, whittaker_module):
         m = whittaker_module
-        v = m.basis_vector(eps(1))
+        v = m.basis_vector(ev((1, 1)))
         combo = parse_combo("2*L[1] + 0*T[3/2]")
         assert m.act_combo(combo, v) == m.act(L(1), v).scaled(Scalar(2))
 
     def test_positive_action_routes_to_seed(self, whittaker_module):
         m = whittaker_module
         # G[1] on w{4:1}: [G1, G-1/2] = -3/2 T[1/2], then T[1/2]v0 = v0
-        got = m.act(G(2), m.basis_vector(eps(4)))
+        got = m.act(G(2), m.basis_vector(ev((4, 1))))
         assert got == m.basis_vector(ZERO_VECTOR).scaled(Scalar.rational(-3, 2))
 
 
 class TestLeadingWord:
     def test_revlex_tiebreak(self, whittaker_module):
         m = whittaker_module
-        v = m.basis_vector(eps(1)) + m.basis_vector(eps(4))
-        assert leading_word(v) == eps(1)
+        v = m.basis_vector(ev((1, 1))) + m.basis_vector(ev((4, 1)))
+        assert leading_word(v) == ev((1, 1))
         assert leading_word(v).weight2 == 1
 
     def test_zero_word(self, whittaker_module):
@@ -206,19 +201,19 @@ class TestVectorText:
     def test_roundtrip(self, whittaker_module):
         m = whittaker_module
         v = m.basis_vector(ev((1, 2))).scaled(Scalar(0, 1)) + m.basis_vector(
-            eps(6)
+            ev((6, 1))
         ).scaled(Scalar.rational(-3, 2))
         assert m.parse_vector(str(v)) == v
 
     def test_negative_leading_term_reparses(self, whittaker_module):
         m = whittaker_module
-        v = m.basis_vector(eps(1)).scaled(-ONE) + m.basis_vector(eps(4))
+        v = m.basis_vector(ev((1, 1))).scaled(-ONE) + m.basis_vector(ev((4, 1)))
         assert str(v) == "-w{1:1}⊗v0 + w{4:1}⊗v0"
         assert m.parse_vector(str(v)) == v
 
     def test_deterministic_order(self, whittaker_module):
         m = whittaker_module
-        v = m.basis_vector(eps(4)) + m.basis_vector(eps(1))
+        v = m.basis_vector(ev((4, 1))) + m.basis_vector(ev((1, 1)))
         assert str(v) == "w{1:1}⊗v0 + w{4:1}⊗v0"
 
 

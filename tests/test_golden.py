@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 
 from n2sca.algebra import PRESENTATIONS
-from n2sca.cli import main
+from n2sca.cli import ALGEBRAS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -210,18 +210,27 @@ def test_usage_error_golden(name):
 # import, because earlier tests have already loaded every layer.  Only a
 # `Fraction` passed into or read back from a scalar loads `fractions`, and
 # only help or a malformed command line loads argparse (which loads `gettext`,
-# and `gettext` `locale`).
-LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg")}
+# and `gettext` `locale`).  Only a table, generalized or highorder config loads
+# `families`, and only a non-default `--algebra` loads `suites` for a bracket;
+# the act-table, act-highorder and bracket-untwisted-12 cases run that code
+# through those lazy imports.
+LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg",
+                                       "families", "transport")}
 ARGPARSE = {"argparse", "gettext", "locale"}
 FRESH_CASES = {name: ARGPARSE | forbidden for name, forbidden in {
     "verify-jacobi-w4": LAYERS | {"inspect", "fractions"},
     # its suite lives in `modules`, beside the check it runs
     "verify-module-axiom-w4": {"inspect", "n2sca.theorems", "n2sca.linalg", "n2sca.suites",
-                               "fractions"},
+                               "n2sca.families", "fractions"},
     "jacobi-twisted": LAYERS | {"inspect", "fractions"},
-    "act-whittaker": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "fractions"},
-    "reduce-whittaker": set(),
-    "annihilator-whittaker": {"n2sca.suites", "fractions"},
+    "bracket-twisted": LAYERS | {"n2sca.suites", "inspect", "fractions"},
+    "bracket-untwisted-12": LAYERS | {"inspect", "fractions"},
+    "act-whittaker": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "n2sca.families",
+                      "fractions"},
+    "act-table": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "fractions"},
+    "act-highorder": {"n2sca.theorems", "n2sca.linalg", "n2sca.suites", "fractions"},
+    "reduce-whittaker": {"n2sca.families"},
+    "annihilator-whittaker": {"n2sca.suites", "n2sca.families", "fractions"},
     "closure-full": set(),
     "demo-generalized": set(),
 }.items()}
@@ -379,6 +388,11 @@ def _cyclic_garbage(argv: tuple[str, ...]) -> int:
 def test_command_makes_no_reference_cycle(name):
     trivial = _cyclic_garbage(("enumerate", "--max-weight", "0", "--max-length", "0"))
     assert _cyclic_garbage(PROCESS_ARGV[name]) == trivial
+
+
+def test_algebra_names_are_the_presentations():
+    # the CLI lists them without loading `suites`, which defines three of them
+    assert ALGEBRAS == tuple(sorted(PRESENTATIONS))
 
 
 def test_bracket_golden():

@@ -5,20 +5,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from n2sca import modules
+from n2sca import families
 from n2sca.algebra import (
-    C, G, KIND_RANK, L, T, TWISTED, TWISTED_KINDS, UNTWISTED_PM, Gm, Gp, J, Lu,
-    format_half, format_terms, parse_combo,
+    C, G, KIND_RANK, L, T, TWISTED, TWISTED_KINDS, format_half, format_terms, parse_combo,
 )
-from n2sca.engine import (
-    FiniteLetters, InducedModule, TwistedTemplate, UntwistedTemplate, keeps_square,
-)
+from n2sca.engine import InducedModule, TwistedTemplate, UntwistedTemplate, keeps_square
+from n2sca.families import FiniteLetters, check_seed, derived_pair_spec
 from n2sca.modules import (
     FiniteSeed,
     _positive,
     check_conditions,
-    check_seed,
-    derived_pair_spec,
     load_spec_config,
     module_axiom_check,
     t_upper,
@@ -27,6 +23,7 @@ from n2sca.modules import (
 )
 from n2sca.orders import ZERO_VECTOR, walk_vectors
 from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
+from n2sca.suites import UNTWISTED_PM, Gm, Gp, J, Lu
 
 
 def _frak_t(g):
@@ -41,7 +38,7 @@ def unchecked_pair_seed(s2, phi, c=ZERO):
     """The table seed that `derived_pair_spec` builds for phi on T^(s), with
     its `check_seed` skipped, so that a seed it rejects can be inspected."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modules, "check_seed", lambda seed, letters: None)
+        patch.setattr(families, "check_seed", lambda seed, letters: None)
         return derived_pair_spec(s2, phi, c, (0, 0)).inner.seed
 
 

@@ -11,7 +11,6 @@ from n2sca.orders import (
     LT,
     ZERO_VECTOR,
     enumerate_vectors,
-    eps,
     parse_exponent_vector,
     principal_compare,
     revlex_compare,
@@ -31,10 +30,10 @@ def ev(*items):
 
 class TestWeightLength:
     def test_unit_weights(self):
-        assert eps(1).weight2 == 1  # 1/2
-        assert eps(2).weight2 == 0
-        assert eps(3).weight2 == 3  # 3/2
-        assert eps(4).weight2 == 1  # 1/2
+        assert ev((1, 1)).weight2 == 1  # 1/2
+        assert ev((2, 1)).weight2 == 0
+        assert ev((3, 1)).weight2 == 3  # 3/2
+        assert ev((4, 1)).weight2 == 1  # 1/2
 
     def test_zero_vector(self):
         assert ZERO_VECTOR.weight2 == 0
@@ -47,16 +46,16 @@ class TestWeightLength:
 
     def test_unit_lengths(self):
         for k in range(1, 9):
-            assert eps(k).length == 1
+            assert ev((k, 1)).length == 1
 
 
 class TestCompares:
     def test_revlex_earlier_slot_wins(self):
-        assert revlex_compare(eps(1), eps(4)) == GT
+        assert revlex_compare(ev((1, 1)), ev((4, 1))) == GT
 
     def test_revlex_zero_is_minimum(self):
         for k in range(1, 9):
-            assert revlex_compare(ZERO_VECTOR, eps(k)) == LT
+            assert revlex_compare(ZERO_VECTOR, ev((k, 1))) == LT
 
     def test_reflexive(self):
         i = ev((2, 1), (5, 2))
@@ -64,14 +63,14 @@ class TestCompares:
         assert principal_compare(i, i) == EQ
 
     def test_principal_weight_first(self):
-        assert principal_compare(eps(1), eps(2)) == GT
+        assert principal_compare(ev((1, 1)), ev((2, 1))) == GT
 
     def test_principal_length_breaks_weight_tie(self):
         # both weigh 3/2; lengths 3 > 1
-        assert principal_compare(ev((1, 3)), eps(3)) == GT
+        assert principal_compare(ev((1, 3)), ev((3, 1))) == GT
 
     def test_principal_revlex_breaks_both_ties(self):
-        assert principal_compare(eps(1), eps(4)) == GT
+        assert principal_compare(ev((1, 1)), ev((4, 1))) == GT
 
     def test_independent_rederivation(self):
         # re-derive the principal order clause by clause from the raw sums
@@ -144,7 +143,7 @@ class TestEnumeration:
     def test_half_weight_box(self):
         got = enumerate_vectors(1, 2)
         expected = {
-            ZERO_VECTOR, eps(2), ev((2, 2)), eps(1), eps(4),
+            ZERO_VECTOR, ev((2, 1)), ev((2, 2)), ev((1, 1)), ev((4, 1)),
             ev((1, 1), (2, 1)), ev((2, 1), (4, 1)),
         }
         assert set(got) == expected
@@ -155,7 +154,7 @@ class TestEnumeration:
         assert got[-1] == ZERO_VECTOR
 
     def test_weight_zero_is_slot2_only(self):
-        assert enumerate_vectors(0, 3) == [ev((2, 3)), ev((2, 2)), eps(2), ZERO_VECTOR]
+        assert enumerate_vectors(0, 3) == [ev((2, 3)), ev((2, 2)), ev((2, 1)), ZERO_VECTOR]
 
     def test_trivial_box(self):
         assert enumerate_vectors(0, 0) == [ZERO_VECTOR]
@@ -214,9 +213,9 @@ class TestEnumeration:
 
 class TestMinSlotAndText:
     def test_min_nonzero_slot(self):
-        assert eps(3).min_nonzero_slot() == 3
+        assert ev((3, 1)).min_nonzero_slot() == 3
         assert ZERO_VECTOR.min_nonzero_slot() is None
-        assert (eps(2) + eps(5)).min_nonzero_slot() == 2
+        assert (ev((2, 1)) + ev((5, 1))).min_nonzero_slot() == 2
 
     def test_text_roundtrip(self):
         for text in ("{1:2,4:1}", "{}", "{2:1}"):
@@ -234,7 +233,7 @@ class TestMinSlotAndText:
     def test_bump_validation(self):
         with pytest.raises(ValueError):
             ZERO_VECTOR.bump(1, -1)
-        assert eps(1).bump(1, -1) == ZERO_VECTOR
+        assert ev((1, 1)).bump(1, -1) == ZERO_VECTOR
 
 
 class TestInterning:
@@ -251,13 +250,13 @@ class TestInterning:
         assert ExponentVector({1: 2, 4: 1}.items()) is want
         assert ev((1, 2)).bump(4, 1) is want
         assert ev((1, 3), (4, 1)).bump(1, -1) is want
-        assert ev((1, 2)) + eps(4) is want
-        assert eps(1) + eps(4) + eps(1) is want
+        assert ev((1, 2)) + ev((4, 1)) is want
+        assert ev((1, 1)) + ev((4, 1)) + ev((1, 1)) is want
         assert parse_exponent_vector("{1:2,4:1}") is want
         assert parse_exponent_vector("{ 4:1, 1:2 }") is want
         assert [v for v in enumerate_vectors(3, 3) if v.entries == want.entries] == [want]
         assert ExponentVector(()) is ZERO_VECTOR is parse_exponent_vector("{}")
-        assert eps(2).bump(2, -1) is ZERO_VECTOR
+        assert ev((2, 1)).bump(2, -1) is ZERO_VECTOR
 
     def test_enumerated_vectors_are_the_interned_ones(self):
         for v in enumerate_vectors(6, 3):

@@ -3,22 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from n2sca import modules
+from n2sca import families
 from n2sca.algebra import G, L, SuiteReport, T, TWISTED
 from n2sca.engine import InducedModule
 from n2sca.linalg import SpanChecker, kernel_basis
-from n2sca.modules import (
-    FiniteSeed,
-    _positive,
-    derived_pair_spec,
-    module_axiom_check,
-    whittaker_spec,
-)
+from n2sca.families import derived_pair_spec
+from n2sca.modules import FiniteSeed, _positive, module_axiom_check, whittaker_spec
 from n2sca.orders import (
     ExponentVector,
     ZERO_VECTOR,
     enumerate_vectors,
-    eps,
     principal_compare,
 )
 from n2sca.scalars import I, ONE, Scalar, ZERO, add_scaled
@@ -56,28 +50,28 @@ class TestReduceStep:
         return trace.steps[0]
 
     def test_t_letter_uses_l(self, module):
-        assert prescribed_generator(eps(1), 1) == L(1)
-        trace = reduce_to_M(module, module.basis_vector(eps(1)), 1)
+        assert prescribed_generator(ev((1, 1)), 1) == L(1)
+        trace = reduce_to_M(module, module.basis_vector(ev((1, 1))), 1)
         assert trace.steps == [("corollary", "L[1]", ZERO_VECTOR, 0, 0)]
         assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
             Scalar.rational(1, 2))
 
     def test_g_letter_uses_g(self, module):
-        assert prescribed_generator(eps(2), 1) == G(1)
-        trace = reduce_to_M(module, module.basis_vector(eps(2)), 1)
+        assert prescribed_generator(ev((2, 1)), 1) == G(1)
+        trace = reduce_to_M(module, module.basis_vector(ev((2, 1))), 1)
         assert trace.steps == [("corollary", "G[1/2]", ZERO_VECTOR, 0, 0)]
         assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
             Scalar.rational(1, 2))
 
     def test_deep_t_letter(self, module):
-        assert prescribed_generator(eps(3), 1) == L(2)
-        trace = reduce_to_M(module, module.basis_vector(eps(3)), 1)
+        assert prescribed_generator(ev((3, 1)), 1) == L(2)
+        trace = reduce_to_M(module, module.basis_vector(ev((3, 1))), 1)
         assert trace.steps == [("corollary", "L[2]", ZERO_VECTOR, 0, 0)]
         assert trace.terminal == module.basis_vector(ZERO_VECTOR).scaled(
             Scalar.rational(3, 2))
 
     def test_mixed_support_drops_exactly_one(self, module):
-        v = module.basis_vector(ev((1, 1), (2, 1))) + module.basis_vector(eps(3))
+        v = module.basis_vector(ev((1, 1), (2, 1))) + module.basis_vector(ev((3, 1)))
         # deg is {3:1} (weight 3/2); L2 is prescribed and lands in the seed
         assert prescribed_generator(leading_word(v), 1) == L(2)
         assert self.first_step(module, v) == ("corollary", "L[2]", ZERO_VECTOR, 0, 0)
@@ -93,7 +87,7 @@ class TestReduceStep:
     def test_failing_conditions_rejected(self):
         degenerate = whittaker_spec(0, 0).induced()
         with pytest.raises(ValueError, match="conditions"):
-            reduce_to_M(degenerate, degenerate.basis_vector(eps(1)), 1)
+            reduce_to_M(degenerate, degenerate.basis_vector(ev((1, 1))), 1)
 
     def test_even_fermion_power_obstructs(self, module):
         # G[1/2] annihilates w{2:2} (x) v0, so the affine step follows; the
@@ -415,7 +409,7 @@ def test_module_axiom_rows_match_all_pairs_on_a_failing_module(monkeypatch):
     # (6, 2), fails the axiom on 16 rows at window 4: the mirror of a failing
     # row is evaluated, not replayed.  The seed check rejects that seed, so
     # the builder runs here without it
-    monkeypatch.setattr(modules, "check_seed", lambda seed, letters: None)
+    monkeypatch.setattr(families, "check_seed", lambda seed, letters: None)
     spec = derived_pair_spec(3, {T(7): ONE}, ONE, (6, 2))
     assert spec.inner.letters.letters_desc == [G(1), L(1), T(3), T(1), G(2)]
     module = spec.induced()

@@ -140,13 +140,11 @@ def _cmd_enumerate(args) -> int:
     return PASS
 
 
-def _seed_slice(module, evs, label_text: str):
-    """The words ``evs`` over the seed labels that ``label_text`` names, and
-    the universe of those words over every listed label: a `seed:` subspace."""
-    seed = module.seed
-    subspace = [module.basis_vector(ev, lbl)
-                for ev in evs for lbl in seed.slice_labels(label_text)]
-    return subspace, {(ev, lbl) for ev in evs for lbl in seed.labels()}
+def _box_subspace(module, evs, labels):
+    """The words ``evs`` over ``labels``, and the universe of those words
+    over every seed label: a `full` or `seed:` subspace."""
+    subspace = [module.basis_vector(ev, lbl) for ev in evs for lbl in labels]
+    return subspace, {(ev, lbl) for ev in evs for lbl in module.seed.labels()}
 
 
 def _cmd_closure(args) -> int:
@@ -161,11 +159,9 @@ def _cmd_closure(args) -> int:
             subspace = [module.parse_vector(line) for line in fh if line.strip()]
         universe = None
     elif args.subspace == "full":
-        subspace = [module.basis_vector(ev, lbl)
-                    for ev in evs for lbl in spec.labels()]
-        universe = None
+        subspace, universe = _box_subspace(module, evs, spec.labels())
     elif args.subspace.startswith("seed:"):
-        subspace, universe = _seed_slice(module, evs, args.subspace[5:])
+        subspace, universe = _box_subspace(module, evs, spec.slice_labels(args.subspace[5:]))
     else:
         raise ValueError("subspace must be 'full', 'seed:<label>' or 'file:<path>'")
     report = closure_check(module, subspace, args.window, universe=universe)
@@ -196,7 +192,6 @@ def _cmd_verify(args) -> int:
 
 
 def _demo_lines(which: str) -> list[str]:
-    from .families import derived_pair_spec
     from .modules import check_conditions, whittaker_spec
     from .orders import enumerate_vectors, parse_exponent_vector
     from .theorems import closure_check, reduce_to_M
@@ -208,13 +203,15 @@ def _demo_lines(which: str) -> list[str]:
         out.append(f"seed labels: {', '.join(spec.labels())}")
         out.append(f"conditions (i),(ii) at u=1/2: {check_conditions(spec, 1)}")
         v = module.basis_vector(parse_exponent_vector("{1:1,2:1}"))
-        trace = reduce_to_M(module, v, 1)
-        out += trace.lines()
-    elif which == "generalized":
+        return out + reduce_to_M(module, v, 1).lines()
+    from .families import derived_pair_spec  # the derived-pair demos only
+
+    if which == "generalized":
+        evs = enumerate_vectors(4, 3)
         for phi_t32 in (0, 1):
             spec = derived_pair_spec(1, {L(1): ONE, T(3): phi_t32}, 0, (4, 3))
             module = spec.induced()
-            subspace, universe = _seed_slice(module, enumerate_vectors(4, 3), "v1")
+            subspace, universe = _box_subspace(module, evs, spec.slice_labels("v1"))
             report = closure_check(module, subspace, 4, universe=universe)
             out.append(f"phi(T3/2)={phi_t32}: odd slice {report}")
     elif which == "highorder":

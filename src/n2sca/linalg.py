@@ -98,7 +98,7 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
     for vec in kernel:
         residue = reducer.add(vec)
         if residue:
-            pivot = min(residue, key=lambda j: j)
-            inv = residue[pivot].inverse()
-            out.append({k: inv * v for k, v in residue.items()})
+            # `add` stored the residue scaled at its smallest index; copied,
+            # since later `add` calls back-reduce the stored rows in place
+            out.append(dict(reducer.rows[min(residue)][1]))
     return out

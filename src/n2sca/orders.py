@@ -1,4 +1,4 @@
-"""Exponent vectors and the two total orders driving the reduction.
+"""Exponent vectors and the principal order driving the reduction.
 
 An exponent vector is a finitely supported sequence of naturals indexed
 from 1.  Under the slot convention of the negative-monomial template,
@@ -12,9 +12,6 @@ length bound.
 from __future__ import annotations
 
 import re
-
-
-LT, EQ, GT = -1, 0, 1
 
 
 def slot_weight2(slot: int) -> int:
@@ -31,7 +28,7 @@ class ExponentVector:
     returns the one object for its entries from ``_cache``, a table with no
     size cap, so equality and hashing are those of identity."""
 
-    __slots__ = ("entries", "length", "_w2", "_bumps")
+    __slots__ = ("entries", "length", "weight2", "_bumps")
     _cache: dict[tuple[tuple[int, int], ...], "ExponentVector"] = {}
 
     def __new__(cls, entries):
@@ -50,14 +47,10 @@ class ExponentVector:
         ev = object.__new__(cls)
         ev.entries = items
         ev.length = sum(e for _, e in items)
-        ev._w2 = sum(slot_weight2(s) * e for s, e in items)
+        ev.weight2 = sum(slot_weight2(s) * e for s, e in items)
         ev._bumps = None
         cls._cache[items] = ev
         return ev
-
-    @property
-    def weight2(self) -> int:
-        return self._w2
 
     @property
     def is_zero(self) -> bool:
@@ -93,7 +86,9 @@ class ExponentVector:
         return ExponentVector(items.items())
 
     def dense_key(self) -> tuple[int, ...]:
-        """Entries from slot 1 upward, without trailing zeros."""
+        """Entries from slot 1 upward, without trailing zeros.  As a key it
+        gives the reverse lexicographic order: the first differing slot
+        (from slot 1 up) decides, and the zero vector is the minimum."""
         if not self.entries:
             return ()
         top = self.entries[-1][0]
@@ -114,26 +109,10 @@ class ExponentVector:
 ZERO_VECTOR = ExponentVector(())
 
 
-def revlex_compare(i: ExponentVector, j: ExponentVector) -> int:
-    """Reverse lexicographic order: first differing slot (from slot 1 up)
-    decides; the zero vector is the minimum."""
-    a, b = i.dense_key(), j.dense_key()
-    if a == b:
-        return EQ
-    return GT if a > b else LT
-
-
-def principal_compare(i: ExponentVector, j: ExponentVector) -> int:
-    """Lexicographic on (weight, length, revlex)."""
-    if i.weight2 != j.weight2:
-        return GT if i.weight2 > j.weight2 else LT
-    if i.length != j.length:
-        return GT if i.length > j.length else LT
-    return revlex_compare(i, j)
-
-
 def principal_sort_key(i: ExponentVector):
-    """Sorting by this key ascending matches the principal order."""
+    """The principal order as a key: lexicographic on (weight, length,
+    `dense_key`).  A tuple of ints and int tuples is totally ordered, and
+    two vectors with one key have the same entries, so are one object."""
     return (i.weight2, i.length, i.dense_key())
 
 

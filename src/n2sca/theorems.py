@@ -17,7 +17,6 @@ from .orders import (
     ExponentVector,
     ZERO_VECTOR,
     enumerate_vectors,
-    principal_compare,
     principal_sort_key,
 )
 from .scalars import ONE, Scalar, ZERO, add_scaled
@@ -159,7 +158,7 @@ def reduce_to_M(
         new_deg = leading_word(image)
         if kind == "corollary" and new_deg != deg.bump(deg.min_nonzero_slot(), -1):
             kind = "overshoot"
-        if principal_compare(new_deg, deg) >= 0:
+        if principal_sort_key(new_deg) >= principal_sort_key(deg):
             trace.failure = f"{kind} step failed to descend: {deg} -> {new_deg}"
             return trace
         if new_deg.length > top_len:
@@ -246,8 +245,7 @@ def closure_check(
     span = SpanChecker(coord_key=module.term_key)
     for v in subspace:
         span.add(v.terms)
-    gens = [g for g in TWISTED.generators(window2)]
-    for x in gens:
+    for x in TWISTED.generators(window2):
         for v in subspace:
             report.checked += 1
             image = module.act(x, v)
@@ -276,7 +274,7 @@ def lemma_deg_suite(
     _require_conditions(module, u2)
     evs = enumerate_vectors(max_weight2, max_length)
     labels = list(module.seed.labels())
-    for i in evs:
+    for n, i in enumerate(evs):
         if i.is_zero:
             continue
         nhat = i.min_nonzero_slot()
@@ -297,9 +295,7 @@ def lemma_deg_suite(
         )
         ok_b = True
         witness = ""
-        for j in evs:
-            if j is i or principal_compare(i, j) <= 0:
-                continue
+        for j in evs[n + 1:]:  # descending and duplicate-free: the smaller words
             for lbl in labels:
                 image = module.act(x, module.basis_vector(j, lbl))
                 if any(ev == target for ev, _ in image.terms):

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from n2sca.orders import (
-    EQ,
     ExponentVector,
-    GT,
-    LT,
     ZERO_VECTOR,
     enumerate_vectors,
     parse_exponent_vector,
-    principal_compare,
-    revlex_compare,
+    principal_sort_key,
     slot_weight2,
     walk_vectors,
 )
@@ -26,6 +22,10 @@ small_evs = st.builds(
 
 def ev(*items):
     return ExponentVector(items)
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
 
 
 class TestWeightLength:
@@ -51,26 +51,26 @@ class TestWeightLength:
 
 class TestCompares:
     def test_revlex_earlier_slot_wins(self):
-        assert revlex_compare(ev((1, 1)), ev((4, 1))) == GT
+        assert ev((1, 1)).dense_key() > ev((4, 1)).dense_key()
 
     def test_revlex_zero_is_minimum(self):
         for k in range(1, 9):
-            assert revlex_compare(ZERO_VECTOR, ev((k, 1))) == LT
+            assert ZERO_VECTOR.dense_key() < ev((k, 1)).dense_key()
 
     def test_reflexive(self):
         i = ev((2, 1), (5, 2))
-        assert revlex_compare(i, i) == EQ
-        assert principal_compare(i, i) == EQ
+        assert i.dense_key() == ev((5, 2), (2, 1)).dense_key()
+        assert principal_sort_key(i) == principal_sort_key(ev((5, 2), (2, 1)))
 
     def test_principal_weight_first(self):
-        assert principal_compare(ev((1, 1)), ev((2, 1))) == GT
+        assert principal_sort_key(ev((1, 1))) > principal_sort_key(ev((2, 1)))
 
     def test_principal_length_breaks_weight_tie(self):
         # both weigh 3/2; lengths 3 > 1
-        assert principal_compare(ev((1, 3)), ev((3, 1))) == GT
+        assert principal_sort_key(ev((1, 3))) > principal_sort_key(ev((3, 1)))
 
     def test_principal_revlex_breaks_both_ties(self):
-        assert principal_compare(ev((1, 1)), ev((4, 1))) == GT
+        assert principal_sort_key(ev((1, 1))) > principal_sort_key(ev((4, 1)))
 
     def test_independent_rederivation(self):
         # re-derive the principal order clause by clause from the raw sums
@@ -88,15 +88,15 @@ class TestCompares:
 
         def clauses(i, j):
             if i == j:
-                return EQ
+                return 0
             if w2(i) != w2(j):
-                return GT if w2(i) > w2(j) else LT
+                return sign(w2(i), w2(j))
             if d(i) != d(j):
-                return GT if d(i) > d(j) else LT
+                return sign(d(i), d(j))
             di, dj = dense(i), dense(j)
             for a, b in zip(di, dj):
                 if a != b:
-                    return GT if a > b else LT
+                    return sign(a, b)
             raise AssertionError
 
         rng = random.Random(3)
@@ -104,7 +104,7 @@ class TestCompares:
             items_i = {rng.randint(1, 8): rng.randint(0, 3) for _ in range(3)}
             items_j = {rng.randint(1, 8): rng.randint(0, 3) for _ in range(3)}
             i, j = ExponentVector(items_i.items()), ExponentVector(items_j.items())
-            assert principal_compare(i, j) == clauses(i, j)
+            assert sign(principal_sort_key(i), principal_sort_key(j)) == clauses(i, j)
 
     def test_total_order_properties_seeded(self):
         rng = random.Random(0)
@@ -116,11 +116,12 @@ class TestCompares:
 
         for _ in range(10_000):
             i, j, k = rand(), rand(), rand()
-            for cmp in (revlex_compare, principal_compare):
-                assert cmp(i, j) == -cmp(j, i)
-                assert (cmp(i, j) == EQ) == (i == j)
-                if cmp(i, j) >= 0 and cmp(j, k) >= 0:
-                    assert cmp(i, k) >= 0
+            for key in (ExponentVector.dense_key, principal_sort_key):
+                ki, kj, kk = key(i), key(j), key(k)
+                assert sign(ki, kj) == -sign(kj, ki)
+                assert (ki == kj) == (i is j)
+                if ki >= kj >= kk:
+                    assert ki >= kk
 
 
 @given(small_evs, small_evs)
@@ -150,7 +151,7 @@ class TestEnumeration:
         assert len(got) == 7
         # descending principal order, zero last
         for a, b in zip(got, got[1:]):
-            assert principal_compare(a, b) == GT
+            assert principal_sort_key(a) > principal_sort_key(b)
         assert got[-1] == ZERO_VECTOR
 
     def test_weight_zero_is_slot2_only(self):
@@ -158,6 +159,15 @@ class TestEnumeration:
 
     def test_trivial_box(self):
         assert enumerate_vectors(0, 0) == [ZERO_VECTOR]
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (1, 2), (4, 3), (5, 4), (6, 4)])
+    def test_strictly_descending_by_the_principal_key(self, bounds):
+        # the deg-lemma suite takes the words after i in the box as exactly
+        # the principal-smaller ones
+        evs = enumerate_vectors(*bounds)
+        assert len(set(evs)) == len(evs)
+        keys = [principal_sort_key(i) for i in evs]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
     def test_counts_match_bruteforce(self):
         def brute(max_w2, max_len):

@@ -50,7 +50,7 @@ class FiniteLetters:
     def word_key(self, ev: ExponentVector) -> tuple:
         """The order of `enumerate_words`: (weight, length, entries)."""
         w2 = self._w2
-        return (sum(w2[s] * e for s, e in ev.entries), ev.length, ev.dense_key())
+        return (sum(w2[s] * e for s, e in ev.entries), ev.length, ev.revlex_key())
 
     def enumerate_words(self, max_w2: int, max_len: int) -> list[ExponentVector]:
         """All normal words of doubled weight <= max_w2 and length <= max_len,

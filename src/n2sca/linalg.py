@@ -92,13 +92,10 @@ def kernel_basis(images: list[dict], domain_size: int, coord_key) -> list[dict]:
         else:
             kernel.append(pre)
     # echelon form on the domain: each kernel vector is reduced only against
-    # the ones before it, never back-reduced
+    # the ones before it, never back-reduced.  Kernel vector j is the only one
+    # with a nonzero coordinate at index j, so none is in the span of the
+    # earlier ones, and each `add` stores its residue scaled at its smallest
+    # index; that row is copied, since later `add` calls back-reduce the
+    # stored rows in place
     reducer = SpanChecker(coord_key=lambda j: j)
-    out: list[dict] = []
-    for vec in kernel:
-        residue = reducer.add(vec)
-        if residue:
-            # `add` stored the residue scaled at its smallest index; copied,
-            # since later `add` calls back-reduce the stored rows in place
-            out.append(dict(reducer.rows[min(residue)][1]))
-    return out
+    return [dict(reducer.rows[min(reducer.add(vec))][1]) for vec in kernel]

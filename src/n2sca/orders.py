@@ -85,17 +85,12 @@ class ExponentVector:
             items[s] = items.get(s, 0) + e
         return ExponentVector(items.items())
 
-    def dense_key(self) -> tuple[int, ...]:
-        """Entries from slot 1 upward, without trailing zeros.  As a key it
-        gives the reverse lexicographic order: the first differing slot
-        (from slot 1 up) decides, and the zero vector is the minimum."""
-        if not self.entries:
-            return ()
-        top = self.entries[-1][0]
-        dense = [0] * top
-        for s, e in self.entries:
-            dense[s - 1] = e
-        return tuple(dense)
+    def revlex_key(self) -> tuple[tuple[int, int], ...]:
+        """(-slot, exponent) per entry, from slot 1 upward.  As a key it gives
+        the reverse lexicographic order: the first differing slot (from slot
+        1 up) decides, and the zero vector is the minimum.  Its length is the
+        number of entries, whatever the slots."""
+        return tuple([(-s, e) for s, e in self.entries])
 
     def __str__(self) -> str:
         if not self.entries:
@@ -111,9 +106,10 @@ ZERO_VECTOR = ExponentVector(())
 
 def principal_sort_key(i: ExponentVector):
     """The principal order as a key: lexicographic on (weight, length,
-    `dense_key`).  A tuple of ints and int tuples is totally ordered, and
-    two vectors with one key have the same entries, so are one object."""
-    return (i.weight2, i.length, i.dense_key())
+    `revlex_key`).  A tuple of ints and tuples of int pairs is totally
+    ordered, and two vectors with one key have the same entries, so are one
+    object."""
+    return (i.weight2, i.length, i.revlex_key())
 
 
 def walk_vectors(slots, max_weight2: int, max_length: int) -> list[ExponentVector]:

@@ -300,7 +300,7 @@ def suite_orders(seed: int = 0) -> SuiteReport:
     bad_total = bad_anti = bad_trans = bad_refines = bad_add = 0
     for _ in range(cases):
         i, j, k = random_ev(), random_ev(), random_ev()
-        for key in (ExponentVector.dense_key, principal_sort_key):
+        for key in (ExponentVector.revlex_key, principal_sort_key):
             ki, kj, kk = key(i), key(j), key(k)
             if (ki < kj) + (ki == kj) + (kj < ki) != 1:
                 bad_anti += 1

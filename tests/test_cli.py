@@ -746,6 +746,20 @@ def test_out_of_memory_is_inconclusive():
     assert proc.stderr == "inconclusive: out of memory\n"
 
 
+def test_one_term_at_a_huge_slot_fits_in_a_small_heap():
+    # ordering or printing a word costs memory by its entries, not its top slot
+    cap = 256 << 20
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "n2sca.cli", "act", "T[1/2]", "--spec",
+         os.path.join(GOLDEN, "whittaker.cfg"), "--vector", "{200000001:1}"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"), capture_output=True,
+        encoding="utf-8", timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (PASS, "w{200000001:1}⊗v0\n", "")
+
+
 # The fast parser against argparse.  For every command line of these tests
 # and of tests/test_golden.py, and for seeded mutations of each, `_fast_parse`
 # must decline (None) or give the namespace argparse gives, and it must
@@ -766,7 +780,8 @@ def _tested_argv():
              *(argv for argv, _ in INVALID_ARGUMENTS + EMPTY_VALUES),
              *(["verify", suite, flag, value] for suite in SUITE_NAMES
                for flag, (_, value) in VERIFY_FLAGS.items()),
-             ["bracket", "--", "---L[1]", "L[-1]"], ["act", "C", "--spec", "w.cfg", "--label=v0"]]
+             ["bracket", "--", "---L[1]", "L[-1]"], ["act", "C", "--spec", "w.cfg", "--label=v0"],
+             ["verify", "jacobi", "--window=0"]]
     return [[a.replace("{cfg}", "w.cfg").replace("{dir}", "d") for a in argv]
             for argv in lists]
 

@@ -1,8 +1,9 @@
 """Byte-level snapshots of the CLI surfaces.
 
-Each entry of CASES is one `n2sca` command line.  The test runs it
-in-process and compares its stdout bytes with `tests/golden/<name>.out`
-and its exit code with `tests/golden/exit_codes.tsv`.  `brackets.tsv`
+Each entry of CASES is one `n2sca` command line.  The tests run it
+in-process, and again through `python -m n2sca.cli`, and compare its
+stdout bytes with `tests/golden/<name>.out` and its exit code with
+`tests/golden/exit_codes.tsv`.  `brackets.tsv`
 holds `str(bracket(x, y))` for every generator pair with |index2| <= 4
 in all four presentations.
 
@@ -77,6 +78,10 @@ CASES: dict[str, tuple[str, ...]] = {
                                          "tests/golden/whittaker-irrational.cfg",
                                          "--t", "3/2", "--max-weight", "2",
                                          "--max-length", "4"),
+    # a subspace read from a file: two of the irrational kernel vectors above
+    "closure-file": ("closure", "--spec", "tests/golden/whittaker-irrational.cfg",
+                     "--subspace", "file:tests/golden/closure-subspace.vectors",
+                     "--window", "2"),
 }
 for _family, _cfg in (("whittaker", W), ("highorder", H), ("table", TB)):
     CASES[f"act-{_family}"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec", _cfg,
@@ -117,7 +122,9 @@ def _file_name(name: str) -> str:
 
 
 def _resolved(argv: tuple[str, ...]) -> list[str]:
-    return [str(ROOT / a) if a.startswith("tests/golden/") else a for a in argv]
+    """``argv`` with each golden path, bare or after `file:`, made absolute."""
+    return [a.replace("tests/golden/", f"{GOLDEN}/", 1)
+            if a.startswith(("tests/golden/", "file:tests/golden/")) else a for a in argv]
 
 
 def run_case(argv: tuple[str, ...]) -> tuple[bytes, int]:
@@ -291,17 +298,18 @@ def test_cli_golden_under_a_hash_seed(name, hash_seed):
 
 # The process path: `python -m n2sca.cli` runs `cli.run`, which flushes stdout
 # and stderr and leaves by os._exit.  The children write to a pipe with
-# buffered stdout, so a report reaches it only through that flush.  One case
-# per exit code; the exit-3 case has no golden, and its in-process run is the
-# reference.
-PROCESS_CASES = {
-    "act-whittaker-deep400": 0,  # 57,745 bytes
-    "verify-annihilator": 1,
-    "act-highorder-not-module": 2,
-    "reduce-whittaker-budget1": 3,
-}
+# buffered stdout, so a report reaches it only through that flush.  Every
+# golden case runs this way, against its golden and its row of exit_codes.tsv;
+# the exit-3 case has no golden, and its in-process run is the reference.
 PROCESS_ARGV = {**CASES, "reduce-whittaker-budget1": ("reduce", "{1:3}", "--spec", W,
                                                       "--budget", "1")}
+
+
+def process_reference(name: str) -> tuple[bytes, int]:
+    """The stdout bytes and exit code that ``name`` must give on the process path."""
+    if name in CASES:
+        return (GOLDEN / _file_name(name)).read_bytes(), _exit_codes()[name]
+    return run_case(PROCESS_ARGV[name])
 
 
 def run_process(argv: tuple[str, ...], unbuffered: bool = False, **kwargs):
@@ -322,16 +330,17 @@ def _finished(proc: subprocess.Popen) -> tuple[bytes, bytes]:
     return out, err
 
 
-@pytest.mark.parametrize("name", sorted(PROCESS_CASES))
+def test_process_cases_take_every_exit_code():
+    assert {process_reference(name)[1] for name in PROCESS_ARGV} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
 def test_process_exit_code_and_output(name):
-    if name in CASES:
-        want, code = (GOLDEN / _file_name(name)).read_bytes(), _exit_codes()[name]
-    else:
-        want, code = run_case(PROCESS_ARGV[name])
-    assert code == PROCESS_CASES[name]
+    want, code = process_reference(name)
     proc = run_process(PROCESS_ARGV[name])
     out, err = _finished(proc)
-    assert out == want and proc.returncode == code
+    assert out == want, f"{name}: {_first_difference(want, out)}"
+    assert proc.returncode == code, f"{name}: exit code {proc.returncode}, want {code}"
     assert (err == b"") == (code in (0, 1)), err  # exits 2 and 3 say why
 
 
@@ -354,10 +363,10 @@ def test_process_with_stdout_closed_is_an_error():
 @pytest.mark.parametrize("name", ["act-highorder-not-module", "reduce-whittaker-budget1"])
 def test_process_with_stderr_closed_keeps_its_exit_code(name):
     # the line that says why has nowhere to go; the exit code still says it
-    want, code = run_case(PROCESS_ARGV[name])
+    want, code = process_reference(name)
     proc = run_process(PROCESS_ARGV[name], stderr=None, preexec_fn=lambda: os.close(2))
     out, _ = proc.communicate(timeout=120)
-    assert out == want and proc.returncode == code == PROCESS_CASES[name]
+    assert code in (2, 3) and out == want and proc.returncode == code
 
 
 # The short report fails at the final flush when stdout is buffered, and in

@@ -51,16 +51,38 @@ class TestWeightLength:
 
 class TestCompares:
     def test_revlex_earlier_slot_wins(self):
-        assert ev((1, 1)).dense_key() > ev((4, 1)).dense_key()
+        assert ev((1, 1)).revlex_key() > ev((4, 1)).revlex_key()
 
     def test_revlex_zero_is_minimum(self):
         for k in range(1, 9):
-            assert ZERO_VECTOR.dense_key() < ev((k, 1)).dense_key()
+            assert ZERO_VECTOR.revlex_key() < ev((k, 1)).revlex_key()
 
     def test_reflexive(self):
         i = ev((2, 1), (5, 2))
-        assert i.dense_key() == ev((5, 2), (2, 1)).dense_key()
+        assert i.revlex_key() == ev((5, 2), (2, 1)).revlex_key()
         assert principal_sort_key(i) == principal_sort_key(ev((5, 2), (2, 1)))
+
+    def test_revlex_key_orders_as_the_dense_exponents(self):
+        # the reference: exponents from slot 1 up to the top slot, compared
+        # as tuples; a vector that stops where another goes on sorts below it
+        def dense(i):
+            out = [0] * (i.max_slot() or 0)
+            for s, e in i.entries:
+                out[s - 1] = e
+            return tuple(out)
+
+        rng = random.Random(5)
+        for _ in range(5000):
+            top = rng.choice([3, 8, 40])
+            i, j = (ExponentVector({rng.randint(1, top): rng.randint(0, 3)
+                                    for _ in range(rng.randint(0, 4))}.items())
+                    for _ in range(2))
+            assert sign(i.revlex_key(), j.revlex_key()) == sign(dense(i), dense(j)), (i, j)
+
+    def test_revlex_key_is_as_long_as_the_entries(self):
+        i = ev((1, 2), (10**12, 1))
+        assert i.revlex_key() == ((-1, 2), (-10**12, 1))
+        assert i.revlex_key() > ev((1, 2), (10**12 + 1, 5)).revlex_key() > ev((1, 2)).revlex_key()
 
     def test_principal_weight_first(self):
         assert principal_sort_key(ev((1, 1))) > principal_sort_key(ev((2, 1)))
@@ -116,7 +138,7 @@ class TestCompares:
 
         for _ in range(10_000):
             i, j, k = rand(), rand(), rand()
-            for key in (ExponentVector.dense_key, principal_sort_key):
+            for key in (ExponentVector.revlex_key, principal_sort_key):
                 ki, kj, kk = key(i), key(j), key(k)
                 assert sign(ki, kj) == -sign(kj, ki)
                 assert (ki == kj) == (i is j)

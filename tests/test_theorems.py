@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from n2sca import families
-from n2sca.algebra import G, L, SuiteReport, T, TWISTED
+from n2sca.algebra import G, L, LinearCombo, SuiteReport, T, TWISTED
 from n2sca.engine import InducedModule
 from n2sca.linalg import SpanChecker, kernel_basis
 from n2sca.families import derived_pair_spec
@@ -15,7 +15,7 @@ from n2sca.orders import (
     enumerate_vectors,
     principal_sort_key,
 )
-from n2sca.scalars import I, ONE, Scalar, ZERO, add_scaled
+from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO, _new, add_scaled
 from n2sca.theorems import (
     annihilator_Mt,
     closure_check,
@@ -25,6 +25,7 @@ from n2sca.theorems import (
     reduce_to_M,
     whittaker_identity_check,
 )
+from n2sca.transport import verify_automorphism
 
 
 def ev(*items):
@@ -326,6 +327,74 @@ class TestAnnihilator:
         module = spec.induced()
         basis, _ = annihilator_Mt(module, 1, 0, 0)
         assert [str(b) for b in basis] == ["w{}⊗v0"]
+
+
+# Two exact symmetries of the twisted algebra (notes/decisions.md,
+# "Symmetries of the annihilator").  Every structure constant of TWISTED is
+# rational, so Gal(Q(i, sqrt2)/Q) acts on parameters and results alike; tau
+# negates every T and every G of integer index, and twisting a Whittaker
+# module by it negates lambda.  `kernel_basis` is canonical, so both hold term
+# for term and in dict order, not only in dimension.
+SYMMETRY_BOXES = [((1, 4, 3), 2), ((3, 2, 4), 22), ((3, 4, 4), 34)]  # (t2, w2, len), dim
+BOX_IDS = ["t1_2-box4_3", "t3_2-box2_4", "t3_2-box4_4"]
+GALOIS = [(-1, 1), (1, -1), (-1, -1)]  # i -> si*i, sqrt2 -> sr*sqrt2
+
+
+def conjugate(x: Scalar, si: int, sr: int) -> Scalar:
+    """``x`` under i -> si*i and sqrt2 -> sr*sqrt2: the signs of the
+    numerators change, so the form stays in lowest terms."""
+    return _new(x._a, si * x._b, sr * x._c, si * sr * x._d, x._q)
+
+
+def tau_sign(word: ExponentVector) -> int:
+    """tau on a word: -1 per letter T (odd slot) or integer-index G (slot 2 mod 4)."""
+    return -1 if sum(e for s, e in word.entries if s % 2 or s % 4 == 2) % 2 else 1
+
+
+def tau(combo: LinearCombo, negated=("T", "G")) -> LinearCombo:
+    def image(g):
+        flips = g.kind == "T" or (g.kind == "G" and g.index2 % 2 == 0)
+        return LinearCombo.single(g, -ONE if flips and g.kind in negated else ONE)
+
+    return combo.map_generators(image)
+
+
+def _kernel(lam, c, box):
+    basis, _ = annihilator_Mt(whittaker_spec(lam, c).induced(), *box)
+    return basis
+
+
+class TestSymmetries:
+    LAM, C = ONE + I, SQRT2
+
+    @pytest.mark.parametrize("box, dim", SYMMETRY_BOXES, ids=BOX_IDS)
+    def test_galois_conjugate_kernel(self, box, dim):
+        basis = _kernel(self.LAM, self.C, box)
+        assert len(basis) == dim
+        for si, sr in GALOIS:
+            other = _kernel(conjugate(self.LAM, si, sr), conjugate(self.C, si, sr), box)
+            assert [list(v.terms.items()) for v in other] == [
+                [(key, conjugate(s, si, sr)) for key, s in v.terms.items()] for v in basis]
+
+    def test_tau_is_an_automorphism(self):
+        report = verify_automorphism(tau, TWISTED, 12)
+        assert report.checked == 2601 and report.ok
+        # the sign on T alone is not one
+        alone = verify_automorphism(lambda combo: tau(combo, ("T",)), TWISTED, 12)
+        assert alone.violations[0] == (T(-11), G(-12))
+
+    @pytest.mark.parametrize("box, dim", SYMMETRY_BOXES, ids=BOX_IDS)
+    def test_tau_carries_the_kernel_to_minus_lambda(self, box, dim):
+        # w (x) v0 -> tau_sign(w) w (x) v0 takes the kernel at lambda onto the
+        # kernel at -lambda; each vector is rescaled to 1 at its word of
+        # smallest domain index, the principal-largest one
+        basis, negated = _kernel(self.LAM, self.C, box), _kernel(-self.LAM, self.C, box)
+        assert len(basis) == len(negated) == dim
+        want = []
+        for v in basis:
+            lead = tau_sign(max(v.terms, key=lambda k: principal_sort_key(k[0]))[0])
+            want.append([(k, s if tau_sign(k[0]) == lead else -s) for k, s in v.terms.items()])
+        assert [list(v.terms.items()) for v in negated] == want
 
 
 class TestClosure:

@@ -227,7 +227,6 @@ ZERO = _new(0, 0, 0, 0, 1)
 ONE = _new(1, 0, 0, 0, 1)
 I = _new(0, 1, 0, 0, 1)
 SQRT2 = _new(0, 0, 1, 0, 1)
-I_SQRT2 = _new(0, 0, 0, 1, 1)
 HALF = _new(1, 0, 0, 0, 2)
 INV_SQRT2 = _new(0, 0, 1, 0, 2)  # 1/sqrt2 = sqrt2/2
 

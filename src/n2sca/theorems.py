@@ -255,8 +255,7 @@ def closure_check(
             residue = span.reduce(inside)
             if residue:
                 report.closed = False
-                if report.witness is None:
-                    report.witness = (x, v, ModuleVector(module, residue))
+                report.witness = (x, v, ModuleVector(module, residue))
                 return report
     return report
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import inspect
@@ -731,7 +732,7 @@ def test_run_turns_the_collector_off_and_main_keeps_the_callers_state(monkeypatc
 def test_out_of_memory_is_inconclusive():
     # the window is unbounded, so listing its generators fills any heap;
     # the address-space cap is set in the child only
-    cap = 512 << 20
+    cap = 256 << 20
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     # the process path: `cli.run` reports the MemoryError and leaves by os._exit
     proc = subprocess.run(
@@ -763,11 +764,15 @@ def test_one_term_at_a_huge_slot_fits_in_a_small_heap():
 # The fast parser against argparse.  For every command line of these tests
 # and of tests/test_golden.py, and for seeded mutations of each, `_fast_parse`
 # must decline (None) or give the namespace argparse gives, and it must
-# decline wherever argparse exits.
+# decline wherever argparse exits.  `parse_args` does not change the parser,
+# so one parser serves every command line.
+_argparse_parser = functools.cache(cli.build_parser)
+
+
 def _argparse_vars(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser().parse_args(argv))
+            return vars(_argparse_parser().parse_args(argv))
         except SystemExit:
             return None
 

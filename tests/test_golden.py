@@ -1,9 +1,10 @@
 """Byte-level snapshots of the CLI surfaces.
 
 Each entry of CASES is one `n2sca` command line.  The tests run it
-in-process, and again through `python -m n2sca.cli`, and compare its
-stdout bytes with `tests/golden/<name>.out` and its exit code with
-`tests/golden/exit_codes.tsv`.  `brackets.tsv`
+in-process, through `python -m n2sca.cli`, and through `main` in a fresh
+interpreter that reports the modules it loaded and the reference cycles it
+left, and compare its stdout bytes with `tests/golden/<name>.out` and its
+exit code with `tests/golden/exit_codes.tsv`.  `brackets.tsv`
 holds `str(bracket(x, y))` for every generator pair with |index2| <= 4
 in all four presentations.
 
@@ -16,7 +17,6 @@ intended behaviour change, rerun from the repository root:
 from __future__ import annotations
 
 import contextlib
-import gc
 import io
 import os
 import shlex
@@ -93,6 +93,10 @@ for _family, _cfg in (("whittaker", W), ("highorder", H), ("table", TB)):
 for _family in ("highorder", "table"):
     CASES[f"act-{_family}-not-module"] = ("act", "T[1/2] G[-1/2] L[-1]", "--spec",
                                           f"tests/golden/{_family}.cfg", "--vector", "{1:1}")
+# every golden case, and one that spends a `reduce --budget` and exits 3; that
+# case has no golden, and its in-process run is the reference
+PROCESS_ARGV = {**CASES, "reduce-whittaker-budget1": ("reduce", "{1:3}", "--spec", W,
+                                                      "--budget", "1")}
 
 
 # argparse's own text, which only a malformed command line or a request for
@@ -186,6 +190,13 @@ def _exit_codes() -> dict[str, int]:
             (line.split("\t") for line in text.splitlines()[1:])}
 
 
+def process_reference(name: str) -> tuple[bytes, int]:
+    """The stdout bytes and exit code that the `PROCESS_ARGV` case ``name`` must give."""
+    if name in CASES:
+        return (GOLDEN / _file_name(name)).read_bytes(), _exit_codes()[name]
+    return run_case(PROCESS_ARGV[name])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_golden(name):
     got, code = run_case(CASES[name])
@@ -212,15 +223,16 @@ def test_usage_error_golden(name):
     assert sorted(_usage_errors()) == sorted(USAGE_ERRORS)
 
 
-# One case per subcommand, each run in a fresh interpreter, with the modules
-# that command must not load.  In-process runs cannot catch a missed local
-# import, because earlier tests have already loaded every layer.  Only a
-# `Fraction` passed into or read back from a scalar loads `fractions`, and
-# only help or a malformed command line loads argparse (which loads `gettext`,
-# and `gettext` `locale`).  Only a table, generalized or highorder config loads
-# `families`, and only a non-default `--algebra` loads `suites` for a bracket;
-# the act-table, act-highorder and bracket-untwisted-12 cases run that code
-# through those lazy imports.
+# Every `PROCESS_ARGV` case also runs in a fresh interpreter, through `main`
+# in `CHILD`.  In-process runs cannot catch a missed local import, because
+# earlier tests have already loaded every layer.  Only help or a malformed
+# command line loads argparse (which loads `gettext`, and `gettext` `locale`),
+# so no case may load them.  `FRESH_CASES` names, for one case per subcommand,
+# the modules that command must not load besides.  Only a `Fraction` passed
+# into or read back from a scalar loads `fractions`.  Only a table,
+# generalized or highorder config loads `families`, and only a non-default
+# `--algebra` loads `suites` for a bracket; the act-table, act-highorder and
+# bracket-untwisted-12 cases run that code through those lazy imports.
 LAYERS = {f"n2sca.{name}" for name in ("engine", "modules", "orders", "theorems", "linalg",
                                        "families", "transport")}
 ARGPARSE = {"argparse", "gettext", "locale"}
@@ -243,29 +255,47 @@ FRESH_CASES = {name: ARGPARSE | forbidden for name, forbidden in {
     # no derived pair: `families` is imported by the other two demos only
     "demo-whittaker": {"n2sca.families", "n2sca.suites", "n2sca.transport", "fractions"},
 }.items()}
-CHILD = ("import sys; from n2sca.cli import main; code = main(sys.argv[1:]); "
-         "sys.stdout.flush(); sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
-         "sys.exit(code)")
+# The child runs the command as `cli.run` does, with the cyclic collector off
+# from the first lazy import to the exit.  No command makes a reference cycle,
+# which is why `cli.run` turns the collector off, so `gc.collect()` after the
+# command must find nothing.  After the command's own stderr the child writes
+# two lines: the modules loaded, and the count that `gc.collect()` returns.
+CHILD = ("import gc, sys; from n2sca.cli import main; gc.collect(); gc.disable(); "
+         "code = main(sys.argv[1:]); sys.stdout.flush(); "
+         "sys.stderr.write(' '.join(sorted(sys.modules)) + '\\n'); "
+         "sys.stderr.write(f'{gc.collect()}\\n'); sys.exit(code)")
 
 
-def run_fresh(name: str, **env: str) -> subprocess.CompletedProcess:
-    """One case in a fresh interpreter, ``env`` added to the environment;
-    its stdout must match the golden, and so must its exit code."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, *_resolved(CASES[name])],
+def run_child(argv: tuple[str, ...], **env: str) -> tuple[bytes, bytes, int, set[str], int]:
+    """``argv`` through `CHILD`, ``env`` added to the environment: its stdout,
+    its own stderr, its exit code, the modules it loaded and its garbage count."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, *_resolved(argv)],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                                    PYTHONIOENCODING="utf-8", **env),
                           capture_output=True, timeout=120)
-    assert proc.stdout == (GOLDEN / _file_name(name)).read_bytes()
-    assert proc.returncode == _exit_codes()[name]
-    return proc
+    *own, loaded, garbage = proc.stderr.decode("utf-8").splitlines(keepends=True)
+    return (proc.stdout, "".join(own).encode("utf-8"), proc.returncode, set(loaded.split()),
+            int(garbage))
 
 
-@pytest.mark.parametrize("name", sorted(FRESH_CASES))
+def run_fresh(name: str, **env: str) -> tuple[bytes, set[str], int]:
+    """The `PROCESS_ARGV` case ``name`` through `run_child`, whose stdout and
+    exit code must be those of `process_reference`; the rest of what it returns."""
+    out, err, code, loaded, garbage = run_child(PROCESS_ARGV[name], **env)
+    want, want_code = process_reference(name)
+    assert out == want, f"{name}: {_first_difference(want, out)}"
+    assert code == want_code, f"{name}: exit code {code}, want {want_code}"
+    return err, loaded, garbage
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
 def test_cli_golden_in_a_fresh_interpreter(name):
-    proc = run_fresh(name)
-    loaded = set(proc.stderr.decode("utf-8").splitlines()[-1].split())
+    err, loaded, garbage = run_fresh(name)
+    assert err.count(b"\n") <= 1, err
     assert "n2sca.cli" in loaded
-    assert not loaded & FRESH_CASES[name], f"{name} loads {sorted(loaded & FRESH_CASES[name])}"
+    forbidden = loaded & FRESH_CASES.get(name, ARGPARSE)
+    assert not forbidden, f"{name} loads {sorted(forbidden)}"
+    assert garbage == 0, f"{name} leaves {garbage} objects in reference cycles"
 
 
 # help and a usage error take the argparse parser, and print in a fresh
@@ -273,14 +303,9 @@ def test_cli_golden_in_a_fresh_interpreter(name):
 @pytest.mark.parametrize("argv", [HELP_CASES["act"], USAGE_ERRORS["verify-nosuch"]],
                          ids=" ".join)
 def test_argparse_fallback_in_a_fresh_interpreter(argv):
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-                                   PYTHONIOENCODING="utf-8", **HELP_WIDTH),
-                          capture_output=True, timeout=120)
-    *lines, loaded = proc.stderr.decode("utf-8").splitlines(keepends=True)
-    err = "".join(lines).encode("utf-8")
-    assert (proc.stdout, err, proc.returncode) == run_usage_case(argv)
-    assert ARGPARSE <= set(loaded.split())
+    out, err, code, loaded, _ = run_child(argv, **HELP_WIDTH)
+    assert (out, err, code) == run_usage_case(argv)
+    assert ARGPARSE <= loaded
 
 
 # The iteration order of a set of strings follows the string hash seed, and
@@ -299,19 +324,7 @@ def test_cli_golden_under_a_hash_seed(name, hash_seed):
 # The process path: `python -m n2sca.cli` runs `cli.run`, which flushes stdout
 # and stderr and leaves by os._exit.  The children write to a pipe with
 # buffered stdout, so a report reaches it only through that flush.  Every
-# golden case runs this way, against its golden and its row of exit_codes.tsv;
-# the exit-3 case has no golden, and its in-process run is the reference.
-PROCESS_ARGV = {**CASES, "reduce-whittaker-budget1": ("reduce", "{1:3}", "--spec", W,
-                                                      "--budget", "1")}
-
-
-def process_reference(name: str) -> tuple[bytes, int]:
-    """The stdout bytes and exit code that ``name`` must give on the process path."""
-    if name in CASES:
-        return (GOLDEN / _file_name(name)).read_bytes(), _exit_codes()[name]
-    return run_case(PROCESS_ARGV[name])
-
-
+# `PROCESS_ARGV` case runs this way, against `process_reference`.
 def run_process(argv: tuple[str, ...], unbuffered: bool = False, **kwargs):
     """``argv`` through `python -m n2sca.cli`; ``kwargs`` go to `subprocess.Popen`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -378,27 +391,6 @@ def test_process_reader_closed_the_pipe(name, unbuffered):
     proc.stdout.close()  # long before the child starts writing
     _, err = _finished(proc)
     assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
-
-
-# No command makes a reference cycle, which is why `cli.run` turns the cyclic
-# collector off: with it off, the garbage that `gc.collect()` finds after a
-# command is only that of a trivial one (the argument parser's).
-def _cyclic_garbage(argv: tuple[str, ...]) -> int:
-    was = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        run_case(argv)
-        return gc.collect()
-    finally:
-        if was:
-            gc.enable()
-
-
-@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
-def test_command_makes_no_reference_cycle(name):
-    trivial = _cyclic_garbage(("enumerate", "--max-weight", "0", "--max-length", "0"))
-    assert _cyclic_garbage(PROCESS_ARGV[name]) == trivial
 
 
 def test_algebra_names_are_the_presentations():

@@ -21,7 +21,7 @@ from n2sca.modules import (
     verma_untwisted,
     whittaker_spec,
 )
-from n2sca.orders import ZERO_VECTOR, walk_vectors
+from n2sca.orders import ZERO_VECTOR, enumerate_vectors, walk_vectors
 from n2sca.scalars import I, ONE, SQRT2, Scalar, ZERO
 from n2sca.suites import UNTWISTED_PM, Gm, Gp, J, Lu
 
@@ -335,6 +335,42 @@ def test_conditions_on_the_induced_seeds(config, u2, want):
     with open(path) as fh:
         spec = load_spec_config(fh.read())
     assert check_conditions(spec, u2) == want
+
+
+# Restrictedness, the module half of the abstract's vertex-algebra sentence
+# (notes/decisions.md, "Restrictedness"): on a basis vector w (x) l no positive
+# generator of doubled degree above w.weight2 + d_seed acts, where d_seed is
+# the largest doubled degree in a nonzero entry of the seed's table (of the
+# inner `FiniteSeed`, for an induced seed).  Every positive generator up to
+# doubled degree 24 runs over each basis vector of the box; the counts are the
+# vectors and those on which the top generator that acts reaches the bound.
+RESTRICTED_BOXES = {  # config: d_seed, box (doubled weight, length), vectors, reached
+    "whittaker": (1, (6, 3), 98, 85),
+    "table-module": (1, (6, 3), 196, 183),
+    "generalized": (3, (4, 2), 350, 322),
+    "highorder-module": (5, (4, 2), 800, 736),
+}
+
+
+@pytest.mark.parametrize("config", sorted(RESTRICTED_BOXES))
+def test_no_generator_acts_above_the_restrictedness_bound(config):
+    d_seed, box, vectors, reached = RESTRICTED_BOXES[config]
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", f"{config}.cfg")
+    with open(path) as fh:
+        spec = load_spec_config(fh.read())
+    seed = spec if isinstance(spec, FiniteSeed) else spec.inner.seed
+    assert max(gen.degree2 for (gen, _), out in seed.table.items() if out) == d_seed
+    module = spec.induced()
+    positive = [g for g in TWISTED.generators(24) if g.degree2 > 0]
+    counts = [0, 0]
+    for ev in enumerate_vectors(*box):
+        for label in spec.labels():
+            v = module.basis_vector(ev, label)
+            top = max((g.degree2 for g in positive if module.act(g, v).terms), default=0)
+            assert top <= ev.weight2 + d_seed, f"{v} is moved by a generator of degree2 {top}"
+            counts[0] += 1
+            counts[1] += top == ev.weight2 + d_seed
+    assert counts == [vectors, reached]
 
 
 VERMA_KILLERS = (Lu(1), Lu(2), J(1), Gp(1), Gm(1), Gp(3), Gm(3))

@@ -17,6 +17,7 @@ intended behaviour change, rerun from the repository root:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 import shlex
@@ -227,8 +228,10 @@ def test_usage_error_golden(name):
 # in `CHILD`.  In-process runs cannot catch a missed local import, because
 # earlier tests have already loaded every layer.  Only help or a malformed
 # command line loads argparse (which loads `gettext`, and `gettext` `locale`),
-# so no case may load them.  `FRESH_CASES` names, for one case per subcommand,
-# the modules that command must not load besides.  Only a `Fraction` passed
+# so no case may load them (`test_command_makes_no_reference_cycle`, which
+# checks every case).  `FRESH_CASES` names, for one case per subcommand, the
+# modules that command must not load besides
+# (`test_cli_golden_in_a_fresh_interpreter`).  Only a `Fraction` passed
 # into or read back from a scalar loads `fractions`.  Only a table,
 # generalized or highorder config loads `families`, and only a non-default
 # `--algebra` loads `suites` for a bracket; the act-table, act-highorder and
@@ -266,7 +269,7 @@ CHILD = ("import gc, sys; from n2sca.cli import main; gc.collect(); gc.disable()
          "sys.stderr.write(f'{gc.collect()}\\n'); sys.exit(code)")
 
 
-def run_child(argv: tuple[str, ...], **env: str) -> tuple[bytes, bytes, int, set[str], int]:
+def run_child(argv: tuple[str, ...], **env: str) -> tuple[bytes, bytes, int, frozenset[str], int]:
     """``argv`` through `CHILD`, ``env`` added to the environment: its stdout,
     its own stderr, its exit code, the modules it loaded and its garbage count."""
     proc = subprocess.run([sys.executable, "-c", CHILD, *_resolved(argv)],
@@ -274,11 +277,11 @@ def run_child(argv: tuple[str, ...], **env: str) -> tuple[bytes, bytes, int, set
                                    PYTHONIOENCODING="utf-8", **env),
                           capture_output=True, timeout=120)
     *own, loaded, garbage = proc.stderr.decode("utf-8").splitlines(keepends=True)
-    return (proc.stdout, "".join(own).encode("utf-8"), proc.returncode, set(loaded.split()),
-            int(garbage))
+    return (proc.stdout, "".join(own).encode("utf-8"), proc.returncode,
+            frozenset(loaded.split()), int(garbage))
 
 
-def run_fresh(name: str, **env: str) -> tuple[bytes, set[str], int]:
+def run_fresh(name: str, **env: str) -> tuple[bytes, frozenset[str], int]:
     """The `PROCESS_ARGV` case ``name`` through `run_child`, whose stdout and
     exit code must be those of `process_reference`; the rest of what it returns."""
     out, err, code, loaded, garbage = run_child(PROCESS_ARGV[name], **env)
@@ -288,13 +291,25 @@ def run_fresh(name: str, **env: str) -> tuple[bytes, set[str], int]:
     return err, loaded, garbage
 
 
-@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
+@functools.cache
+def fresh_report(name: str) -> tuple[bytes, frozenset[str], int]:
+    """`run_fresh` of ``name`` in the plain environment, run once for both tests below."""
+    return run_fresh(name)
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_CASES))
 def test_cli_golden_in_a_fresh_interpreter(name):
-    err, loaded, garbage = run_fresh(name)
-    assert err.count(b"\n") <= 1, err
+    _, loaded, _ = fresh_report(name)
     assert "n2sca.cli" in loaded
-    forbidden = loaded & FRESH_CASES.get(name, ARGPARSE)
+    forbidden = loaded & FRESH_CASES[name]
     assert not forbidden, f"{name} loads {sorted(forbidden)}"
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_ARGV))
+def test_command_makes_no_reference_cycle(name):
+    err, loaded, garbage = fresh_report(name)
+    assert err.count(b"\n") <= 1, err
+    assert not loaded & ARGPARSE, f"{name} loads {sorted(loaded & ARGPARSE)}"
     assert garbage == 0, f"{name} leaves {garbage} objects in reference cycles"
 
 
